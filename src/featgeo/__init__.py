@@ -44,8 +44,6 @@ from .optimizer import (
 from .pipeline import (
     AblationResult,
     RunConfig,
-    RunRecord,
-    evaluate_candidate,
     probe_topic,
     run_ablation,
     run_optimization,
@@ -57,6 +55,7 @@ from .quality import (
     aggregate_quality,
     average_quality,
 )
+from .records import RunRecord
 from .sim import (
     SimBackend,
     SimConfig,

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
 
-from . import bundled
+from . import bundled, records
 from .citations import parse_citations, visibility_scores
 from .errors import BudgetError, EngineError, FeatGeoError, IntegrityError, ValidationError
 from .features import catalog_default
@@ -21,7 +20,6 @@ from .pipeline import (
     run_ablation_sweep,
     run_optimization,
 )
-from .records import probe_to_dict
 from .report import REPORT_DIR_NAME, REPORT_FILES, export_report, load_report_data
 
 logger = logging.getLogger(__name__)
@@ -107,9 +105,8 @@ def _cmd_probe(args) -> int:
     client = build_client(cfg, catalog)
     docs = load_documents(cfg.competitor_docs)
     probe = probe_topic(cfg, client, docs)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    out = run_dir / "probe.json"
-    out.write_text(json.dumps(probe_to_dict(probe, catalog)) + "\n", encoding="utf-8")
+    out = run_dir / records.PROBE_FILE
+    records.write_json(out, records.probe_to_dict(probe, catalog))
     print(f"probed {len(probe.queries)} queries; exemplars: {list(probe.exemplar_ids)}")
     print(f"wrote {out}")
     return EXIT_OK

@@ -164,7 +164,9 @@ class EngineClient:
             raise ValidationError(
                 f"theme extraction expects exactly {self.theme_doc_count} documents, got {len(docs)}"
             )
-        prompt = render_prompt(Role.THEME_EXTRACT, docs_text=format_source_documents(docs))
+        prompt = render_prompt(
+            Role.THEME_EXTRACT, doc_count=str(len(docs)), docs_text=format_source_documents(docs)
+        )
         reply = self._complete(Role.THEME_EXTRACT, prompt, {"docs": list(docs), "topic": topic}, "")
         strategy = reply.strip()
         if not strategy:
@@ -253,6 +255,3 @@ class EngineClient:
         raise EngineError(
             f"quality judging failed after {self.retry_limit} attempts", raw_reply=last_reply
         )
-
-    def ledger_report(self) -> str:
-        return self.ledger.report()

@@ -1,21 +1,38 @@
 """Per-stage cost accounting for engine calls.
 
-The ledger tracks wall time, call counts, and token usage per (stage, role)
-pair; stage aggregates and grand totals are maintained as running sums. The
-report recomputes totals from the stage entries and refuses to print a ledger
-whose stored totals disagree.
+The ledger keeps wall time, call counts, and token usage per (stage, role)
+pair, and nothing else: stage aggregates and grand totals are derived from
+those entries. A serialized ledger carries the derived blocks as well, and
+loading one refuses any block that disagrees with its entries.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Any, Mapping
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Mapping, Sequence
 
 from ..errors import IntegrityError
 from .types import EngineResponse, Role, Stage
 
 STAGES = (Stage.FEATURE_EXTRACTION, Stage.INITIAL_POPULATION, Stage.GA_OPTIMIZATION)
+
+
+def format_table(
+    header: Sequence[str], rows: Sequence[Sequence[str]], total: Sequence[str] | None = None
+) -> str:
+    """Left-aligned text table: header, rule, rows, then an optional ruled-off total row."""
+    body = [*rows, total] if total is not None else list(rows)
+    widths = [max(len(cell) for cell in column) for column in zip(header, *body)]
+    rule = "  ".join("-" * w for w in widths)
+
+    def line(cells: Sequence[str]) -> str:
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+
+    lines = [line(header), rule, *map(line, rows)]
+    if total is not None:
+        lines += [rule, line(total)]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -63,14 +80,31 @@ class CallStats:
         )
 
 
+Entries = Mapping[tuple[Stage, Role], CallStats]
+
+
+def _sum(entries: Entries, keep: Callable[[Stage, Role], bool] = lambda s, r: True) -> CallStats:
+    out = CallStats()
+    for (stage, role), stats in entries.items():
+        if keep(stage, role):
+            out.add(stats)
+    return out
+
+
+def _stage_sum(entries: Entries, stage: Stage) -> CallStats:
+    return _sum(entries, lambda s, _: s == stage)
+
+
+def _role_sum(entries: Entries, role: Role, stage: Stage | None) -> CallStats:
+    return _sum(entries, lambda s, r: r == role and (stage is None or s == stage))
+
+
 class CostLedger:
     """Thread-safe accumulator of engine-call costs across pipeline stages."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._entries: dict[tuple[Stage, Role], CallStats] = {}
-        self._stage_totals: dict[Stage, CallStats] = {stage: CallStats() for stage in STAGES}
-        self._totals = CallStats()
 
     def record_call(
         self, stage: Stage, role: Role, response: EngineResponse, cached: bool = False
@@ -83,133 +117,78 @@ class CostLedger:
             completion_tokens=response.completion_tokens,
         )
         with self._lock:
-            entry = self._entries.setdefault((stage, role), CallStats())
-            entry.add(delta)
-            self._stage_totals[stage].add(delta)
-            self._totals.add(delta)
+            self._entries.setdefault((stage, role), CallStats()).add(delta)
+
+    def _snapshot(self) -> dict[tuple[Stage, Role], CallStats]:
+        """A consistent copy of the entries, so derived figures agree with each other."""
+        with self._lock:
+            return {key: replace(stats) for key, stats in self._entries.items()}
 
     def stage_stats(self, stage: Stage) -> CallStats:
-        with self._lock:
-            out = CallStats()
-            out.add(self._stage_totals[stage])
-            return out
+        return _stage_sum(self._snapshot(), stage)
 
     def totals(self) -> CallStats:
-        with self._lock:
-            out = CallStats()
-            out.add(self._totals)
-            return out
+        return _sum(self._snapshot())
 
     def role_requests(self, role: Role, stage: Stage | None = None) -> int:
         """Live calls plus cache hits for a role, optionally within one stage."""
-        with self._lock:
-            return sum(
-                e.api_calls + e.cache_hits
-                for (s, r), e in self._entries.items()
-                if r == role and (stage is None or s == stage)
-            )
+        stats = _role_sum(self._snapshot(), role, stage)
+        return stats.api_calls + stats.cache_hits
 
     def role_calls(self, role: Role, stage: Stage | None = None) -> int:
-        with self._lock:
-            return sum(
-                e.api_calls
-                for (s, r), e in self._entries.items()
-                if r == role and (stage is None or s == stage)
-            )
-
-    def _recomputed_totals(self) -> CallStats:
-        out = CallStats()
-        for stage in STAGES:
-            out.add(self._stage_totals[stage])
-        return out
-
-    def verify(self) -> None:
-        """Raise IntegrityError when stored totals disagree with stage sums."""
-        with self._lock:
-            recomputed = self._recomputed_totals()
-            stored = self._totals
-            if (
-                recomputed.api_calls != stored.api_calls
-                or recomputed.prompt_tokens != stored.prompt_tokens
-                or recomputed.completion_tokens != stored.completion_tokens
-                or recomputed.cache_hits != stored.cache_hits
-                or recomputed.wall_time_us != stored.wall_time_us
-            ):
-                raise IntegrityError(
-                    f"ledger totals {stored.to_dict()} disagree with stage sums {recomputed.to_dict()}"
-                )
-            # Stage totals must equal their per-role entries as well.
-            for stage in STAGES:
-                per_role = CallStats()
-                for (s, _), e in self._entries.items():
-                    if s == stage:
-                        per_role.add(e)
-                st = self._stage_totals[stage]
-                if (
-                    per_role.api_calls != st.api_calls
-                    or per_role.prompt_tokens != st.prompt_tokens
-                    or per_role.completion_tokens != st.completion_tokens
-                    or per_role.cache_hits != st.cache_hits
-                ):
-                    raise IntegrityError(f"stage {stage.value!r} totals disagree with role entries")
+        return _role_sum(self._snapshot(), role, stage).api_calls
 
     def report(self) -> str:
         """Format the stage table (time, calls, prompt/completion tokens) plus totals."""
-        self.verify()
-        with self._lock:
-            rows = [
-                (stage.value, self._stage_totals[stage]) for stage in STAGES
-            ]
-            total = self._totals
-        header = ("Pipeline Stage", "Time (s)", "API Calls", "Prompt Tok.", "Compl. Tok.")
-        body = [
-            (
+        entries = self._snapshot()
+
+        def row(name: str, stats: CallStats) -> tuple[str, ...]:
+            return (
                 name,
                 f"{stats.wall_time:,.1f}",
                 f"{stats.api_calls:,}",
                 f"{stats.prompt_tokens:,}",
                 f"{stats.completion_tokens:,}",
             )
-            for name, stats in rows
-        ]
-        body.append(
-            (
-                "Total",
-                f"{total.wall_time:,.1f}",
-                f"{total.api_calls:,}",
-                f"{total.prompt_tokens:,}",
-                f"{total.completion_tokens:,}",
-            )
+
+        return format_table(
+            ("Pipeline Stage", "Time (s)", "API Calls", "Prompt Tok.", "Compl. Tok."),
+            [row(stage.value, _stage_sum(entries, stage)) for stage in STAGES],
+            row("Total", _sum(entries)),
         )
-        widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
-        lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-        lines.append("  ".join("-" * w for w in widths))
-        for row in body[:-1]:
-            lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-        lines.append("  ".join("-" * w for w in widths))
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(body[-1])).rstrip())
-        return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "entries": {
-                    f"{stage.value}/{role.value}": stats.to_dict()
-                    for (stage, role), stats in sorted(
-                        self._entries.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-                    )
-                },
-                "stages": {stage.value: self._stage_totals[stage].to_dict() for stage in STAGES},
-                "totals": self._totals.to_dict(),
-            }
+        entries = self._snapshot()
+        return {
+            "entries": {
+                f"{stage.value}/{role.value}": stats.to_dict()
+                for (stage, role), stats in sorted(
+                    entries.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
+                )
+            },
+            "stages": {stage.value: _stage_sum(entries, stage).to_dict() for stage in STAGES},
+            "totals": _sum(entries).to_dict(),
+        }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CostLedger":
+        """Load a serialized ledger, checking its stage and total blocks against its entries.
+
+        Raises IntegrityError when any stored block differs from the summed
+        entries in any field.
+        """
         ledger = cls()
         for key, stats in data.get("entries", {}).items():
             stage_name, role_name = key.split("/", 1)
             ledger._entries[(Stage(stage_name), Role(role_name))] = CallStats.from_dict(stats)
-        for stage in STAGES:
-            ledger._stage_totals[stage] = CallStats.from_dict(data["stages"][stage.value])
-        ledger._totals = CallStats.from_dict(data["totals"])
+        blocks = [
+            (f"stage {stage.value!r}", data["stages"][stage.value], _stage_sum(ledger._entries, stage))
+            for stage in STAGES
+        ]
+        blocks.append(("totals", data["totals"], _sum(ledger._entries)))
+        for name, stored, derived in blocks:
+            if CallStats.from_dict(stored) != derived:
+                raise IntegrityError(
+                    f"ledger {name} {dict(stored)} disagree with its summed entries {derived.to_dict()}"
+                )
         return ledger

@@ -286,7 +286,7 @@ def vector_from_mapping(
     """Build a vector from a key-value record over exactly the 13 catalog keys.
 
     Out-of-range values raise unless ``lenient``, in which case they are
-    reported through the return path of :func:`clamp`. Missing or unknown keys
+    silently clamped into range by :func:`clamp`. Missing or unknown keys
     always raise.
     """
     known = set(c.keys())

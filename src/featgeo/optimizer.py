@@ -437,8 +437,7 @@ def evolve(
             _evaluate(ind, cfg, evaluator, 0, slot)
             evaluations += cfg.repeats_per_eval
         archive.extend(population)
-        non_dominated_sort(population)
-        for front in _group_by_rank(population):
+        for front in non_dominated_sort(population):
             crowding_distance(front)
         record(0)
         log.extend(_log_population(population, 0))
@@ -470,10 +469,3 @@ def evolve(
 
     front = ParetoFront(tuple(archive))
     return EvolveResult(front, HypervolumeTrace(tuple(trace)), tuple(log), evaluations)
-
-
-def _group_by_rank(pop: Sequence[Individual]) -> list[list[Individual]]:
-    groups: dict[int, list[Individual]] = {}
-    for ind in pop:
-        groups.setdefault(ind.rank, []).append(ind)
-    return [groups[r] for r in sorted(groups)]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from . import records, report
 from .citations import citation_frequency, parse_citations, select_exemplars, visibility_scores
 from .engine.cache import ResponseCache
 from .engine.client import EngineClient
@@ -29,7 +30,6 @@ from .engine.types import (
     Role,
     SourceDocument,
     Stage,
-    TopicBrief,
 )
 from .errors import EngineError, IntegrityError, ValidationError
 from .features import (
@@ -37,22 +37,19 @@ from .features import (
     FeatureVector,
     catalog_default,
     clamp,
-    encode_vector,
     render_guidelines,
 )
 from .optimizer import (
     EvolveResult,
     GAConfig,
-    GenerationRecord,
     HypervolumeTrace,
-    Individual,
     OptimizerAbort,
     POLICIES,
-    ParetoFront,
     evolve,
     select_final,
 )
 from .quality import QualityConfig, aggregate_quality, average_quality
+from .records import EvalMetric, ProbeResult, RunRecord
 from .sim import SimBackend, SimConfig, SimWorld
 
 logger = logging.getLogger(__name__)
@@ -63,8 +60,6 @@ JUDGE_TARGET_ANSWER = "answer"
 JUDGE_TARGET_PAGE = "page"
 POSITION_LAST = "last"
 POSITION_FIRST = "first"
-
-MANIFEST_NAME = "manifest.json"
 
 
 @dataclass(frozen=True)
@@ -168,38 +163,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class ProbeResult:
-    """Everything the topic probe learned before optimization starts."""
-
-    queries: tuple[str, ...]
-    frequencies: dict[int, int]
-    num_queries: int
-    exemplar_ids: tuple[int, ...]
-    exemplar_vectors: tuple[FeatureVector, ...]
-    brief: TopicBrief
-
-
-@dataclass(frozen=True)
-class EvalMetric:
-    """Aggregated metrics of one evaluator call (one candidate, one repeat).
-
-    Raw judge dimensions are kept (one 7-tuple per judge call, canonical
-    dimension order) so the quality blend weight can be re-applied post hoc.
-    """
-
-    generation: int
-    slot: int
-    repeat: int
-    visibility: float
-    quality: float
-    word: float
-    pos: float
-    per_query_vis: tuple[float, ...]
-    judge_scores: tuple[tuple[int, ...], ...] = ()
-    failed: bool = False
-
-
-@dataclass(frozen=True)
 class AblationResult:
     """Visibility contribution of one feature under minimum-clamping."""
 
@@ -213,23 +176,6 @@ class AblationResult:
     def __post_init__(self):
         if abs(self.delta - (self.baseline_vis - self.ablated_vis)) > 1e-9:
             raise ValidationError("ablation delta must equal baseline minus ablated visibility")
-
-
-@dataclass
-class RunRecord:
-    """Full provenance of one optimization run."""
-
-    config_snapshot: dict[str, Any]
-    probe: ProbeResult | None
-    log: tuple[GenerationRecord, ...]
-    front: ParetoFront | None
-    trace: HypervolumeTrace | None
-    finals: dict[str, Individual]
-    eval_metrics: tuple[EvalMetric, ...]
-    ledger: CostLedger
-    status: str = "complete"
-    error: str | None = None
-    run_dir: Path | None = None
 
 
 def load_documents(paths: Sequence[Path]) -> list[SourceDocument]:
@@ -399,13 +345,6 @@ class CandidateEvaluator:
         )
 
 
-def evaluate_candidate(
-    x: FeatureVector, evaluator: CandidateEvaluator, key: tuple[int, int, int] = (0, 0, 0)
-) -> tuple[float, float]:
-    """Single-candidate evaluation entry point (mean visibility and quality over queries)."""
-    return evaluator(x, key)
-
-
 def _expected_realizations(cfg: RunConfig) -> int:
     per_candidate = cfg.ga.repeats_per_eval if cfg.regenerate_page_per_repeat else 1
     candidates = cfg.ga.population_size * (cfg.ga.generations + 1)
@@ -440,23 +379,15 @@ def run_optimization(
     frozen_features: Mapping[int, float] | None = None,
     run_dir: Path | None = None,
 ) -> RunRecord:
-    """Execute the full loop: probe, seed, evolve, select, persist, verify."""
-    from .records import write_run_record  # local import to avoid a cycle
+    """Execute the full loop: probe, seed, evolve, select, verify, persist, report.
 
+    The report is built from the persisted run directory, exactly as
+    ``featgeo report`` rebuilds it later.
+    """
     catalog = catalog_default()
     client = build_client(cfg, catalog)
     run_dir = Path(run_dir) if run_dir is not None else Path(cfg.output_dir)
-    record = RunRecord(
-        config_snapshot={},
-        probe=None,
-        log=(),
-        front=None,
-        trace=None,
-        finals={},
-        eval_metrics=(),
-        ledger=client.ledger,
-        run_dir=run_dir,
-    )
+    record = RunRecord(ledger=client.ledger, run_dir=run_dir)
     try:
         docs = load_documents(cfg.competitor_docs)
         record.config_snapshot = _config_snapshot(cfg, docs)
@@ -497,27 +428,20 @@ def run_optimization(
         record.eval_metrics = tuple(evaluator.metrics)
         record.finals = {policy: select_final(result.front, policy) for policy in POLICIES}
         _verify_run(cfg, client, evaluator)
-    except OptimizerAbort as exc:
-        record.log = exc.partial_log
-        record.trace = HypervolumeTrace(exc.partial_trace)
-        record.status = "failed"
-        record.error = str(exc)
-        write_run_record(record, run_dir)
-        raise
     except Exception as exc:
+        if isinstance(exc, OptimizerAbort):
+            record.log = exc.partial_log
+            record.trace = HypervolumeTrace(exc.partial_trace)
         record.status = "failed"
         record.error = str(exc)
-        write_run_record(record, run_dir)
+        records.write_run_record(record, run_dir)
         raise
-    write_run_record(record, run_dir)
-    from .report import REPORT_DIR_NAME, build_report_data, export_report
-
-    export_report(build_report_data(record), run_dir / REPORT_DIR_NAME)
+    records.write_run_record(record, run_dir)
+    report.export_report(report.load_report_data(run_dir), run_dir / report.REPORT_DIR_NAME)
     return record
 
 
 def _verify_run(cfg: RunConfig, client: EngineClient, evaluator: CandidateEvaluator) -> None:
-    client.ledger.verify()
     expected = _expected_realizations(cfg)
     booked = client.ledger.role_requests(Role.PAGE_GEN)
     if evaluator.realizations != expected or booked != expected:

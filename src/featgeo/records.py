@@ -1,21 +1,25 @@
-"""Run-record persistence: line-delimited record files plus a digest manifest.
+"""Run records: their types, their file names, and the one writer that persists them.
 
-Every file is written deterministically (fixed key order, repr floats, "\n"
+A run is recorded as line-delimited record files plus a digest manifest. Every
+file is written deterministically (fixed key order, repr floats, "\n"
 newlines), so a re-run of the same config under the sim backend reproduces the
 record byte for byte. The manifest is written last and carries the sha256 of
-every record file.
+every record file. Reports are built from the persisted record only, never
+from the in-memory objects that produced it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from .features import FeatureCatalog, catalog_default
-from .optimizer import Individual
-from .pipeline import ProbeResult, RunRecord
+from .engine.ledger import CostLedger
+from .engine.types import TopicBrief
+from .features import FeatureCatalog, FeatureVector, catalog_default
+from .optimizer import GenerationRecord, HypervolumeTrace, Individual, ParetoFront
 
 SCHEMA_VERSION = 1
 
@@ -26,6 +30,7 @@ TRACE_FILE = "hv_trace.csv"
 FINALS_FILE = "final_solutions.json"
 METRICS_FILE = "eval_metrics.jsonl"
 COST_FILE = "cost.json"
+MANIFEST_FILE = "manifest.json"
 
 RECORD_FILES = (
     PROBE_FILE,
@@ -38,18 +43,71 @@ RECORD_FILES = (
 )
 
 
-def feature_record(values: Iterable[float], catalog: FeatureCatalog) -> dict[str, float]:
-    return {feat.key: float(v) for feat, v in zip(catalog, values)}
+@dataclass(frozen=True)
+class ProbeResult:
+    """Everything the topic probe learned before optimization starts."""
+
+    queries: tuple[str, ...]
+    frequencies: dict[int, int]
+    num_queries: int
+    exemplar_ids: tuple[int, ...]
+    exemplar_vectors: tuple[FeatureVector, ...]
+    brief: TopicBrief
 
 
-def _dump(obj: Any) -> str:
-    return json.dumps(obj, ensure_ascii=False)
+@dataclass(frozen=True)
+class EvalMetric:
+    """Aggregated metrics of one evaluator call (one candidate, one repeat).
+
+    Raw judge dimensions are kept (one 7-tuple per judge call, canonical
+    dimension order) so the quality blend weight can be re-applied post hoc.
+    """
+
+    generation: int
+    slot: int
+    repeat: int
+    visibility: float
+    quality: float
+    word: float
+    pos: float
+    per_query_vis: tuple[float, ...]
+    judge_scores: tuple[tuple[int, ...], ...] = ()
+    failed: bool = False
 
 
-def _write(path: Path, text: str) -> None:
+@dataclass
+class RunRecord:
+    """Full provenance of one optimization run; fields fill in as the run proceeds."""
+
+    ledger: CostLedger
+    run_dir: Path | None = None
+    config_snapshot: dict[str, Any] = field(default_factory=dict)
+    probe: ProbeResult | None = None
+    log: tuple[GenerationRecord, ...] = ()
+    front: ParetoFront | None = None
+    trace: HypervolumeTrace | None = None
+    finals: dict[str, Individual] = field(default_factory=dict)
+    eval_metrics: tuple[EvalMetric, ...] = ()
+    status: str = "complete"
+    error: str | None = None
+
+
+def write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def write_json(path: Path, obj: Any, indent: int | None = None) -> None:
+    write_text(path, json.dumps(obj, ensure_ascii=False, indent=indent) + "\n")
+
+
+def write_jsonl(path: Path, rows: Iterable[Any]) -> None:
+    write_text(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+
+
+def feature_record(values: Iterable[float], catalog: FeatureCatalog) -> dict[str, float]:
+    return {feat.key: float(v) for feat, v in zip(catalog, values)}
 
 
 def _crowding_out(value: float) -> float | None:
@@ -68,7 +126,7 @@ def probe_to_dict(probe: ProbeResult, catalog: FeatureCatalog) -> dict[str, Any]
 
 
 def _individual_to_dict(
-    ind: Individual, catalog: FeatureCatalog, word: float | None = None, pos: float | None = None
+    ind: Individual, catalog: FeatureCatalog, aux: tuple[float, float] | None = None
 ) -> dict[str, Any]:
     out: dict[str, Any] = {
         "features": feature_record(ind.x.values, catalog),
@@ -76,14 +134,12 @@ def _individual_to_dict(
         "quality": ind.objectives[1],
         "realized_at": list(ind.key) if ind.key is not None else None,
     }
-    if word is not None:
-        out["word"] = word
-    if pos is not None:
-        out["pos"] = pos
+    if aux is not None:
+        out["word"], out["pos"] = aux
     return out
 
 
-def aux_metrics(record: RunRecord) -> dict[tuple[int, int], tuple[float, float]]:
+def _aux_metrics(record: RunRecord) -> dict[tuple[int, int], tuple[float, float]]:
     """Mean word/pos per realized candidate, keyed by (generation, slot)."""
     sums: dict[tuple[int, int], list[float]] = {}
     for m in record.eval_metrics:
@@ -103,10 +159,11 @@ def write_run_record(record: RunRecord, run_dir: Path) -> Path:
     run_dir.mkdir(parents=True, exist_ok=True)
 
     if record.probe is not None:
-        _write(run_dir / PROBE_FILE, _dump(probe_to_dict(record.probe, catalog)) + "\n")
+        write_json(run_dir / PROBE_FILE, probe_to_dict(record.probe, catalog))
 
-    gen_lines = [
-        _dump(
+    write_jsonl(
+        run_dir / GENERATIONS_FILE,
+        (
             {
                 "generation": r.generation,
                 "slot": r.slot,
@@ -116,35 +173,28 @@ def write_run_record(record: RunRecord, run_dir: Path) -> Path:
                 "rank": r.rank,
                 "crowding": _crowding_out(r.crowding),
             }
-        )
-        for r in record.log
-    ]
-    _write(run_dir / GENERATIONS_FILE, "\n".join(gen_lines) + ("\n" if gen_lines else ""))
+            for r in record.log
+        ),
+    )
 
-    front_lines = []
-    if record.front is not None:
-        front_lines = [_dump(_individual_to_dict(ind, catalog)) for ind in record.front]
-    _write(run_dir / FRONT_FILE, "\n".join(front_lines) + ("\n" if front_lines else ""))
+    front = record.front if record.front is not None else ()
+    write_jsonl(run_dir / FRONT_FILE, (_individual_to_dict(ind, catalog) for ind in front))
 
-    trace_lines = ["generation,hypervolume"]
-    if record.trace is not None:
-        trace_lines += [f"{gen},{hv!r}" for gen, hv in record.trace.entries]
-    _write(run_dir / TRACE_FILE, "\n".join(trace_lines) + "\n")
+    trace = record.trace.entries if record.trace is not None else ()
+    write_text(
+        run_dir / TRACE_FILE, "generation,hypervolume\n" + "".join(f"{g},{hv!r}\n" for g, hv in trace)
+    )
 
-    aux = aux_metrics(record)
+    aux = _aux_metrics(record)
     finals = {
-        policy: _individual_to_dict(
-            ind,
-            catalog,
-            word=aux.get(ind.key, (None, None))[0] if ind.key else None,
-            pos=aux.get(ind.key, (None, None))[1] if ind.key else None,
-        )
+        policy: _individual_to_dict(ind, catalog, aux.get(ind.key) if ind.key else None)
         for policy, ind in record.finals.items()
     }
-    _write(run_dir / FINALS_FILE, _dump(finals) + "\n")
+    write_json(run_dir / FINALS_FILE, finals)
 
-    metric_lines = [
-        _dump(
+    write_jsonl(
+        run_dir / METRICS_FILE,
+        (
             {
                 "generation": m.generation,
                 "slot": m.slot,
@@ -157,12 +207,11 @@ def write_run_record(record: RunRecord, run_dir: Path) -> Path:
                 "judge_scores": [list(d) for d in m.judge_scores],
                 "failed": m.failed,
             }
-        )
-        for m in record.eval_metrics
-    ]
-    _write(run_dir / METRICS_FILE, "\n".join(metric_lines) + ("\n" if metric_lines else ""))
+            for m in record.eval_metrics
+        ),
+    )
 
-    _write(run_dir / COST_FILE, _dump(record.ledger.to_dict()) + "\n")
+    write_json(run_dir / COST_FILE, record.ledger.to_dict())
 
     artifacts = {}
     for name in RECORD_FILES:
@@ -176,6 +225,6 @@ def write_run_record(record: RunRecord, run_dir: Path) -> Path:
         "config": record.config_snapshot,
         "artifacts": artifacts,
     }
-    manifest_path = run_dir / "manifest.json"
-    _write(manifest_path, json.dumps(manifest, ensure_ascii=False, indent=2) + "\n")
+    manifest_path = run_dir / MANIFEST_FILE
+    write_json(manifest_path, manifest, indent=2)
     return manifest_path

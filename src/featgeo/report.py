@@ -1,7 +1,9 @@
 """Report exporter: metric tables, front scatter data, trace series, cost table.
 
-Reports derive purely from a persisted run record (or the in-memory objects
-that produced it), so re-exporting is byte-identical.
+Reports are built only from a persisted run directory, so a re-export is
+byte-identical to the report written at the end of the run by construction.
+All five files are rendered, and the cost ledger checked, before any is
+written, so a failing export leaves no partial report behind.
 """
 
 from __future__ import annotations
@@ -11,19 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .engine.ledger import CostLedger
+from .engine.ledger import CostLedger, format_table
 from .errors import ValidationError
 from .features import LAYERS, catalog_default
-from .pipeline import RunRecord
-from .records import (
-    COST_FILE,
-    FINALS_FILE,
-    FRONT_FILE,
-    GENERATIONS_FILE,
-    TRACE_FILE,
-    aux_metrics,
-    feature_record,
-)
+from .records import COST_FILE, FINALS_FILE, FRONT_FILE, GENERATIONS_FILE, TRACE_FILE, write_text
 
 REPORT_DIR_NAME = "report"
 
@@ -38,61 +31,23 @@ REPORT_FILES = (METRICS_TABLE, SCATTER_FILE, TRACE_COPY, COMPARISON_FILE, COST_T
 
 @dataclass
 class ReportData:
-    """Everything the exporter needs, decoupled from live pipeline objects."""
+    """Everything the exporter needs, read back from a run directory."""
 
     finals: dict[str, dict[str, Any]]
-    front: list[dict[str, float]]
     scatter: list[tuple[float, float, int]]
     trace: list[tuple[int, float]]
     cost: dict[str, Any]
 
 
-def build_report_data(record: RunRecord) -> ReportData:
-    if record.front is None or record.trace is None:
-        raise ValidationError("cannot report on a run without a front and trace")
-    catalog = catalog_default()
-    aux = aux_metrics(record)
-    finals = {}
-    for policy, ind in record.finals.items():
-        word, pos = aux.get(ind.key, (None, None)) if ind.key else (None, None)
-        finals[policy] = {
-            "features": feature_record(ind.x.values, catalog),
-            "visibility": ind.objectives[0],
-            "quality": ind.objectives[1],
-            "word": word,
-            "pos": pos,
-        }
-    front = [
-        {"visibility": ind.objectives[0], "quality": ind.objectives[1]} for ind in record.front
-    ]
-    front_pairs = {(p["visibility"], p["quality"]) for p in front}
-    scatter = [(p["visibility"], p["quality"], 1) for p in front]
-    scatter += [
-        (r.visibility, r.quality, 0)
-        for r in record.log
-        if (r.visibility, r.quality) not in front_pairs
-    ]
-    return ReportData(
-        finals=finals,
-        front=front,
-        scatter=scatter,
-        trace=list(record.trace.entries),
-        cost=record.ledger.to_dict(),
-    )
-
-
 def load_report_data(run_dir: str | Path) -> ReportData:
-    """Rebuild report inputs from a persisted run directory."""
+    """Build report inputs from a persisted run directory."""
     run_dir = Path(run_dir)
     if not (run_dir / FINALS_FILE).exists():
         raise ValidationError(f"{run_dir} does not look like a run directory (no {FINALS_FILE})")
     finals = json.loads((run_dir / FINALS_FILE).read_text(encoding="utf-8"))
-    front = [
-        {"visibility": row["visibility"], "quality": row["quality"]}
-        for row in _read_jsonl(run_dir / FRONT_FILE)
-    ]
-    front_pairs = {(p["visibility"], p["quality"]) for p in front}
-    scatter = [(p["visibility"], p["quality"], 1) for p in front]
+    front = [(row["visibility"], row["quality"]) for row in _read_jsonl(run_dir / FRONT_FILE)]
+    front_pairs = set(front)
+    scatter = [(vis, qual, 1) for vis, qual in front]
     scatter += [
         (row["visibility"], row["quality"], 0)
         for row in _read_jsonl(run_dir / GENERATIONS_FILE)
@@ -104,7 +59,7 @@ def load_report_data(run_dir: str | Path) -> ReportData:
         gen, hv = line.split(",")
         trace.append((int(gen), float(hv)))
     cost = json.loads((run_dir / COST_FILE).read_text(encoding="utf-8"))
-    return ReportData(finals=finals, front=front, scatter=scatter, trace=trace, cost=cost)
+    return ReportData(finals=finals, scatter=scatter, trace=trace, cost=cost)
 
 
 def _read_jsonl(path: Path) -> list[dict]:
@@ -117,14 +72,7 @@ def _fmt(value: float | None) -> str:
     return "-" if value is None else f"{value:.2f}"
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _metrics_table(data: ReportData) -> str:
-    header = ("Policy", "Vis", "Qual", "Word", "Pos")
     rows = [
         (
             policy,
@@ -135,11 +83,7 @@ def _metrics_table(data: ReportData) -> str:
         )
         for policy, entry in sorted(data.finals.items())
     ]
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i]) for i in range(5)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    lines += ["  ".join(c.ljust(widths[i]) for i, c in enumerate(r)).rstrip() for r in rows]
-    return "\n".join(lines) + "\n"
+    return format_table(("Policy", "Vis", "Qual", "Word", "Pos"), rows)
 
 
 def _comparison_table(data: ReportData) -> str:
@@ -172,32 +116,20 @@ def _comparison_table(data: ReportData) -> str:
 
 
 def export_report(data: ReportData, report_dir: str | Path) -> list[Path]:
-    """Emit the five report files; deterministic for a fixed run record."""
+    """Emit the five report files; deterministic for a fixed run record.
+
+    Every text is rendered before the first file is written, so a ValidationError
+    or IntegrityError leaves the report directory as it was.
+    """
     report_dir = Path(report_dir)
-    paths = []
-
-    path = report_dir / METRICS_TABLE
-    _write(path, _metrics_table(data))
-    paths.append(path)
-
-    scatter_lines = ["visibility,quality,on_front"]
-    scatter_lines += [f"{v!r},{q!r},{flag}" for v, q, flag in data.scatter]
-    path = report_dir / SCATTER_FILE
-    _write(path, "\n".join(scatter_lines) + "\n")
-    paths.append(path)
-
-    trace_lines = ["generation,hypervolume"]
-    trace_lines += [f"{gen},{hv!r}" for gen, hv in data.trace]
-    path = report_dir / TRACE_COPY
-    _write(path, "\n".join(trace_lines) + "\n")
-    paths.append(path)
-
-    path = report_dir / COMPARISON_FILE
-    _write(path, _comparison_table(data))
-    paths.append(path)
-
-    path = report_dir / COST_TABLE
-    _write(path, CostLedger.from_dict(data.cost).report())
-    paths.append(path)
-
-    return paths
+    texts = {
+        METRICS_TABLE: _metrics_table(data),
+        SCATTER_FILE: "visibility,quality,on_front\n"
+        + "".join(f"{v!r},{q!r},{flag}\n" for v, q, flag in data.scatter),
+        TRACE_COPY: "generation,hypervolume\n" + "".join(f"{g},{hv!r}\n" for g, hv in data.trace),
+        COMPARISON_FILE: _comparison_table(data),
+        COST_TABLE: CostLedger.from_dict(data.cost).report(),
+    }
+    for name, text in texts.items():
+        write_text(report_dir / name, text)
+    return [report_dir / name for name in texts]

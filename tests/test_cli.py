@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from featgeo.cli import EXIT_OK, EXIT_VALIDATION, run_cli
+from featgeo.cli import EXIT_INTEGRITY, EXIT_OK, EXIT_VALIDATION, run_cli
 from featgeo.bundled import default_sim_config_path
 
 
@@ -105,6 +105,51 @@ def test_report_reexports_and_respects_overwrite(tmp_path, small_config, capsys)
     assert run_cli(["report", str(out_dir)]) == EXIT_VALIDATION  # report already present
     assert run_cli(["report", str(out_dir), "--overwrite"]) == EXIT_OK
     assert tree(out_dir / "report") == before
+
+
+def test_probe_file_matches_the_run_record_for_a_non_ascii_topic(tmp_path, small_config):
+    raw = json.loads(small_config.read_text())
+    raw["topic"] = "Café meal prep für Anfänger"
+    small_config.write_text(json.dumps(raw))
+    probe_dir, run_dir = tmp_path / "probe_out", tmp_path / "run"
+    assert run_cli(["probe", "--config", str(small_config), "--output-dir", str(probe_dir)]) == EXIT_OK
+    assert run_cli(["simulate", "--config", str(small_config), "--output-dir", str(run_dir)]) == EXIT_OK
+    probe_bytes = (probe_dir / "probe.json").read_bytes()
+    assert "Café meal prep für Anfänger".encode("utf-8") in probe_bytes
+    assert probe_bytes == (run_dir / "probe.json").read_bytes()
+
+
+@pytest.fixture()
+def run_dir(tmp_path, small_config):
+    out_dir = tmp_path / "run"
+    assert run_cli(["simulate", "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_OK
+    return out_dir
+
+
+def test_failing_report_creates_no_report_file(run_dir, capsys):
+    for p in (run_dir / "report").iterdir():
+        p.unlink()
+    (run_dir / "final_solutions.json").write_text("{}\n")
+    assert run_cli(["report", str(run_dir)]) == EXIT_VALIDATION
+    assert tree(run_dir / "report") == {}
+
+
+@pytest.mark.parametrize("tamper", ["entry", "totals"])
+def test_report_rejects_tampered_ledger_and_changes_no_report_file(run_dir, tamper, capsys):
+    cost_path = run_dir / "cost.json"
+    cost = json.loads(cost_path.read_text())
+    if tamper == "entry":
+        entry = next(iter(cost["entries"].values()))
+        entry["wall_time"] += 1.0
+    else:
+        cost["totals"]["api_calls"] += 1
+    cost_path.write_text(json.dumps(cost) + "\n")
+    for p in (run_dir / "report").iterdir():
+        p.write_text("stale\n")
+    before = tree(run_dir / "report")
+    assert run_cli(["report", str(run_dir), "--overwrite"]) == EXIT_INTEGRITY
+    assert "integrity error" in capsys.readouterr().err
+    assert tree(run_dir / "report") == before
 
 
 def test_report_on_non_run_dir_fails(tmp_path, capsys):

