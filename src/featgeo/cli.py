@@ -9,8 +9,9 @@ from pathlib import Path
 
 from . import bundled, records
 from .citations import parse_citations, visibility_scores
-from .errors import BudgetError, EngineError, FeatGeoError, IntegrityError, ValidationError
+from .errors import BudgetError, FeatGeoError, IntegrityError, ValidationError
 from .features import catalog_default
+from .optimizer import OptimizerAbort
 from .pipeline import (
     RunConfig,
     build_client,
@@ -28,6 +29,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_ENGINE = 2
 EXIT_INTEGRITY = 3
+
+# First match wins: the validation and integrity kinds, then every other package error.
+_EXIT_CODES = (
+    ((ValidationError, BudgetError), EXIT_VALIDATION, "error"),
+    (IntegrityError, EXIT_INTEGRITY, "integrity error"),
+    (FeatGeoError, EXIT_ENGINE, "engine error"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,15 +210,14 @@ def run_cli(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, BudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except IntegrityError as exc:
-        print(f"integrity error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except (EngineError, FeatGeoError) as exc:
-        print(f"engine error: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
+    except FeatGeoError as exc:
+        # An abort inside evolve exits as the error that caused it.
+        cause = exc.cause if isinstance(exc, OptimizerAbort) else exc
+        if not isinstance(cause, FeatGeoError):
+            raise cause
+        code, label = next((c, l) for kinds, c, l in _EXIT_CODES if isinstance(cause, kinds))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 def main() -> None:

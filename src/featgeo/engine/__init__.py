@@ -14,22 +14,3 @@ from .types import (
     TopicBrief,
     build_request,
 )
-
-__all__ = [
-    "CallStats",
-    "ChatCompletionBackend",
-    "CostLedger",
-    "EngineBackend",
-    "EngineClient",
-    "EngineRequest",
-    "EngineResponse",
-    "ResponseCache",
-    "Role",
-    "SourceDocument",
-    "Stage",
-    "TopicBrief",
-    "build_request",
-    "format_source_documents",
-    "load_template",
-    "render_prompt",
-]

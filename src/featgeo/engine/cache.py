@@ -9,9 +9,11 @@ without discarding the store.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from pathlib import Path
 
+from ..errors import ValidationError
 from .types import EngineResponse, Role
 
 
@@ -26,13 +28,30 @@ class ResponseCache:
             self._load()
 
     def _load(self) -> None:
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+        """Read every complete record; a bad line raises ValidationError with its number.
+
+        A final line without its newline was cut off mid-append by a crash: it
+        is dropped and the file truncated to the last complete record, so the
+        next put starts on a fresh line.
+        """
+        kept = 0  # bytes through the last complete line
+        with self.path.open("rb") as fh:
+            for number, line in enumerate(fh, start=1):
+                if not line.endswith(b"\n"):
+                    break
+                kept += len(line)
+                if not line.strip():
                     continue
-                record = json.loads(line)
-                self._records[record["digest"]] = EngineResponse.from_dict(record["response"])
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                    self._records[record["digest"]] = EngineResponse.from_dict(record["response"])
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValidationError(
+                        f"response cache {self.path} line {number} is corrupt: {exc!r}"
+                    ) from exc
+            torn = fh.tell() > kept
+        if torn:
+            os.truncate(self.path, kept)
 
     def get(self, digest: str) -> EngineResponse | None:
         with self._lock:

@@ -9,7 +9,6 @@ cost ledger under the currently active pipeline stage.
 from __future__ import annotations
 
 import logging
-import threading
 from typing import Protocol, Sequence
 
 from ..errors import EngineError, ValidationError
@@ -94,17 +93,11 @@ class EngineClient:
         self.retry_limit = retry_limit
         self.max_answer_docs = max_answer_docs
         self.theme_doc_count = theme_doc_count
-        self._stage = Stage.FEATURE_EXTRACTION
-        self._stage_lock = threading.Lock()
+        self.stage = Stage.FEATURE_EXTRACTION
 
     def set_stage(self, stage: Stage) -> None:
-        with self._stage_lock:
-            self._stage = stage
-
-    @property
-    def stage(self) -> Stage:
-        with self._stage_lock:
-            return self._stage
+        """Book later calls under ``stage``; set it only while no call is in flight."""
+        self.stage = stage
 
     # -- transport ---------------------------------------------------------
 

@@ -406,7 +406,6 @@ def evolve(
     seed_vectors: Sequence[FeatureVector],
     catalog: FeatureCatalog,
     frozen_features: Mapping[int, float] | None = None,
-    phase_hook: Callable[[str, int], None] | None = None,
 ) -> EvolveResult:
     """Run the (mu+lambda) NSGA-II loop.
 
@@ -420,17 +419,12 @@ def evolve(
     archive: list[Individual] = []
     evaluations = 0
 
-    def notify(phase: str, generation: int) -> None:
-        if phase_hook is not None:
-            phase_hook(phase, generation)
-
     def record(generation: int) -> None:
         nonlocal archive
         archive = list(pareto_front_of(archive).members)
         trace.append((generation, hypervolume(ParetoFront(tuple(archive)))))
 
     try:
-        notify("init", 0)
         init_rng = _rng_for(cfg.seed, 0, 0)
         population = seed_population(seed_vectors, cfg, catalog, init_rng, frozen=frozen_features)
         for slot, ind in enumerate(population):
@@ -443,7 +437,6 @@ def evolve(
         log.extend(_log_population(population, 0))
 
         for generation in range(1, cfg.generations + 1):
-            notify("generation", generation)
             offspring: list[Individual] = []
             for pair in range(cfg.population_size // 2):
                 rng = _rng_for(cfg.seed, generation, pair)

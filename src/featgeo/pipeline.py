@@ -14,9 +14,10 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import records, report
 from .citations import citation_frequency, parse_citations, select_exemplars, visibility_scores
@@ -246,6 +247,9 @@ class CandidateEvaluator:
     One page per (generation, slot) unless page regeneration per repeat is on;
     repeats re-answer with fresh salts. Engine failures mark the candidate
     failed and yield penalty objectives (0, 0) instead of aborting the run.
+    The queries of one evaluation, and then its judge calls, fan out through
+    ``query_map``: the builtin ``map`` runs them inline, a pool's ``map`` runs
+    them concurrently.
     """
 
     def __init__(
@@ -255,8 +259,10 @@ class CandidateEvaluator:
         probe: ProbeResult,
         competitor_docs: Sequence[SourceDocument],
         catalog: FeatureCatalog,
+        query_map: Callable[..., Iterable] = map,
     ):
         self.cfg = cfg
+        self.query_map = query_map
         self.client = client
         self.probe = probe
         self.competitors = list(competitor_docs)
@@ -268,6 +274,7 @@ class CandidateEvaluator:
 
     def __call__(self, x: FeatureVector, key: tuple[int, int, int]) -> tuple[float, float]:
         generation, slot, repeat = key
+        self.client.set_stage(Stage.INITIAL_POPULATION if generation == 0 else Stage.GA_OPTIMIZATION)
         try:
             metric = self._evaluate(x, generation, slot, repeat)
         except EngineError as exc:
@@ -296,13 +303,8 @@ class CandidateEvaluator:
     def _score_query(self, query: str, docs: list[SourceDocument], salt: str):
         answer = self.client.answer_query(query, docs, salt=salt)
         parse = parse_citations(answer, len(docs))
-        scores = visibility_scores(parse)
-        word, pos, vis = scores.for_source(self.advertiser_id)
-        if self.cfg.judge_target == JUDGE_TARGET_ANSWER:
-            quality, raw_dims = self._judge(answer, query, salt)
-        else:
-            quality, raw_dims = None, ()
-        return vis, word, pos, quality, raw_dims
+        word, pos, vis = visibility_scores(parse).for_source(self.advertiser_id)
+        return vis, word, pos, answer
 
     def _judge(self, text: str, query: str, salt: str) -> tuple[float, tuple[tuple[int, ...], ...]]:
         dims = [
@@ -318,20 +320,16 @@ class CandidateEvaluator:
         docs = self._candidate_docs(page)
         salt = f"rep{repeat}"
         queries = self.probe.queries
-        if self.cfg.eval_workers > 1:
-            with ThreadPoolExecutor(max_workers=self.cfg.eval_workers) as pool:
-                results = list(pool.map(lambda q: self._score_query(q, docs, salt), queries))
-        else:
-            results = [self._score_query(q, docs, salt) for q in queries]
-        vis_values = tuple(r[0] for r in results)
-        word_values = [r[1] for r in results]
-        pos_values = [r[2] for r in results]
+        results = self.query_map(lambda q: self._score_query(q, docs, salt), queries)
+        vis_values, word_values, pos_values, answers = zip(*results)
         if self.cfg.judge_target == JUDGE_TARGET_ANSWER:
-            quality = sum(r[3] for r in results) / len(results)
-            judge_scores = tuple(dims for r in results for dims in r[4])
+            judged = list(zip(answers, queries))
         else:
-            quality, judge_scores = self._judge(page, self.probe.brief.topic, salt)
-        n = len(results)
+            judged = [(page, self.probe.brief.topic)]
+        judgements = list(self.query_map(lambda pair: self._judge(*pair, salt), judged))
+        quality = sum(value for value, _ in judgements) / len(judgements)
+        judge_scores = tuple(dims for _, raw in judgements for dims in raw)
+        n = len(vis_values)
         return EvalMetric(
             generation=generation,
             slot=slot,
@@ -397,31 +395,21 @@ def run_optimization(
             }
         probe = probe_topic(cfg, client, docs)
         record.probe = probe
-        evaluator = CandidateEvaluator(cfg, client, probe, docs, catalog)
-
-        def phase_hook(phase: str, generation: int) -> None:
-            client.set_stage(
-                Stage.INITIAL_POPULATION if phase == "init" else Stage.GA_OPTIMIZATION
-            )
-
         seeds = list(probe.exemplar_vectors)
         if frozen_features:
             seeds = [
-                FeatureVector(
-                    tuple(
-                        frozen_features.get(i, value) for i, value in enumerate(v.values)
-                    )
-                )
-                for v in seeds
+                FeatureVector(tuple(frozen_features.get(i, v) for i, v in enumerate(x.values)))
+                for x in seeds
             ]
-        result: EvolveResult = evolve(
-            cfg.ga,
-            evaluator,
-            seeds,
-            catalog,
-            frozen_features=frozen_features,
-            phase_hook=phase_hook,
-        )
+        # One pool for the whole run; at one worker the builtin map runs inline, with no hand-off.
+        workers = cfg.eval_workers
+        with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+            evaluator = CandidateEvaluator(
+                cfg, client, probe, docs, catalog, pool.map if pool else map
+            )
+            result: EvolveResult = evolve(
+                cfg.ga, evaluator, seeds, catalog, frozen_features=frozen_features
+            )
         record.log = result.log
         record.front = result.front
         record.trace = result.trace

@@ -2,8 +2,8 @@
 
 Reports are built only from a persisted run directory, so a re-export is
 byte-identical to the report written at the end of the run by construction.
-All five files are rendered, and the cost ledger checked, before any is
-written, so a failing export leaves no partial report behind.
+Every record file is checked as it is read, and all five files are rendered
+before any is written, so a failing export leaves no partial report behind.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .engine.ledger import CostLedger, format_table
 from .errors import ValidationError
@@ -36,36 +36,63 @@ class ReportData:
     finals: dict[str, dict[str, Any]]
     scatter: list[tuple[float, float, int]]
     trace: list[tuple[int, float]]
-    cost: dict[str, Any]
+    cost: CostLedger
 
 
 def load_report_data(run_dir: str | Path) -> ReportData:
-    """Build report inputs from a persisted run directory."""
+    """Build report inputs from a persisted run directory.
+
+    A record file that is missing, cut short, not valid JSON or short of a
+    field the report reads raises ValidationError naming it; a cost ledger
+    whose blocks disagree with its entries raises IntegrityError.
+    """
     run_dir = Path(run_dir)
-    if not (run_dir / FINALS_FILE).exists():
-        raise ValidationError(f"{run_dir} does not look like a run directory (no {FINALS_FILE})")
-    finals = json.loads((run_dir / FINALS_FILE).read_text(encoding="utf-8"))
-    front = [(row["visibility"], row["quality"]) for row in _read_jsonl(run_dir / FRONT_FILE)]
+    finals = _read(run_dir / FINALS_FILE, _parse_finals)
+    front = _read(run_dir / FRONT_FILE, _parse_objectives)
     front_pairs = set(front)
     scatter = [(vis, qual, 1) for vis, qual in front]
     scatter += [
-        (row["visibility"], row["quality"], 0)
-        for row in _read_jsonl(run_dir / GENERATIONS_FILE)
-        if (row["visibility"], row["quality"]) not in front_pairs
+        (vis, qual, 0)
+        for vis, qual in _read(run_dir / GENERATIONS_FILE, _parse_objectives)
+        if (vis, qual) not in front_pairs
     ]
-    trace = []
-    trace_lines = (run_dir / TRACE_FILE).read_text(encoding="utf-8").splitlines()
-    for line in trace_lines[1:]:
-        gen, hv = line.split(",")
-        trace.append((int(gen), float(hv)))
-    cost = json.loads((run_dir / COST_FILE).read_text(encoding="utf-8"))
+    trace = _read(run_dir / TRACE_FILE, _parse_trace)
+    cost = _read(run_dir / COST_FILE, lambda text: CostLedger.from_dict(json.loads(text)))
     return ReportData(finals=finals, scatter=scatter, trace=trace, cost=cost)
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    if not path.exists():
-        return []
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
+def _read(path: Path, parse: Callable[[str], Any]) -> Any:
+    try:
+        text = path.read_text(encoding="utf-8")
+        if text and not text.endswith("\n"):
+            raise ValueError("no final newline: the file was cut short")
+        return parse(text)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"cannot read record file {path}: {exc!r}") from exc
+
+
+def _parse_finals(text: str) -> dict[str, dict[str, Any]]:
+    """Final solutions: both extremes present, every value the tables print numeric."""
+    finals = json.loads(text)
+    keys = catalog_default().keys()
+    if not {"max_visibility", "max_quality"} <= finals.keys():
+        raise KeyError("the comparison table needs max_visibility and max_quality")
+    for entry in finals.values():
+        values = [entry["visibility"], entry["quality"], *(entry["features"][k] for k in keys)]
+        values += [entry[k] for k in ("word", "pos") if entry.get(k) is not None]
+        if not all(isinstance(v, (int, float)) for v in values):
+            raise TypeError(f"non-numeric value in {entry!r}")
+    return finals
+
+
+def _parse_objectives(text: str) -> list[tuple[float, float]]:
+    rows = (json.loads(line) for line in text.splitlines() if line)
+    return [(float(row["visibility"]), float(row["quality"])) for row in rows]
+
+
+def _parse_trace(text: str) -> list[tuple[int, float]]:
+    rows = (line.split(",") for line in text.splitlines()[1:])
+    return [(int(gen), float(hv)) for gen, hv in rows]
 
 
 def _fmt(value: float | None) -> str:
@@ -74,13 +101,7 @@ def _fmt(value: float | None) -> str:
 
 def _metrics_table(data: ReportData) -> str:
     rows = [
-        (
-            policy,
-            _fmt(entry["visibility"]),
-            _fmt(entry["quality"]),
-            _fmt(entry.get("word")),
-            _fmt(entry.get("pos")),
-        )
+        (policy, *(_fmt(entry.get(name)) for name in ("visibility", "quality", "word", "pos")))
         for policy, entry in sorted(data.finals.items())
     ]
     return format_table(("Policy", "Vis", "Qual", "Word", "Pos"), rows)
@@ -89,10 +110,8 @@ def _metrics_table(data: ReportData) -> str:
 def _comparison_table(data: ReportData) -> str:
     """Side-by-side feature configurations of the two extreme front solutions."""
     catalog = catalog_default()
-    sol_a = data.finals.get("max_visibility")
-    sol_b = data.finals.get("max_quality")
-    if sol_a is None or sol_b is None:
-        raise ValidationError("comparison table needs max_visibility and max_quality solutions")
+    sol_a = data.finals["max_visibility"]
+    sol_b = data.finals["max_quality"]
     lines = [
         "Extreme front solutions: A = max visibility, B = max quality",
         "",
@@ -116,11 +135,7 @@ def _comparison_table(data: ReportData) -> str:
 
 
 def export_report(data: ReportData, report_dir: str | Path) -> list[Path]:
-    """Emit the five report files; deterministic for a fixed run record.
-
-    Every text is rendered before the first file is written, so a ValidationError
-    or IntegrityError leaves the report directory as it was.
-    """
+    """Emit the five report files; deterministic for a fixed run record."""
     report_dir = Path(report_dir)
     texts = {
         METRICS_TABLE: _metrics_table(data),
@@ -128,7 +143,7 @@ def export_report(data: ReportData, report_dir: str | Path) -> list[Path]:
         + "".join(f"{v!r},{q!r},{flag}\n" for v, q, flag in data.scatter),
         TRACE_COPY: "generation,hypervolume\n" + "".join(f"{g},{hv!r}\n" for g, hv in data.trace),
         COMPARISON_FILE: _comparison_table(data),
-        COST_TABLE: CostLedger.from_dict(data.cost).report(),
+        COST_TABLE: data.cost.report(),
     }
     for name, text in texts.items():
         write_text(report_dir / name, text)

@@ -6,6 +6,7 @@ import pytest
 
 from featgeo.cli import EXIT_INTEGRITY, EXIT_OK, EXIT_VALIDATION, run_cli
 from featgeo.bundled import default_sim_config_path
+from featgeo.pipeline import CandidateEvaluator
 
 
 @pytest.fixture()
@@ -150,6 +151,77 @@ def test_report_rejects_tampered_ledger_and_changes_no_report_file(run_dir, tamp
     assert run_cli(["report", str(run_dir), "--overwrite"]) == EXIT_INTEGRITY
     assert "integrity error" in capsys.readouterr().err
     assert tree(run_dir / "report") == before
+
+
+def truncate(path):
+    path.write_text(path.read_text()[:40])
+
+
+def drop_totals(path):
+    cost = json.loads(path.read_text())
+    del cost["totals"]
+    path.write_text(json.dumps(cost) + "\n")
+
+
+def drop_features(path):
+    finals = json.loads(path.read_text())
+    del finals["max_quality"]["features"]
+    path.write_text(json.dumps(finals) + "\n")
+
+
+def drop_quality(path):
+    path.write_text("".join(line.replace('"quality"', '"q"', 1) + "\n"
+                            for line in path.read_text().splitlines()))
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("final_solutions.json", truncate),
+    ("final_solutions.json", drop_features),
+    ("cost.json", truncate),
+    ("cost.json", drop_totals),
+    ("pareto_front.jsonl", drop_quality),
+    ("generations.jsonl", truncate),
+    ("hv_trace.csv", truncate),
+    ("hv_trace.csv", lambda path: path.unlink()),
+])
+@pytest.mark.parametrize("existing", ["none", "stale"])
+def test_report_on_malformed_record_file_names_it_and_changes_no_report_file(
+    run_dir, capsys, name, damage, existing
+):
+    damage(run_dir / name)
+    for p in (run_dir / "report").iterdir():
+        if existing == "none":
+            p.unlink()
+        else:
+            p.write_text("stale\n")
+    before = tree(run_dir / "report")
+    assert run_cli(["report", str(run_dir), "--overwrite"]) == EXIT_VALIDATION
+    assert name in capsys.readouterr().err
+    assert tree(run_dir / "report") == before
+
+
+def test_simulate_exits_with_validation_status_when_the_evaluator_returns_nan(
+    tmp_path, small_config, monkeypatch, capsys
+):
+    monkeypatch.setattr(CandidateEvaluator, "__call__", lambda self, x, key: (float("nan"), 0.0))
+    out_dir = tmp_path / "run"
+    assert run_cli(["simulate", "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "non-finite objectives" in err and "engine error" not in err
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert "non-finite objectives" in manifest["error"]
+
+
+def test_evolve_abort_from_an_internal_bug_propagates_as_itself(tmp_path, small_config, monkeypatch):
+    def broken(self, x, key):
+        raise ZeroDivisionError("internal bug")
+
+    monkeypatch.setattr(CandidateEvaluator, "__call__", broken)
+    with pytest.raises(ZeroDivisionError, match="internal bug"):
+        run_cli(["simulate", "--config", str(small_config), "--output-dir", str(tmp_path / "run")])
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
 
 
 def test_report_on_non_run_dir_fails(tmp_path, capsys):

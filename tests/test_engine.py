@@ -93,6 +93,37 @@ def test_cache_persist_and_replay(tmp_path):
     assert len(path.read_text().splitlines()) == 1
 
 
+def filled_cache(path, digests):
+    cache = ResponseCache(path)
+    for i, digest in enumerate(digests):
+        cache.put(digest, Role.ANSWER_GEN, EngineResponse(f"reply {i}", 10, 5, True, 0.5))
+    return path.read_bytes()
+
+
+def test_cache_drops_torn_tail_and_appends_cleanly_after_it(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    complete = filled_cache(path, ["a", "b"])
+    path.write_bytes(complete + complete.splitlines(keepends=True)[0][:25])  # crash mid-append
+    cache = ResponseCache(path)
+    assert len(cache) == 2 and cache.get("b").text == "reply 1"
+    assert path.read_bytes() == complete
+    cache.put("c", Role.JUDGE, EngineResponse("late reply", 3, 2, True, 0.1))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["digest"] for r in records] == ["a", "b", "c"]
+    assert ResponseCache(path).get("c").text == "late reply"
+
+
+@pytest.mark.parametrize("bad_line", ['{"digest": "x", "respo', '{"digest": "x"}', "[]"])
+def test_cache_corruption_before_the_last_line_names_its_line(tmp_path, bad_line):
+    path = tmp_path / "cache.jsonl"
+    lines = filled_cache(path, ["a", "b", "c"]).decode().splitlines(keepends=True)
+    lines[1] = bad_line + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValidationError, match=r"cache\.jsonl line 2 is corrupt"):
+        ResponseCache(path)
+    assert path.read_text() == "".join(lines)  # nothing truncated
+
+
 def test_client_cache_prevents_second_live_call(tmp_path):
     cache = ResponseCache(tmp_path / "c.jsonl")
     client, backend = make_client(["the page"], cache=cache)

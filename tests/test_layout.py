@@ -37,3 +37,25 @@ def _imported_modules(path: Path) -> set[str]:
 def test_record_report_and_ledger_modules_do_not_import_the_pipeline():
     for rel in ("records.py", "report.py", "engine/ledger.py"):
         assert "pipeline" not in _imported_modules(PACKAGE_DIR / rel), rel
+
+
+
+def _call_sites(path: Path, name: str) -> list[str]:
+    """The innermost enclosing function (or <module>) of every call to ``name`` in one file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner = {}
+    for func in ast.walk(tree):  # breadth first, so inner functions overwrite outer ones
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, func.name) for node in ast.walk(func))
+    return [
+        f"{path.relative_to(PACKAGE_DIR)}:{owner.get(node, '<module>')}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_thread_pool_is_built_at_one_site_inside_run_optimization():
+    sites = [site for path in sorted(PACKAGE_DIR.rglob("*.py"))
+             for site in _call_sites(path, "ThreadPoolExecutor")]
+    assert sites == ["pipeline.py:run_optimization"], sites

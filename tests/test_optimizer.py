@@ -384,18 +384,6 @@ def test_evolve_wraps_evaluator_failures_with_partial_state():
     assert len(err.value.partial_trace) >= 1
 
 
-def test_evolve_phase_hook_sequence():
-    phases = []
-    evolve(
-        cfg_with(population_size=4, generations=3),
-        lambda x, k: (1.0, 1.0),
-        [midpoint_vector(CATALOG)],
-        CATALOG,
-        phase_hook=lambda phase, gen: phases.append((phase, gen)),
-    )
-    assert phases == [("init", 0), ("generation", 1), ("generation", 2), ("generation", 3)]
-
-
 def test_ga_config_validation():
     with pytest.raises(ValidationError):
         GAConfig(population_size=7)

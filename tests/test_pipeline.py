@@ -1,10 +1,14 @@
+import contextlib
 import dataclasses
 import json
 import os
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+import featgeo.pipeline as pipeline_module
 from featgeo.bundled import default_sim_config_path
 from featgeo.engine.client import EngineClient
 from featgeo.engine.ledger import CostLedger
@@ -17,7 +21,7 @@ from featgeo.engine.types import (
 )
 from featgeo.errors import EngineError, ValidationError
 from featgeo.features import catalog_default, encode_vector, midpoint_vector
-from featgeo.optimizer import GAConfig
+from featgeo.optimizer import GAConfig, OptimizerAbort
 from featgeo.pipeline import (
     CandidateEvaluator,
     ProbeResult,
@@ -186,6 +190,15 @@ def manual_probe(queries=("how to plan meals?", "what to cook weekly?")):
     )
 
 
+def run_against(monkeypatch, backend):
+    """Make run_optimization build its client around ``backend``."""
+    monkeypatch.setattr(
+        pipeline_module, "build_client",
+        lambda c, cat: EngineClient(backend, cat, max_answer_docs=len(c.competitor_docs) + 1,
+                                    theme_doc_count=len(c.competitor_docs)),
+    )
+
+
 def make_evaluator(cfg, backend):
     client = EngineClient(backend, CATALOG, max_answer_docs=len(cfg.competitor_docs) + 1,
                           theme_doc_count=len(cfg.competitor_docs))
@@ -304,17 +317,50 @@ def run_tree(run_dir):
     return out
 
 
-def test_run_optimization_is_deterministic_across_runs_and_workers(tmp_path):
+@pytest.mark.parametrize("judge_target", ["page", "answer"])
+def test_run_optimization_is_deterministic_across_runs_and_workers(tmp_path, judge_target):
     trees = []
     for name, workers in (("a", 1), ("b", 1), ("c", 3)):
         (tmp_path / name).mkdir()
-        cfg = small_sim_config(tmp_path / name, eval_workers=workers,
+        cfg = small_sim_config(tmp_path / name, eval_workers=workers, judge_target=judge_target,
                                output_dir=tmp_path / name / "run")
         record = run_optimization(cfg)
         assert record.status == "complete"
         trees.append(run_tree(cfg.output_dir))
     assert trees[0] == trees[1]
     assert trees[0] == trees[2]
+
+
+class InFlightBackend(RoleScriptBackend):
+    """Sim backend whose answers take a while, counting how many run at once."""
+
+    def __init__(self, world):
+        super().__init__(world)
+        self.lock = threading.Lock()
+        self.in_flight = self.max_in_flight = 0
+
+    def complete(self, request):
+        if request.role != Role.ANSWER_GEN:
+            return super().complete(request)
+        with self.lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        try:
+            time.sleep(0.01)
+            return super().complete(request)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_eval_workers_bound_the_answers_in_flight(tmp_path, monkeypatch, workers):
+    cfg = small_sim_config(tmp_path, eval_workers=workers, query_count=4,
+                           ga=GAConfig(population_size=2, generations=1, repeats_per_eval=1))
+    backend = InFlightBackend(SimWorld(cfg.sim, CATALOG))
+    run_against(monkeypatch, backend)
+    assert run_optimization(cfg).status == "complete"
+    assert backend.max_in_flight == workers
 
 
 def test_run_record_files_and_report_exist(tmp_path):
@@ -369,26 +415,40 @@ def test_run_records_raw_judge_dimensions(tmp_path):
             assert all(1 <= s <= 5 for s in dims)
 
 
-def test_evolve_abort_persists_partial_record(tmp_path, monkeypatch):
-    cfg = small_sim_config(tmp_path)
-    from featgeo.pipeline import CandidateEvaluator as Evaluator
+def break_evaluations_after(monkeypatch, n):
+    """Make every evaluation after the first n raise a bug that aborts the run."""
     calls = {"n": 0}
-    original = Evaluator._evaluate
+    original = CandidateEvaluator._evaluate
 
     def sometimes_broken(self, x, generation, slot, repeat):
         calls["n"] += 1
-        if calls["n"] > 6:
+        if calls["n"] > n:
             raise RuntimeError("hard backend bug")  # not an EngineError: aborts the run
         return original(self, x, generation, slot, repeat)
 
-    monkeypatch.setattr(Evaluator, "_evaluate", sometimes_broken)
-    from featgeo.optimizer import OptimizerAbort
+    monkeypatch.setattr(CandidateEvaluator, "_evaluate", sometimes_broken)
+
+
+def test_evolve_abort_persists_partial_record(tmp_path, monkeypatch):
+    cfg = small_sim_config(tmp_path)
+    break_evaluations_after(monkeypatch, 6)
     with pytest.raises(OptimizerAbort):
         run_optimization(cfg)
     manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert "hard backend bug" in manifest["error"]
     assert (cfg.output_dir / "hv_trace.csv").exists()
+
+
+@pytest.mark.parametrize("aborted", [False, True])
+def test_run_leaves_no_pool_thread_behind(tmp_path, monkeypatch, aborted):
+    cfg = small_sim_config(tmp_path, eval_workers=3)
+    if aborted:
+        break_evaluations_after(monkeypatch, 6)
+    before = threading.active_count()
+    with pytest.raises(OptimizerAbort) if aborted else contextlib.nullcontext():
+        run_optimization(cfg)
+    assert threading.active_count() == before
 
 
 def test_run_front_members_are_mutually_nondominated(tmp_path):
@@ -426,13 +486,7 @@ def test_run_survives_transient_candidate_failures(tmp_path, monkeypatch):
                     raise EngineError("transient failure")
             return super().complete(request)
 
-    import featgeo.pipeline as pipeline_module
-    monkeypatch.setattr(
-        pipeline_module, "build_client",
-        lambda c, cat: EngineClient(FlakyBackend(world), cat,
-                                    max_answer_docs=len(c.competitor_docs) + 1,
-                                    theme_doc_count=len(c.competitor_docs)),
-    )
+    run_against(monkeypatch, FlakyBackend(world))
     record = run_optimization(cfg)
     assert record.status == "complete"
     assert any(m.failed for m in record.eval_metrics)
@@ -446,6 +500,18 @@ def test_cache_dir_env_var_enables_cache(tmp_path, monkeypatch):
     cache_file = tmp_path / "cachedir" / "responses.jsonl"
     assert cache_file.exists()
     assert cache_file.read_text().splitlines()
+
+
+def test_run_replays_a_cache_whose_last_record_was_cut_short(tmp_path):
+    cfg = small_sim_config(tmp_path, cache_path=tmp_path / "responses.jsonl")
+    run_optimization(cfg)
+    cfg.cache_path.write_bytes(cfg.cache_path.read_bytes()[:-40])  # a crash mid-append
+    again = dataclasses.replace(cfg, output_dir=tmp_path / "again")
+    assert run_optimization(again).status == "complete"
+    for line in cfg.cache_path.read_text().splitlines():
+        json.loads(line)
+    finals = "final_solutions.json"
+    assert (again.output_dir / finals).read_bytes() == (cfg.output_dir / finals).read_bytes()
 
 
 def test_failed_run_persists_partial_record(tmp_path):
