@@ -9,12 +9,22 @@ sentence they terminate, and scores each source by the share of answer words
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 
-_TERMINALS = ".!?"
+# Over every code point, \s, [^\W_] and \d agree with str.isspace,
+# str.isalnum and str.isdecimal, which define whitespace, words and indices.
+# A citation token: decimal indices separated by commas, spaces or tabs.
+_TOKEN = re.compile(r"\[([ ,\t]*\d[\d, \t]*)\]")
+# A sentence end: a terminal mark followed by whitespace, the end of the text
+# or a token, with the trailing citation groups and whitespace that belong to
+# the sentence it ends. Tokens hold no terminal mark, so none straddles an end.
+_SENTENCE_END = re.compile(rf"[.!?](?=\s|\Z|{_TOKEN.pattern})(?:\s*{_TOKEN.pattern})*\s*")
+_INDEX = re.compile(r"\d+")
+_ALNUM = re.compile(r"[^\W_]")
 
 
 @dataclass(frozen=True)
@@ -64,40 +74,6 @@ class CitationFrequencyTable:
     num_sources: int
 
 
-def _try_citation_token(text: str, start: int) -> tuple[list[int], int] | None:
-    """Parse one ``[k]`` / ``[k, j, ...]`` token at ``start``; None if not one.
-
-    Returns (indices, index past the closing bracket). Content must be digits
-    separated by commas and/or spaces; anything else is treated as prose.
-    """
-    if start >= len(text) or text[start] != "[":
-        return None
-    i = start + 1
-    indices: list[int] = []
-    digits = ""
-    while i < len(text):
-        ch = text[i]
-        if ch.isdigit():
-            digits += ch
-        elif ch in ", \t":
-            if digits:
-                indices.append(int(digits))
-                digits = ""
-        elif ch == "]":
-            if digits:
-                indices.append(int(digits))
-            return (indices, i + 1) if indices else None
-        else:
-            return None
-        i += 1
-    return None
-
-
-def _word_count(text: str) -> int:
-    """Whitespace tokens containing at least one alphanumeric character."""
-    return sum(1 for tok in text.split() if any(ch.isalnum() for ch in tok))
-
-
 def parse_citations(answer: str, num_sources: int) -> CitationParse:
     """Split an answer into sentences and attach bracketed citations.
 
@@ -112,54 +88,22 @@ def parse_citations(answer: str, num_sources: int) -> CitationParse:
 
     sentences: list[Sentence] = []
     dropped = 0
-    chars: list[str] = []
-    cites: set[int] = set()
-
-    def add_indices(indices: Iterable[int]) -> None:
-        nonlocal dropped
-        for k in indices:
+    start = 0
+    for end in [m.end() for m in _SENTENCE_END.finditer(answer)] + [len(answer)]:
+        # Text and token indices alternate: text, indices, text, ..., text.
+        pieces = _TOKEN.split(answer[start:end])
+        start = end
+        cites: set[int] = set()
+        for k in map(int, _INDEX.findall(",".join(pieces[1::2]))):
             if 1 <= k <= num_sources:
                 cites.add(k)
             else:
                 dropped += 1
-
-    def flush() -> None:
-        nonlocal chars, cites
-        text = "".join(chars).strip()
-        count = _word_count(text)
+        text = "".join(pieces[::2]).strip()
+        # Words are whitespace-delimited runs holding at least one alphanumeric.
+        count = len([w for w in text.split() if w.isalnum() or _ALNUM.search(w)])
         if count >= 1:
             sentences.append(Sentence(text, count, frozenset(cites), len(sentences) + 1))
-        chars = []
-        cites = set()
-
-    i = 0
-    n = len(answer)
-    while i < n:
-        token = _try_citation_token(answer, i)
-        if token is not None:
-            add_indices(token[0])
-            i = token[1]
-            continue
-        ch = answer[i]
-        chars.append(ch)
-        i += 1
-        if ch in _TERMINALS:
-            boundary = i >= n or answer[i].isspace() or _try_citation_token(answer, i) is not None
-            if not boundary:
-                continue
-            # Trailing citation groups (whitespace-separated) belong to this sentence.
-            j = i
-            while True:
-                while j < n and answer[j].isspace():
-                    j += 1
-                token = _try_citation_token(answer, j)
-                if token is None:
-                    break
-                add_indices(token[0])
-                j = token[1]
-            i = j
-            flush()
-    flush()
     return CitationParse(tuple(sentences), num_sources, dropped)
 
 

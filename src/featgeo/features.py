@@ -9,12 +9,15 @@ writing directives that steer LLM page generation.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
 from .errors import ValidationError
+
+logger = logging.getLogger(__name__)
 
 LAYER_STRUCTURE = "Structure"
 LAYER_CONTENT = "Content"
@@ -286,8 +289,8 @@ def vector_from_mapping(
     """Build a vector from a key-value record over exactly the 13 catalog keys.
 
     Out-of-range values raise unless ``lenient``, in which case they are
-    silently clamped into range by :func:`clamp`. Missing or unknown keys
-    always raise.
+    clamped into range by :func:`clamp` and listed in one WARNING log line.
+    Missing or unknown keys always raise.
     """
     known = set(c.keys())
     got = set(record)
@@ -310,8 +313,10 @@ def vector_from_mapping(
         if not feat.lo <= value <= feat.hi:
             violations.append(f"{feat.key}={value!r} outside [{feat.lo}, {feat.hi}]")
         values.append(value)
-    if violations and not lenient:
-        raise ValidationError("out-of-range feature values: " + "; ".join(violations))
+    if violations:
+        if not lenient:
+            raise ValidationError("out-of-range feature values: " + "; ".join(violations))
+        logger.warning("clamped out-of-range feature values: %s", "; ".join(violations))
     return clamp(FeatureVector(tuple(values)), c)
 
 

@@ -106,6 +106,11 @@ def write_jsonl(path: Path, rows: Iterable[Any]) -> None:
     write_text(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
+def file_digest(path: Path) -> str:
+    """The sha256 the manifest records for a record file."""
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def feature_record(values: Iterable[float], catalog: FeatureCatalog) -> dict[str, float]:
     return {feat.key: float(v) for feat, v in zip(catalog, values)}
 
@@ -213,11 +218,7 @@ def write_run_record(record: RunRecord, run_dir: Path) -> Path:
 
     write_json(run_dir / COST_FILE, record.ledger.to_dict())
 
-    artifacts = {}
-    for name in RECORD_FILES:
-        path = run_dir / name
-        if path.exists():
-            artifacts[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    artifacts = {name: file_digest(run_dir / name) for name in RECORD_FILES if (run_dir / name).exists()}
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "status": record.status,

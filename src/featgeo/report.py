@@ -2,8 +2,9 @@
 
 Reports are built only from a persisted run directory, so a re-export is
 byte-identical to the report written at the end of the run by construction.
-Every record file is checked as it is read, and all five files are rendered
-before any is written, so a failing export leaves no partial report behind.
+Every record file is checked as it is read and against its sha256 in the
+manifest, and all five files are rendered before any is written, so a failing
+export leaves no partial report behind.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .engine.ledger import CostLedger, format_table
-from .errors import ValidationError
+from .errors import IntegrityError, ValidationError
 from .features import LAYERS, catalog_default
-from .records import COST_FILE, FINALS_FILE, FRONT_FILE, GENERATIONS_FILE, TRACE_FILE, write_text
+from .records import COST_FILE, FINALS_FILE, FRONT_FILE, GENERATIONS_FILE, MANIFEST_FILE, TRACE_FILE
+from .records import file_digest, write_text
 
 REPORT_DIR_NAME = "report"
 
@@ -44,7 +46,8 @@ def load_report_data(run_dir: str | Path) -> ReportData:
 
     A record file that is missing, cut short, not valid JSON or short of a
     field the report reads raises ValidationError naming it; a cost ledger
-    whose blocks disagree with its entries raises IntegrityError.
+    whose blocks disagree with its entries, or a file the manifest lists
+    whose sha256 differs from the recorded one, raises IntegrityError.
     """
     run_dir = Path(run_dir)
     finals = _read(run_dir / FINALS_FILE, _parse_finals)
@@ -58,6 +61,14 @@ def load_report_data(run_dir: str | Path) -> ReportData:
     ]
     trace = _read(run_dir / TRACE_FILE, _parse_trace)
     cost = _read(run_dir / COST_FILE, lambda text: CostLedger.from_dict(json.loads(text)))
+    artifacts = _read(run_dir / MANIFEST_FILE, lambda text: dict(json.loads(text)["artifacts"]))
+    for name, digest in artifacts.items():
+        try:
+            actual = file_digest(run_dir / name)
+        except OSError as exc:
+            raise IntegrityError(f"listed record file {name} is unreadable: {exc!r}") from exc
+        if actual != digest:
+            raise IntegrityError(f"record file {name} does not match its sha256 in {MANIFEST_FILE}")
     return ReportData(finals=finals, scatter=scatter, trace=trace, cost=cost)
 
 

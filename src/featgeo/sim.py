@@ -135,7 +135,14 @@ class SimConfig:
 
 
 class SimWorld:
-    """A simulation config bound to a feature catalog, with derived source state."""
+    """A simulation config bound to a feature catalog, with derived source state.
+
+    Each distinct document text is decoded once: ``_profiles`` maps a text to
+    its embedded profile and that profile's propensity. Entries are pure
+    functions of the text, so threads that fill the same key concurrently
+    store equal values, and the map is bounded by the texts that carry a
+    profile: the run's pages and competitor documents.
+    """
 
     def __init__(self, config: SimConfig, catalog: FeatureCatalog | None = None):
         self.config = config
@@ -145,17 +152,31 @@ class SimWorld:
         self.competitor_propensities = tuple(
             sim_propensity(v, self) for v in config.competitor_vectors
         )
+        self._profiles: dict[str, tuple[FeatureVector, float] | None] = {}
 
-    def latent_for(self, doc: SourceDocument) -> FeatureVector:
-        """Recover a document's latent vector from its embedded record or its id."""
-        embedded = extract_profile(doc.text, self.catalog)
-        if embedded is not None:
-            return embedded
+    def profile_of(self, text: str) -> tuple[FeatureVector, float] | None:
+        """A text's embedded profile and its propensity, or None without one."""
+        if PROFILE_MARKER not in text:
+            return None
+        if text not in self._profiles:
+            profile = extract_profile(text, self.catalog)
+            self._profiles[text] = None if profile is None else (profile, sim_propensity(profile, self))
+        return self._profiles[text]
+
+    def source_state(self, doc: SourceDocument) -> tuple[FeatureVector, float]:
+        """A document's latent vector and propensity, from its profile or its id."""
+        entry = self.profile_of(doc.text)
+        if entry is not None:
+            return entry
         if 1 <= doc.id <= len(self.config.competitor_vectors):
-            return self.config.competitor_vectors[doc.id - 1]
+            return self.config.competitor_vectors[doc.id - 1], self.competitor_propensities[doc.id - 1]
         raise ValidationError(
             f"document {doc.id} has no embedded feature profile and no configured latent vector"
         )
+
+    def latent_for(self, doc: SourceDocument) -> FeatureVector:
+        """Recover a document's latent vector from its embedded record or its id."""
+        return self.source_state(doc)[0]
 
 
 def extract_profile(text: str, catalog: FeatureCatalog) -> FeatureVector | None:
@@ -215,8 +236,7 @@ def sim_answer(
     """
     if not docs:
         raise ValidationError("sim answer needs at least one document")
-    latents = [w.latent_for(d) for d in docs]
-    propensities = np.array([sim_propensity(v, w) for v in latents])
+    propensities = np.array([w.source_state(d)[1] for d in docs])
     k_sentences = 4 + digest_to_int(query) % 7
     rng = _stream(w, query, _docs_digest(docs), salt)
     if w.config.noise_scale > 0:
@@ -451,9 +471,9 @@ class SimBackend:
 
     def _judge(self, request: EngineRequest) -> str:
         text = request.payload["text"]
-        embedded = extract_profile(text, self.catalog)
+        embedded = self.world.profile_of(text)
         if embedded is not None:
-            dims = sim_quality_dims(embedded, self.world)
+            dims = sim_quality_dims(embedded[0], self.world)
             scores = {name: getattr(dims, name) for name in ALL_DIMENSIONS}
         else:
             scores = self._judge_text_heuristic(text)

@@ -3,6 +3,7 @@
 Run with: pytest tests/test_acceptance.py -v -s
 """
 
+import hashlib
 import json
 import os
 import time
@@ -282,12 +283,35 @@ def _tree(run_dir):
     return out
 
 
+# sha256 of every file `featgeo simulate --seed 7` writes, taken with numpy
+# 2.4.6. The sim draws from numpy's generators, so another numpy release may
+# change these bytes with featgeo unchanged; a rewrite of a hot path may not.
+SEED_7_ARTIFACTS = {
+    "probe.json": "cca26fd34cb1994b3b8de948943dd5c086f3eff40b24bff7165bf63ed8cac966",
+    "generations.jsonl": "9847aa03a056718babbbee7f04c84d6016d4e7ad8253a346c0935690eaa0e70c",
+    "pareto_front.jsonl": "dc4efd9668bf5b2cfc4623590c970f83851d5e106bb118853c08de9802dac57a",
+    "hv_trace.csv": "967bc0c3a2bc4311d1b223f170fa40cdba6f2fe6ca6c6338e430b0da355851b1",
+    "final_solutions.json": "09db8bc814984f225b1e1d1f0598fcdfe1994c86f52df927227641f9893fa169",
+    "eval_metrics.jsonl": "d40f2b09ede88c1eb8b17aefaf67dd19ec79e74409dfaa7927b9a624de81a314",
+    "cost.json": "1cd96fb0dde0e01b8608bbc1db6d732255b4e6ef9dd86784ec18f77c6e42641b",
+}
+SEED_7_REPORT = {
+    "report/cost_table.txt": "c618393bbe7a312fa05c5f52ce49cf806c625563a516503237cfd8c554487188",
+    "report/hv_trace.csv": "967bc0c3a2bc4311d1b223f170fa40cdba6f2fe6ca6c6338e430b0da355851b1",
+    "report/metrics_table.txt": "4e804e2b53c1156e87a10d8b21404cc12c66d104629fca61c98498eecb13d806",
+    "report/pareto_scatter.csv": "bef3d0dfd0bba0a53702bf45cf959b0521c11651ff590a79f6cb9e094e5665b1",
+    "report/solution_comparison.txt": "0ec2c6b1beb8464751fc2434d248411d7b6faa9d15d9cf426bb8083c6453f1f9",
+}
+
+
 def test_criterion_9_simulate_seed_7_determinism(tmp_path):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     assert run_cli(["simulate", "--seed", "7", "--output-dir", str(dir_a)]) == EXIT_OK
     assert run_cli(["simulate", "--seed", "7", "--output-dir", str(dir_b)]) == EXIT_OK
     tree_a, tree_b = _tree(dir_a), _tree(dir_b)
     assert tree_a == tree_b
+    assert json.loads(tree_a["manifest.json"])["artifacts"] == SEED_7_ARTIFACTS
+    assert {name: hashlib.sha256(tree_a[name]).hexdigest() for name in SEED_7_REPORT} == SEED_7_REPORT
 
     # concurrency must not perturb the result
     cfg = RunConfig.from_file(

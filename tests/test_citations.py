@@ -1,4 +1,7 @@
 import math
+import re
+import sys
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -98,6 +101,146 @@ def test_parse_abbreviations_split_documented_limitation():
 def test_parse_requires_positive_num_sources():
     with pytest.raises(ValidationError):
         parse_citations("A.", 0)
+
+
+# -- differential oracle: the char-by-char parser the regex scanner replaced ----
+# Kept verbatim, except that index digits must be isdecimal(), not isdigit():
+# int() rejects the 128 code points (such as "²") that are digits but not
+# decimals, so the old parser crashed on them.
+
+
+def _try_citation_token(text: str, start: int) -> tuple[list[int], int] | None:
+    """Parse one ``[k]`` / ``[k, j, ...]`` token at ``start``; None if not one.
+
+    Returns (indices, index past the closing bracket). Content must be digits
+    separated by commas and/or spaces; anything else is treated as prose.
+    """
+    if start >= len(text) or text[start] != "[":
+        return None
+    i = start + 1
+    indices: list[int] = []
+    digits = ""
+    while i < len(text):
+        ch = text[i]
+        if ch.isdecimal():
+            digits += ch
+        elif ch in ", \t":
+            if digits:
+                indices.append(int(digits))
+                digits = ""
+        elif ch == "]":
+            if digits:
+                indices.append(int(digits))
+            return (indices, i + 1) if indices else None
+        else:
+            return None
+        i += 1
+    return None
+
+
+_TERMINALS = ".!?"
+
+
+def _word_count(text: str) -> int:
+    """Whitespace tokens containing at least one alphanumeric character."""
+    return sum(1 for tok in text.split() if any(ch.isalnum() for ch in tok))
+
+
+def oracle_parse_citations(answer: str, num_sources: int) -> CitationParse:
+    if num_sources < 1:
+        raise ValidationError(f"num_sources must be >= 1, got {num_sources}")
+
+    sentences: list[Sentence] = []
+    dropped = 0
+    chars: list[str] = []
+    cites: set[int] = set()
+
+    def add_indices(indices: Iterable[int]) -> None:
+        nonlocal dropped
+        for k in indices:
+            if 1 <= k <= num_sources:
+                cites.add(k)
+            else:
+                dropped += 1
+
+    def flush() -> None:
+        nonlocal chars, cites
+        text = "".join(chars).strip()
+        count = _word_count(text)
+        if count >= 1:
+            sentences.append(Sentence(text, count, frozenset(cites), len(sentences) + 1))
+        chars = []
+        cites = set()
+
+    i = 0
+    n = len(answer)
+    while i < n:
+        token = _try_citation_token(answer, i)
+        if token is not None:
+            add_indices(token[0])
+            i = token[1]
+            continue
+        ch = answer[i]
+        chars.append(ch)
+        i += 1
+        if ch in _TERMINALS:
+            boundary = i >= n or answer[i].isspace() or _try_citation_token(answer, i) is not None
+            if not boundary:
+                continue
+            # Trailing citation groups (whitespace-separated) belong to this sentence.
+            j = i
+            while True:
+                while j < n and answer[j].isspace():
+                    j += 1
+                token = _try_citation_token(answer, j)
+                if token is None:
+                    break
+                add_indices(token[0])
+                j = token[1]
+            i = j
+            flush()
+    flush()
+    return CitationParse(tuple(sentences), num_sources, dropped)
+
+
+# Fragments a random answer is drawn from: prose, terminal marks, bracket
+# pieces, citation groups valid, empty, non-numeric and out of range, Unicode
+# spaces and decimals, and digits that are not decimals.
+_FRAGMENTS = (
+    "Word", "abc", "x", "é", "_", "-", "'s", "1", "42", ".", ".", "!", "?", "...",
+    "[", "]", ",", " ", " ", " ", "  ", "\t", "\n", "\n\n",
+    "[1]", "[2]", "[3]", "[1][2]", "[1, 2]", "[ 2 ,3 ]", "[1\t3]", "[0]", "[4]", "[17]",
+    "[007]", "[]", "[ ]", "[,]", "[a]", "[1a]", "[1.]", "[1\n]", "[[1]", "[1]]",
+    "\u00a0", "\u2003", "\x1c", "\u0663", "\uff12", "[\u0663]", "[\uff12]", "\u00b2", "[\u00b2]",
+    "[1\u00b2]", "[\u00a01]",
+)
+
+
+def random_answers(count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        picks = rng.integers(0, len(_FRAGMENTS), size=int(rng.integers(0, 30)))
+        yield "".join(_FRAGMENTS[i] for i in picks), int(rng.integers(1, 5))
+
+
+def test_parse_matches_the_char_by_char_oracle_on_random_answers():
+    for answer, num_sources in random_answers(20_000, seed=4):
+        expected = oracle_parse_citations(answer, num_sources)
+        assert parse_citations(answer, num_sources) == expected, (answer, num_sources)
+
+
+def test_regex_classes_agree_with_the_str_predicates_on_every_code_point():
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    for pattern, predicate in ((r"\s", str.isspace), (r"[^\W_]", str.isalnum), (r"\d", str.isdecimal)):
+        assert re.findall(pattern, text) == [ch for ch in text if predicate(ch)], pattern
+
+
+def test_parse_treats_non_decimal_digits_in_brackets_as_prose():
+    p = parse_citations("Sugar is bad [\u00b2].", 3)
+    assert p == oracle_parse_citations("Sugar is bad [\u00b2].", 3)
+    assert p.sentences == (Sentence("Sugar is bad [\u00b2].", 4, frozenset(), 1),)
+    assert p.dropped_citations == 0
+    assert parse_citations("Unicode decimals cite [\u0663][\uff12].", 3).sentences[0].cited == {2, 3}
 
 
 def test_visibility_single_sentence_full_citation():

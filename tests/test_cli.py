@@ -153,6 +153,28 @@ def test_report_rejects_tampered_ledger_and_changes_no_report_file(run_dir, tamp
     assert tree(run_dir / "report") == before
 
 
+def keep_first_lines(count):
+    def cut(path):
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:count]))
+    return cut
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("generations.jsonl", keep_first_lines(10)),
+    ("eval_metrics.jsonl", keep_first_lines(1)),
+    ("eval_metrics.jsonl", lambda path: path.unlink()),
+], ids=["generations-first-10-lines", "eval-metrics-first-line", "eval-metrics-deleted"])
+def test_report_rejects_a_record_file_that_differs_from_its_manifest_digest(run_dir, capsys, name, damage):
+    damage(run_dir / name)
+    for p in (run_dir / "report").iterdir():
+        p.write_text("stale\n")
+    before = tree(run_dir / "report")
+    assert run_cli(["report", str(run_dir), "--overwrite"]) == EXIT_INTEGRITY
+    err = capsys.readouterr().err
+    assert "integrity error" in err and name in err
+    assert tree(run_dir / "report") == before
+
+
 def truncate(path):
     path.write_text(path.read_text()[:40])
 

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -203,6 +204,21 @@ def test_decode_reports_out_of_range_then_clamps_only_when_lenient():
         vector_from_mapping(record, CATALOG)
     v = vector_from_mapping(record, CATALOG, lenient=True)
     assert v[CATALOG.index_of("statistics_level")] == 3.0
+
+
+def test_lenient_decode_logs_one_warning_naming_every_clamped_value(caplog):
+    record = {f.key: (f.lo + f.hi) / 2 for f in CATALOG}
+    with caplog.at_level(logging.WARNING, logger="featgeo.features"):
+        vector_from_mapping(record, CATALOG, lenient=True)
+    assert caplog.records == []
+    record["statistics_level"] = 5.0
+    record["has_intro_summary"] = -1.0
+    with caplog.at_level(logging.WARNING, logger="featgeo.features"):
+        vector_from_mapping(record, CATALOG, lenient=True)
+    [entry] = caplog.records
+    assert entry.levelno == logging.WARNING
+    assert "statistics_level=5.0" in entry.getMessage()
+    assert "has_intro_summary=-1.0" in entry.getMessage()
 
 
 def test_decode_rejects_non_json_and_non_object():

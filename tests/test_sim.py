@@ -1,8 +1,11 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import featgeo.sim as sim_module
 from featgeo.bundled import default_sim_config_path
 from featgeo.citations import parse_citations
 from featgeo.engine.client import EngineClient
@@ -15,6 +18,7 @@ from featgeo.features import (
     midpoint_vector,
     render_guidelines,
 )
+from featgeo.pipeline import RunConfig, load_documents, run_optimization
 from featgeo.quality import ALL_DIMENSIONS, QualityConfig
 from featgeo.sim import (
     SimBackend,
@@ -396,3 +400,60 @@ def test_sim_config_validation():
         SimConfig(1, (0.0,) * 13, 0.0, (0.0,) * 13, -1.0, ())
     with pytest.raises(ValidationError):
         SimConfig(1, (0.0,) * 13, 0.0, (0.0,) * 13, 0.0, (), noise_scale=-0.1)
+
+
+def test_run_decodes_each_document_profile_once_and_shares_the_world_across_workers(
+    tmp_path, monkeypatch
+):
+    decoded, pages = [], []
+    extract, page = sim_module.extract_profile, SimBackend._page
+
+    def counted_extract(text, catalog):
+        decoded.append(text)
+        return extract(text, catalog)
+
+    def recorded_page(self, request):
+        pages.append(page(self, request))
+        return pages[-1]
+
+    monkeypatch.setattr(sim_module, "extract_profile", counted_extract)
+    monkeypatch.setattr(SimBackend, "_page", recorded_page)
+    one = RunConfig.from_file(default_sim_config_path(), seed=7, output_dir=tmp_path / "one")
+    run_optimization(one)
+    documents = {d.text for d in load_documents(one.competitor_docs)} | set(pages)
+    assert len(decoded) == len(set(decoded)) <= len(documents)
+    assert set(decoded) <= documents
+
+    two = RunConfig.from_file(
+        default_sim_config_path(), seed=7, output_dir=tmp_path / "two", eval_workers=2
+    )
+    run_optimization(two)
+    metrics = "eval_metrics.jsonl"
+    assert (tmp_path / "two" / metrics).read_bytes() == (tmp_path / "one" / metrics).read_bytes()
+
+
+def test_profile_memo_shared_by_many_threads_returns_the_single_thread_values():
+    docs = [doc_with_intro(i, i / 40) for i in range(1, 41)]
+    expected = [bundled_world().source_state(d) for d in docs]
+    world = bundled_world()
+    results = {}
+
+    def read(offset):
+        order = docs[offset:] + docs[:offset]
+        results[offset] = [world.source_state(d) for d in order for _ in range(5)]
+
+    threads = [threading.Thread(target=read, args=(k * 5,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for offset, got in results.items():
+        order = expected[offset:] + expected[:offset]
+        assert got == [state for state in order for _ in range(5)]
+    assert len(results) == 8 and len(world._profiles) == len(docs)
