@@ -25,6 +25,9 @@ _TOKEN = re.compile(r"\[([ ,\t]*\d[\d, \t]*)\]")
 _SENTENCE_END = re.compile(rf"[.!?](?=\s|\Z|{_TOKEN.pattern})(?:\s*{_TOKEN.pattern})*\s*")
 _INDEX = re.compile(r"\d+")
 _ALNUM = re.compile(r"[^\W_]")
+# int() converts at most sys.get_int_max_str_digits() digits, never fewer than
+# 640; a longer index is out of range unless it is mostly leading zeros.
+_INT_DIGITS = 640
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,10 @@ def parse_citations(answer: str, num_sources: int) -> CitationParse:
         pieces = _TOKEN.split(answer[start:end])
         start = end
         cites: set[int] = set()
-        for k in map(int, _INDEX.findall(",".join(pieces[1::2]))):
+        for digits in _INDEX.findall(",".join(pieces[1::2])):
+            if len(digits) > _INT_DIGITS:  # leading zeros keep the value; else it reads as 0
+                digits = "0" if any(map(int, digits[:-_INT_DIGITS])) else digits[-_INT_DIGITS:]
+            k = int(digits)
             if 1 <= k <= num_sources:
                 cites.add(k)
             else:

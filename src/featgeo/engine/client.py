@@ -9,7 +9,7 @@ cost ledger under the currently active pipeline stage.
 from __future__ import annotations
 
 import logging
-from typing import Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 from ..errors import EngineError, ValidationError
 from ..features import FeatureCatalog, FeatureVector, GuidelineBlock, vector_from_mapping
@@ -28,6 +28,8 @@ from .types import (
 )
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 DEFAULT_RETRY_LIMIT = 3
 DEFAULT_MAX_ANSWER_DOCS = 6
@@ -59,15 +61,22 @@ def format_source_documents(docs: Sequence[SourceDocument]) -> str:
     return "\n\n".join(f"[{d.id}] {d.text}" for d in docs)
 
 
-def _parse_key_value_lines(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _parse_numbers(text: str, names: Iterable[str]) -> dict[str, float]:
+    """Values of the ``name: number`` lines for ``names``; ValueError on a non-number."""
+    fields: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip().lstrip("-* ").strip()
         if not line or ":" not in line:
             continue
         key, _, value = line.partition(":")
-        out[key.strip().lower()] = value.strip()
-    return out
+        fields[key.strip().lower()] = value.strip()
+    return {name: float(fields[name]) for name in names if name in fields}
+
+
+def _non_empty(reply: str) -> str:
+    if not reply.strip():
+        raise ValidationError("empty text")
+    return reply
 
 
 class EngineClient:
@@ -118,6 +127,23 @@ class EngineClient:
         if self.cache is not None:
             self.cache.put(request.cache_key, role, response)
         return response.text
+
+    def _complete_parsed(
+        self, what: str, role: Role, prompt: str, payload: dict, parse: Callable[[str], T],
+        *, salt: str = "", retry_prefix: str = "",
+    ) -> T:
+        """Complete until ``parse`` accepts a reply (it raises ValidationError or
+        ValueError on one it rejects), at most ``retry_limit`` times. Attempt 0
+        sends ``salt``; attempt n sends ``{retry_prefix}attempt{n}``."""
+        reply = ""
+        for attempt in range(self.retry_limit):
+            attempt_salt = f"{retry_prefix}attempt{attempt}" if attempt else salt
+            reply = self._complete(role, prompt, payload, attempt_salt)
+            try:
+                return parse(reply)
+            except (ValidationError, ValueError) as exc:
+                logger.warning("%s reply unparseable (attempt %d): %s", what, attempt + 1, exc)
+        raise EngineError(f"{what} failed after {self.retry_limit} attempts", raw_reply=reply)
 
     # -- roles -------------------------------------------------------------
 
@@ -176,18 +202,9 @@ class EngineClient:
             feature_definitions=format_feature_definitions(catalog),
             page_text=page.text,
         )
-        last_reply = ""
-        for attempt in range(self.retry_limit):
-            salt = f"attempt{attempt}" if attempt else ""
-            last_reply = self._complete(Role.FEATURE_EXTRACT, prompt, {"doc": page}, salt)
-            fields = _parse_key_value_lines(last_reply)
-            try:
-                record = {key: float(fields[key]) for key in catalog.keys() if key in fields}
-                return vector_from_mapping(record, catalog, lenient=True)
-            except (ValidationError, ValueError) as exc:
-                logger.warning("feature extraction reply unparseable (attempt %d): %s", attempt + 1, exc)
-        raise EngineError(
-            f"feature extraction failed after {self.retry_limit} attempts", raw_reply=last_reply
+        return self._complete_parsed(
+            "feature extraction", Role.FEATURE_EXTRACT, prompt, {"doc": page},
+            lambda reply: vector_from_mapping(_parse_numbers(reply, catalog.keys()), catalog, lenient=True),
         )
 
     def generate_page(self, brief: TopicBrief, guidelines: GuidelineBlock) -> str:
@@ -197,17 +214,9 @@ class EngineClient:
         prompt = render_prompt(
             Role.PAGE_GEN, ad_theme=brief.strategy_text, guidelines=guidelines.as_text()
         )
-        last_reply = ""
-        for attempt in range(self.retry_limit):
-            salt = f"attempt{attempt}" if attempt else ""
-            last_reply = self._complete(
-                Role.PAGE_GEN, prompt, {"brief": brief, "guidelines": guidelines}, salt
-            )
-            if last_reply.strip():
-                return last_reply
-        raise EngineError(
-            f"page generation returned empty text after {self.retry_limit} attempts",
-            raw_reply=last_reply,
+        return self._complete_parsed(
+            "page generation", Role.PAGE_GEN, prompt, {"brief": brief, "guidelines": guidelines},
+            _non_empty,
         )
 
     def answer_query(self, query: str, docs: Sequence[SourceDocument], salt: str = "") -> str:
@@ -233,18 +242,8 @@ class EngineClient:
         if not answer_or_page.strip() or not query.strip():
             raise ValidationError("judge inputs must be non-empty")
         prompt = render_prompt(Role.JUDGE, query=query, answer_text=answer_or_page)
-        last_reply = ""
-        for attempt in range(self.retry_limit):
-            attempt_salt = f"{salt}|attempt{attempt}" if attempt else salt
-            last_reply = self._complete(
-                Role.JUDGE, prompt, {"text": answer_or_page, "query": query}, attempt_salt
-            )
-            fields = _parse_key_value_lines(last_reply)
-            try:
-                raw = {name: float(fields[name]) for name in ALL_DIMENSIONS if name in fields}
-                return QualityDimensions.from_raw(raw)
-            except (ValidationError, ValueError) as exc:
-                logger.warning("judge reply unparseable (attempt %d): %s", attempt + 1, exc)
-        raise EngineError(
-            f"quality judging failed after {self.retry_limit} attempts", raw_reply=last_reply
+        return self._complete_parsed(
+            "quality judging", Role.JUDGE, prompt, {"text": answer_or_page, "query": query},
+            lambda reply: QualityDimensions.from_raw(_parse_numbers(reply, ALL_DIMENSIONS)),
+            salt=salt, retry_prefix=f"{salt}|",
         )

@@ -1,15 +1,17 @@
 """NSGA-II over the bounded 13-feature box, maximizing (visibility, quality).
 
-Implements the classic fast non-dominated sort and crowding distance of
-Deb et al. (2002) with exemplar-seeded initialization, per-feature uniform
-crossover, Gaussian mutation, binary tournament parent selection, and (mu+lambda)
-environmental selection. Convergence is tracked as the hypervolume of a
-cumulative archive of non-dominated solutions.
+Implements the non-dominated sorting and crowding distance of Deb et al.
+(2002), with the sort done by Jensen's (2003) two-objective sweep, plus
+exemplar-seeded initialization, per-feature uniform crossover, Gaussian
+mutation, binary tournament parent selection, and (mu+lambda) environmental
+selection. Convergence is tracked as the hypervolume of a cumulative archive
+of non-dominated solutions.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -32,11 +34,10 @@ class Individual:
     objectives: tuple[float, float] | None = None  # (visibility %, quality %)
     rank: int | None = None
     crowding: float = 0.0
-    eval_count: int = 0
     key: tuple[int, int] | None = None  # (generation, slot) of realization
 
     def dominates(self, other: "Individual") -> bool:
-        """At least as good in both objectives and strictly better in one."""
+        """At least as good in both objectives and strictly better in one (the sort's test oracle)."""
         a, b = self.objectives, other.objectives
         return a[0] >= b[0] and a[1] >= b[1] and (a[0] > b[0] or a[1] > b[1])
 
@@ -78,10 +79,8 @@ class ParetoFront:
     members: tuple[Individual, ...]
 
     def __post_init__(self):
-        for i, a in enumerate(self.members):
-            for b in self.members[i + 1:]:
-                if a.dominates(b) or b.dominates(a):
-                    raise ValidationError("pareto front members must be mutually non-dominated")
+        if len(_fronts([ind.objectives for ind in self.members])) > 1:
+            raise ValidationError("pareto front members must be mutually non-dominated")
         ordered = tuple(
             sorted(self.members, key=lambda ind: (-ind.objectives[0], -ind.objectives[1]))
         )
@@ -146,38 +145,40 @@ class OptimizerAbort(FeatGeoError):
 # -- sorting and diversity ---------------------------------------------------
 
 
+def _fronts(points: Sequence[tuple[float, float]]) -> list[list[int]]:
+    """Non-dominated fronts of (visibility, quality) pairs, as ascending input positions.
+
+    Jensen's two-objective sweep (IEEE TEC 2003): visit the points by
+    (visibility, quality) descending and put each on the first front whose
+    last member does not dominate it. A front's last member only gains
+    quality, so the last members' (-quality, -visibility) keys stay sorted
+    and bisect finds that front. Equal points never dominate each other.
+    """
+    fronts: list[list[int]] = []
+    lasts: list[tuple[float, float]] = []
+    for i in sorted(range(len(points)), key=points.__getitem__, reverse=True):
+        vis, qual = points[i]
+        key = (-qual, -vis)
+        k = bisect_left(lasts, key)  # lasts[:k] dominate the point
+        if k == len(fronts):
+            fronts.append([i])
+            lasts.append(key)
+        else:
+            fronts[k].append(i)
+            lasts[k] = key
+    return [sorted(front) for front in fronts]
+
+
 def non_dominated_sort(pop: Sequence[Individual]) -> list[list[Individual]]:
-    """Fast non-dominated sort; writes front indices back onto individuals."""
+    """Non-dominated fronts in population order; writes front indices back onto individuals."""
     for ind in pop:
         if ind.objectives is None:
             raise ValidationError("cannot sort unevaluated individuals")
-    n = len(pop)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pop[i].dominates(pop[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif pop[j].dominates(pop[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-    fronts: list[list[Individual]] = []
-    current = [i for i in range(n) if domination_count[i] == 0]
-    rank = 0
-    while current:
-        for i in current:
+    fronts = _fronts([ind.objectives for ind in pop])
+    for rank, front in enumerate(fronts):
+        for i in front:
             pop[i].rank = rank
-        fronts.append([pop[i] for i in current])
-        nxt: list[int] = []
-        for i in current:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    nxt.append(j)
-        current = sorted(nxt)
-        rank += 1
-    return fronts
+    return [[pop[i] for i in front] for front in fronts]
 
 
 def crowding_distance(front: Sequence[Individual]) -> list[float]:
@@ -207,12 +208,9 @@ def crowding_distance(front: Sequence[Individual]) -> list[float]:
 
 
 def pareto_front_of(pop: Sequence[Individual]) -> ParetoFront:
-    """Non-dominated subset of a population as a ParetoFront."""
-    members = [
-        a for i, a in enumerate(pop)
-        if not any(b.dominates(a) for j, b in enumerate(pop) if j != i)
-    ]
-    return ParetoFront(tuple(members))
+    """Non-dominated subset of a population as a ParetoFront; ranks are left alone."""
+    fronts = _fronts([ind.objectives for ind in pop])
+    return ParetoFront(tuple(pop[i] for i in fronts[0]) if fronts else ())
 
 
 # -- variation ---------------------------------------------------------------
@@ -381,7 +379,6 @@ def _evaluate(
         vis_sum += vis
         qual_sum += qual
     ind.objectives = (vis_sum / cfg.repeats_per_eval, qual_sum / cfg.repeats_per_eval)
-    ind.eval_count = cfg.repeats_per_eval
     ind.key = (generation, slot)
 
 
@@ -416,13 +413,13 @@ def evolve(
     """
     log: list[GenerationRecord] = []
     trace: list[tuple[int, float]] = []
-    archive: list[Individual] = []
+    archive = ParetoFront(())
     evaluations = 0
 
-    def record(generation: int) -> None:
+    def record(generation: int, evaluated: Sequence[Individual]) -> None:
         nonlocal archive
-        archive = list(pareto_front_of(archive).members)
-        trace.append((generation, hypervolume(ParetoFront(tuple(archive)))))
+        archive = pareto_front_of(archive.members + tuple(evaluated))
+        trace.append((generation, hypervolume(archive)))
 
     try:
         init_rng = _rng_for(cfg.seed, 0, 0)
@@ -430,10 +427,9 @@ def evolve(
         for slot, ind in enumerate(population):
             _evaluate(ind, cfg, evaluator, 0, slot)
             evaluations += cfg.repeats_per_eval
-        archive.extend(population)
         for front in non_dominated_sort(population):
             crowding_distance(front)
-        record(0)
+        record(0, population)
         log.extend(_log_population(population, 0))
 
         for generation in range(1, cfg.generations + 1):
@@ -451,14 +447,12 @@ def evolve(
             for i, ind in enumerate(offspring):
                 _evaluate(ind, cfg, evaluator, generation, i)
                 evaluations += cfg.repeats_per_eval
-            archive.extend(offspring)
             population = _environmental_selection(population + offspring, cfg.population_size)
-            record(generation)
+            record(generation, offspring)
             log.extend(_log_population(population, generation))
     except Exception as exc:
         raise OptimizerAbort(
             f"evaluator failed during evolution: {exc}", tuple(log), tuple(trace), exc
         ) from exc
 
-    front = ParetoFront(tuple(archive))
-    return EvolveResult(front, HypervolumeTrace(tuple(trace)), tuple(log), evaluations)
+    return EvolveResult(archive, HypervolumeTrace(tuple(trace)), tuple(log), evaluations)

@@ -324,7 +324,6 @@ def brute_force_pareto(
                 Individual(
                     x=FeatureVector(tuple(matrix[idx])),
                     objectives=(float(vis[idx]), float(qual[idx])),
-                    eval_count=1,
                 )
             )
     return ParetoFront(tuple(members))

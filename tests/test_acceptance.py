@@ -109,21 +109,24 @@ def _oracle_fronts(objectives):
 def test_criterion_3_sort_matches_brute_force_oracle():
     started = time.perf_counter()
     rng = np.random.default_rng(31)
-    for _ in range(200):
+    for trial in range(400):
         n = int(rng.integers(1, 65))
-        objectives = rng.uniform(0, 100, size=(n, 2))
+        if trial >= 200:  # a 6 x 6 integer grid: ties and equal-objective clones
+            objectives = rng.integers(0, 6, size=(n, 2)).astype(float)
+        else:
+            objectives = rng.uniform(0, 100, size=(n, 2))
         pop = [
             Individual(x=midpoint_vector(CATALOG), objectives=(float(v), float(q)))
             for v, q in objectives
         ]
-        fast = [
-            {i for i, ind in enumerate(pop) if ind in front}
-            for front in non_dominated_sort(pop)
-        ]
-        assert fast == _oracle_fronts(objectives)
+        where = {id(ind): i for i, ind in enumerate(pop)}
+        fast = [[where[id(ind)] for ind in front] for front in non_dominated_sort(pop)]
+        assert all(front == sorted(front) for front in fast)  # population order
+        assert [set(front) for front in fast] == _oracle_fronts(objectives)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
-    ok(3, f"200 random populations match the O(n^2 m) oracle exactly in {elapsed:.2f} s")
+    ok(3, f"400 random populations, half with tied objectives, match the O(n^2 m) oracle "
+          f"exactly in {elapsed:.2f} s")
 
 
 def test_criterion_4_hypervolume_exact_and_monte_carlo():

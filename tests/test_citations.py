@@ -243,6 +243,21 @@ def test_parse_treats_non_decimal_digits_in_brackets_as_prose():
     assert parse_citations("Unicode decimals cite [\u0663][\uff12].", 3).sentences[0].cited == {2, 3}
 
 
+def test_parse_drops_an_index_longer_than_int_conversion_allows():
+    p = parse_citations("Big [" + "1" * 5000 + "]. Small [2].", 3)
+    assert [s.cited for s in p.sentences] == [frozenset(), {2}]
+    assert p.dropped_citations == 1
+    assert parse_citations("Zero [" + "0" * 5000 + "].", 3).dropped_citations == 1
+    # A nonzero digit far ahead of the last 640 still makes the index huge.
+    assert parse_citations("Far [1" + "0" * 4999 + "2].", 3).dropped_citations == 1
+
+
+def test_parse_long_index_with_leading_zeros_keeps_its_value():
+    p = parse_citations("Padded [" + "0" * 5000 + "1]. Also [3, " + "\u0660" * 5000 + "2].", 3)
+    assert [s.cited for s in p.sentences] == [{1}, {2, 3}]
+    assert p.dropped_citations == 0
+
+
 def test_visibility_single_sentence_full_citation():
     scores = visibility_scores(parse_citations("Only sentence here [1].", 2))
     assert scores.for_source(1) == (100.0, 100.0, 100.0)

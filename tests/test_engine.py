@@ -331,6 +331,22 @@ def test_extract_features_recovers_on_second_attempt():
     assert v == midpoint_vector(CATALOG)
 
 
+def test_parsed_roles_retry_with_the_salts_response_caches_are_keyed_on():
+    client, backend = make_client(["garbled"])
+    with pytest.raises(EngineError, match="feature extraction failed after 3 attempts"):
+        client.extract_features(docs(1)[0])
+    with pytest.raises(EngineError, match="quality judging failed after 3 attempts"):
+        client.judge_quality("answer", "query", salt="s")
+    client.backend.replies = ["  "]
+    with pytest.raises(EngineError, match="page generation failed after 3 attempts") as err:
+        client.generate_page(BRIEF, GUIDELINES)
+    assert err.value.raw_reply == "  "
+    salts = ["", "attempt1", "attempt2", "s", "s|attempt1", "s|attempt2", "", "attempt1", "attempt2"]
+    assert len(backend.requests) == len(salts)
+    for request, salt in zip(backend.requests, salts):
+        assert request.cache_key == build_request(request.role, request.prompt, salt=f"\x1f{salt}").cache_key
+
+
 def test_generate_page_contract():
     client, _ = make_client(["PAGE BODY"])
     assert client.generate_page(BRIEF, GUIDELINES) == "PAGE BODY"

@@ -59,3 +59,11 @@ def test_thread_pool_is_built_at_one_site_inside_run_optimization():
     sites = [site for path in sorted(PACKAGE_DIR.rglob("*.py"))
              for site in _call_sites(path, "ThreadPoolExecutor")]
     assert sites == ["pipeline.py:run_optimization"], sites
+
+
+def test_dominance_is_decided_by_one_sweep():
+    sites = [site for path in sorted(PACKAGE_DIR.rglob("*.py"))
+             for name in ("_fronts", "dominates") for site in _call_sites(path, name)]
+    assert sorted(sites) == [
+        "optimizer.py:__post_init__", "optimizer.py:non_dominated_sort", "optimizer.py:pareto_front_of",
+    ], sites

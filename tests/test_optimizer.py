@@ -65,13 +65,26 @@ def test_sort_equal_objectives_do_not_dominate():
     assert len(fronts) == 1
 
 
+def random_objectives(rng, n, grid):
+    """Uniform percents, or a grid x grid integer lattice where ties and clones abound."""
+    if grid:
+        return rng.integers(0, grid, size=(n, 2)).astype(float)
+    return rng.uniform(0, 100, size=(n, 2))
+
+
 def test_sort_matches_brute_force_on_random_populations():
     rng = np.random.default_rng(20)
-    for _ in range(60):
+    for trial in range(120):
         n = int(rng.integers(1, 65))
-        pop = [ind(float(v), float(q)) for v, q in rng.uniform(0, 100, size=(n, 2))]
-        fast = [ {id(i) for i in front} for front in non_dominated_sort(pop)]
-        assert fast == brute_force_fronts(pop)
+        grid = 6 if trial >= 60 else 0
+        pop = [ind(float(v), float(q)) for v, q in random_objectives(rng, n, grid)]
+        fronts = non_dominated_sort(pop)
+        assert [{id(i) for i in front} for front in fronts] == brute_force_fronts(pop)
+        where = {id(i): pos for pos, i in enumerate(pop)}
+        for rank, front in enumerate(fronts):
+            positions = [where[id(i)] for i in front]
+            assert positions == sorted(positions)  # population order
+            assert {i.rank for i in front} == {rank}
 
 
 def test_sort_partitions_population():
@@ -243,6 +256,25 @@ def test_hypervolume_monte_carlo_agreement():
 def test_pareto_front_validates_mutual_nondominance():
     with pytest.raises(ValidationError):
         ParetoFront((ind(10, 10), ind(20, 20)))
+    # Equal-objective clones are mutually non-dominated; a tie on one objective is not.
+    clones = ParetoFront((ind(10, 10), ind(20, 5), ind(10, 10), ind(20, 5)))
+    assert [i.objectives for i in clones] == [(20, 5), (20, 5), (10, 10), (10, 10)]
+    for dominated in (ind(10, 9), ind(9, 10), ind(20, 4)):
+        with pytest.raises(ValidationError):
+            ParetoFront((ind(10, 10), ind(10, 10), ind(20, 5), dominated))
+
+
+def test_pareto_front_of_keeps_clones_in_population_order_and_leaves_ranks():
+    rng = np.random.default_rng(22)
+    for grid in (0, 4):
+        pop = [ind(float(v), float(q)) for v, q in random_objectives(rng, 40, grid)]
+        for i in pop:
+            i.rank = 7
+        front = pareto_front_of(pop)
+        assert {id(i) for i in front} == brute_force_fronts(pop)[0]
+        assert {i.rank for i in pop} == {7}
+    a, b, c = ind(10, 10), ind(10, 10), ind(5, 5)
+    assert [id(i) for i in pareto_front_of([c, b, a])] == [id(b), id(a)]
 
 
 def test_pareto_front_sorted_by_visibility_descending():
