@@ -1,8 +1,7 @@
-"""Access to the data files shipped with the package (default sim topic, fixtures)."""
+"""Access to the data files shipped with the package (the default sim topic)."""
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from pathlib import Path
 
@@ -14,9 +13,3 @@ def data_dir() -> Path:
 def default_sim_config_path() -> Path:
     """Run config of the bundled offline sim topic (used by `featgeo simulate`)."""
     return data_dir() / "sim_topic" / "config.json"
-
-
-def load_example_solutions() -> dict:
-    """Two labeled extreme trade-off solutions with their recorded objectives."""
-    path = data_dir() / "example_solutions.json"
-    return json.loads(path.read_text(encoding="utf-8"))

@@ -11,8 +11,10 @@ from . import bundled, records
 from .citations import parse_citations, visibility_scores
 from .errors import BudgetError, FeatGeoError, IntegrityError, ValidationError
 from .features import catalog_default
-from .optimizer import OptimizerAbort
+from .optimizer import POLICIES, OptimizerAbort
 from .pipeline import (
+    BACKEND_LIVE,
+    BACKEND_SIM,
     RunConfig,
     build_client,
     load_documents,
@@ -55,7 +57,7 @@ def _build_parser() -> _Parser:
     def add_run_flags(p, config_required=True):
         p.add_argument("--config", required=config_required, help="run config JSON file")
         p.add_argument("--seed", type=int, default=None, help="override GA and sim seeds")
-        p.add_argument("--backend", choices=["sim", "live"], default=None)
+        p.add_argument("--backend", choices=[BACKEND_SIM, BACKEND_LIVE], default=None)
         p.add_argument("--output-dir", default=None)
         p.add_argument("--overwrite", action="store_true", help="allow writing into an existing run dir")
 
@@ -64,8 +66,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("optimize", help="run the full optimization")
     add_run_flags(p)
-    p.add_argument("--policy", choices=["max_visibility", "max_quality", "knee"],
-                   default="max_visibility", help="final solution to print")
+    p.add_argument("--policy", choices=POLICIES, default="max_visibility",
+                   help="final solution to print")
 
     p = sub.add_parser("ablate", help="re-optimize with one feature clamped to its minimum")
     add_run_flags(p)
@@ -87,15 +89,10 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(args) -> RunConfig:
-    config_path = args.config or str(bundled.default_sim_config_path())
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.output_dir is not None:
-        overrides["output_dir"] = args.output_dir
-    return RunConfig.from_file(config_path, **overrides)
+    return RunConfig.from_file(
+        args.config or bundled.default_sim_config_path(),
+        seed=args.seed, backend=args.backend, output_dir=args.output_dir,
+    )
 
 
 def _check_run_dir(run_dir: Path, overwrite: bool) -> None:
@@ -139,7 +136,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    if cfg.backend != "sim":
+    if cfg.backend != BACKEND_SIM:
         raise ValidationError("simulate always runs against the sim backend")
     _check_run_dir(Path(cfg.output_dir), args.overwrite)
     return _run_and_summarize(cfg)

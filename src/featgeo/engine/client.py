@@ -12,7 +12,9 @@ import logging
 from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 from ..errors import EngineError, ValidationError
-from ..features import FeatureCatalog, FeatureVector, GuidelineBlock, vector_from_mapping
+from ..features import (
+    KIND_BOOLEAN, KIND_TIERED, FeatureCatalog, FeatureVector, GuidelineBlock, vector_from_mapping,
+)
 from ..quality import ALL_DIMENSIONS, QualityDimensions
 from .cache import ResponseCache
 from .ledger import CostLedger
@@ -47,9 +49,9 @@ def format_feature_definitions(catalog: FeatureCatalog) -> str:
     """Human-readable property list embedded in the feature-extraction prompt."""
     lines = []
     for feat in catalog:
-        if feat.kind == "boolean":
+        if feat.kind == KIND_BOOLEAN:
             detail = "1 if present, 0 if absent"
-        elif feat.kind == "tiered":
+        elif feat.kind == KIND_TIERED:
             detail = "1 = low, 2 = medium, 3 = high"
         else:
             detail = f"density of {feat.density_label}, 0 = none, 3 = saturated"

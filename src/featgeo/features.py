@@ -336,11 +336,6 @@ def decode_vector(text: str, c: FeatureCatalog, lenient: bool = False) -> Featur
     return vector_from_mapping(record, c, lenient=lenient)
 
 
-def midpoint_vector(c: FeatureCatalog) -> FeatureVector:
-    """Vector with every feature at the middle of its range."""
-    return FeatureVector(c.midpoint_values())
-
-
 def normalized_values(v: FeatureVector, c: FeatureCatalog) -> tuple[float, ...]:
     """Each value mapped to [0, 1] within its feature range."""
     return tuple((value - f.lo) / f.width for value, f in zip(v.values, c))

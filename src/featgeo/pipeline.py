@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
 
 from . import records, report
 from .citations import citation_frequency, parse_citations, select_exemplars, visibility_scores
@@ -63,16 +63,18 @@ POSITION_LAST = "last"
 POSITION_FIRST = "first"
 
 
+# Fields that say where a run writes and how many threads it uses, not what
+# it computes: the manifest's config snapshot leaves them out.
+DEPLOYMENT_FIELDS = ("output_dir", "eval_workers", "cache_path")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Declarative description of one optimization run."""
 
     topic: str
     competitor_docs: tuple[Path, ...]
-    output_dir: Path
-    ga: GAConfig = GAConfig()
-    quality: QualityConfig = QualityConfig()
-    sim: SimConfig | None = None
+    output_dir: Path = Path("runs/run")
     query_count: int = 5
     exemplar_count: int = 5
     backend: str = BACKEND_SIM
@@ -82,6 +84,9 @@ class RunConfig:
     eval_workers: int = 1
     cache_path: Path | None = None
     salt: str = ""
+    ga: GAConfig = GAConfig()
+    quality: QualityConfig = QualityConfig()
+    sim: SimConfig | None = None
 
     def __post_init__(self):
         if not self.topic.strip():
@@ -111,35 +116,11 @@ class RunConfig:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ValidationError(f"config file not found: {path}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read config file {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config file {path} is not valid JSON: {exc}")
-        base = path.parent
-        docs = []
-        for entry in raw.get("competitor_docs", []):
-            doc_path = Path(entry)
-            if not doc_path.is_absolute():
-                doc_path = base / doc_path
-            if not doc_path.exists():
-                raise ValidationError(f"competitor document does not exist: {doc_path}")
-            docs.append(doc_path)
-        cfg = cls(
-            topic=raw.get("topic", ""),
-            competitor_docs=tuple(docs),
-            output_dir=Path(raw.get("output_dir", "runs/run")),
-            ga=GAConfig(**raw.get("ga", {})),
-            quality=QualityConfig(**raw.get("quality", {})),
-            sim=SimConfig.from_dict(raw["sim"]) if "sim" in raw else None,
-            query_count=int(raw.get("query_count", 5)),
-            exemplar_count=int(raw.get("exemplar_count", 5)),
-            backend=raw.get("backend", BACKEND_SIM),
-            advertiser_position=raw.get("advertiser_position", POSITION_LAST),
-            judge_target=raw.get("judge_target", JUDGE_TARGET_ANSWER),
-            regenerate_page_per_repeat=bool(raw.get("regenerate_page_per_repeat", False)),
-            eval_workers=int(raw.get("eval_workers", 1)),
-            cache_path=Path(raw["cache_path"]) if raw.get("cache_path") else None,
-            salt=raw.get("salt", ""),
-        )
-        return cfg.with_overrides(**overrides) if overrides else cfg
+        return _read_section(cls, raw, "", path.parent).with_overrides(**overrides)
 
     def with_overrides(
         self,
@@ -161,6 +142,75 @@ class RunConfig:
         if extra:
             cfg = dataclasses.replace(cfg, **extra)
         return cfg
+
+
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false", list: "a list"}
+
+
+def _expect(value: Any, kind: type, key: str) -> Any:
+    """``value`` if its JSON type fits ``kind``: an int passes as a float, a bool as nothing else."""
+    fits = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, fits):
+        raise ValidationError(f"config key {key} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _items(value: Any, kind: type, key: str) -> list[Any]:
+    return [_expect(item, kind, f"{key}[{i}]") for i, item in enumerate(_expect(value, list, key))]
+
+
+def _doc_paths(value: Any, key: str, base: Path) -> tuple[Path, ...]:
+    paths = tuple(base / entry for entry in _items(value, str, key))
+    for path in paths:
+        if not path.is_file():
+            raise ValidationError(f"competitor document is not an existing file: {path}")
+    return paths
+
+
+# Field types whose JSON form differs from the field value, with their readers.
+_CONVERTERS: dict[Any, Callable[[Any, str, Path], Any]] = {
+    tuple[Path, ...]: _doc_paths,
+    Path: lambda value, key, base: Path(_expect(value, str, key)),
+    Path | None: lambda value, key, base: None if value in (None, "") else Path(_expect(value, str, key)),
+    tuple[float, ...]: lambda value, key, base: tuple(float(x) for x in _items(value, float, key)),
+    tuple[FeatureVector, ...]: lambda value, key, base: tuple(
+        FeatureVector(tuple(_items(row, float, f"{key}[{i}]")))
+        for i, row in enumerate(_expect(value, list, key))
+    ),
+}
+
+
+def _read_section(cls: type, raw: Any, prefix: str, base: Path) -> Any:
+    """Build config dataclass ``cls`` from a JSON object, field by field.
+
+    Keys name fields; a missing key takes the field's default. ``prefix`` is
+    the section's key path, so every error names the full key.
+    """
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config {prefix.rstrip('.') or 'file'} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(raw) - {f.name for f in fields})
+    if unknown:
+        raise ValidationError(f"unknown config key {prefix}{unknown[0]}")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields:
+        key = prefix + f.name
+        if f.name in raw:
+            values[f.name] = _read_value(hints[f.name], raw[f.name], key, base)
+        elif f.default is dataclasses.MISSING:
+            raise ValidationError(f"missing config key {key}")
+    return cls(**values)
+
+
+def _read_value(kind: Any, value: Any, key: str, base: Path) -> Any:
+    if kind in _CONVERTERS:
+        return _CONVERTERS[kind](value, key, base)
+    # A nested section, also an optional one (``SimConfig | None``).
+    section = next((t for t in get_args(kind) or (kind,) if dataclasses.is_dataclass(t)), None)
+    if section is not None:
+        return _read_section(section, value, key + ".", base)
+    return _expect(value, kind, key)
 
 
 @dataclass(frozen=True)
@@ -349,26 +399,31 @@ def _expected_realizations(cfg: RunConfig) -> int:
     return candidates * per_candidate
 
 
+def _to_json(value: Any) -> Any:
+    """A config value in its JSON form: sections as objects, tuples and vectors as lists."""
+    if isinstance(value, FeatureVector):
+        return list(value.values)
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value
+
+
 def _config_snapshot(cfg: RunConfig, docs: Sequence[SourceDocument]) -> dict[str, Any]:
-    """Location-independent snapshot: doc contents enter by digest, not by path."""
+    """Every set field but the deployment ones, in field order.
+
+    Location-independent: doc contents enter by digest, not by path.
+    """
     snapshot = {
-        "topic": cfg.topic,
-        "competitor_docs": [
-            {"name": Path(p).name, "sha256": hashlib.sha256(d.text.encode("utf-8")).hexdigest()}
-            for p, d in zip(cfg.competitor_docs, docs)
-        ],
-        "query_count": cfg.query_count,
-        "exemplar_count": cfg.exemplar_count,
-        "backend": cfg.backend,
-        "advertiser_position": cfg.advertiser_position,
-        "judge_target": cfg.judge_target,
-        "regenerate_page_per_repeat": cfg.regenerate_page_per_repeat,
-        "salt": cfg.salt,
-        "ga": dataclasses.asdict(cfg.ga),
-        "quality": dataclasses.asdict(cfg.quality),
+        f.name: _to_json(getattr(cfg, f.name))
+        for f in dataclasses.fields(cfg)
+        if f.name not in DEPLOYMENT_FIELDS and getattr(cfg, f.name) is not None
     }
-    if cfg.sim is not None:
-        snapshot["sim"] = cfg.sim.to_dict()
+    snapshot["competitor_docs"] = [
+        {"name": Path(p).name, "sha256": hashlib.sha256(d.text.encode("utf-8")).hexdigest()}
+        for p, d in zip(cfg.competitor_docs, docs)
+    ]
     return snapshot
 
 

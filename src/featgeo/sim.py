@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,10 +90,13 @@ class SimConfig:
     visibility_bias: float
     quality_weights: tuple[float, ...]
     tradeoff_strength: float
-    competitor_vectors: tuple[FeatureVector, ...]
+    competitor_vectors: tuple[FeatureVector, ...] = ()
     noise_scale: float = 0.0
 
     def __post_init__(self):
+        # Scalars are stored as floats, as the manifest's config snapshot has always recorded them.
+        for name in ("visibility_bias", "tradeoff_strength", "noise_scale"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("visibility_weights", "quality_weights"):
             weights = getattr(self, name)
             if len(weights) != 13:
@@ -106,32 +109,6 @@ class SimConfig:
             raise ValidationError(f"tradeoff strength must be >= 0, got {self.tradeoff_strength}")
         if self.noise_scale < 0:
             raise ValidationError(f"noise scale must be >= 0, got {self.noise_scale}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "visibility_weights": list(self.visibility_weights),
-            "visibility_bias": self.visibility_bias,
-            "quality_weights": list(self.quality_weights),
-            "tradeoff_strength": self.tradeoff_strength,
-            "competitor_vectors": [list(v.values) for v in self.competitor_vectors],
-            "noise_scale": self.noise_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SimConfig":
-        return cls(
-            seed=int(data["seed"]),
-            visibility_weights=tuple(float(w) for w in data["visibility_weights"]),
-            visibility_bias=float(data["visibility_bias"]),
-            quality_weights=tuple(float(w) for w in data["quality_weights"]),
-            tradeoff_strength=float(data["tradeoff_strength"]),
-            competitor_vectors=tuple(
-                FeatureVector(tuple(float(x) for x in row))
-                for row in data.get("competitor_vectors", [])
-            ),
-            noise_scale=float(data.get("noise_scale", 0.0)),
-        )
 
 
 class SimWorld:

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from featgeo.bundled import default_sim_config_path, load_example_solutions
+from conftest import load_example_solutions, midpoint_vector
+from featgeo.bundled import default_sim_config_path
 from featgeo.citations import parse_citations, visibility_scores
 from featgeo.cli import EXIT_OK, run_cli
 from featgeo.engine.ledger import CostLedger
@@ -20,7 +21,6 @@ from featgeo.engine.types import Role
 from featgeo.features import (
     catalog_default,
     encode_vector,
-    midpoint_vector,
     render_guidelines,
     vector_from_mapping,
 )
@@ -46,8 +46,7 @@ def ok(n, message):
 
 
 def bundled_world():
-    raw = json.loads(default_sim_config_path().read_text())
-    return SimWorld(SimConfig.from_dict(raw["sim"]), CATALOG)
+    return SimWorld(RunConfig.from_file(default_sim_config_path()).sim, CATALOG)
 
 
 def test_criterion_1_citation_metric_fixtures():

@@ -99,6 +99,32 @@ def test_probe_writes_probe_file(tmp_path, small_config, capsys):
     assert data["exemplar_ids"]
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda raw: {**raw, "ga": {**raw["ga"], "populaton_size": 4}}, "unknown config key ga.populaton_size"),
+    (lambda raw: {**raw, "eval_worker": 4}, "unknown config key eval_worker"),
+    (lambda raw: {**raw, "ga": {**raw["ga"], "population_size": "4"}}, "ga.population_size must be an integer"),
+    (lambda raw: {**raw, "query_count": "five"}, "query_count must be an integer"),
+    (lambda raw: {**raw, "query_count": True}, "query_count must be an integer"),
+    (lambda raw: {**raw, "regenerate_page_per_repeat": "false"}, "regenerate_page_per_repeat must be true or false"),
+    (lambda raw: {**raw, "competitor_docs": raw["competitor_docs"][0]}, "competitor_docs must be a list"),
+    (lambda raw: {**raw, "competitor_docs": [str(Path(raw["competitor_docs"][0]).parent)]},
+     "competitor document is not an existing file"),
+    (lambda raw: {**raw, "sim": {**raw["sim"], "competitor_vectors": [["a"] * 13]}},
+     "sim.competitor_vectors[0][0] must be a number"),
+    (lambda raw: {**raw, "sim": {k: v for k, v in raw["sim"].items() if k != "seed"}}, "missing config key sim.seed"),
+    (lambda raw: {**raw, "ga": [1, 2]}, "config ga must be a JSON object"),
+    (lambda raw: [raw], "config file must be a JSON object"),
+], ids=["unknown-section-key", "unknown-key", "string-int", "string-count", "bool-int", "string-bool",
+        "string-list", "directory-doc", "string-float", "missing-key", "list-section", "list-file"])
+def test_malformed_config_exits_with_validation_status_naming_the_key(tmp_path, small_config, capsys, edit, key):
+    small_config.write_text(json.dumps(edit(json.loads(small_config.read_text()))))
+    out_dir = tmp_path / "probe_out"
+    assert run_cli(["probe", "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and err.count("\n") == 1  # one line, no traceback
+    assert not out_dir.exists()
+
+
 def test_report_reexports_and_respects_overwrite(tmp_path, small_config, capsys):
     out_dir = tmp_path / "run"
     run_cli(["simulate", "--config", str(small_config), "--output-dir", str(out_dir)])
@@ -258,6 +284,14 @@ def test_usage_errors_exit_with_validation_status(capsys):
 
 def test_missing_config_file_is_validation_error(tmp_path, capsys):
     assert run_cli(["optimize", "--config", str(tmp_path / "none.json")]) == EXIT_VALIDATION
+
+
+def test_unreadable_config_file_is_validation_error(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"topic": "caf\xe9"}')
+    for config in (tmp_path, not_utf8):
+        assert run_cli(["probe", "--config", str(config)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {config}")
 
 
 def test_optimize_policy_flag(tmp_path, small_config, capsys):

@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from conftest import midpoint_vector
 from featgeo.engine.cache import ResponseCache
 from featgeo.engine.client import EngineClient, format_feature_definitions
 from featgeo.engine.ledger import CostLedger
@@ -19,7 +20,7 @@ from featgeo.engine.types import (
     estimate_tokens,
 )
 from featgeo.errors import EngineError, IntegrityError, ValidationError
-from featgeo.features import catalog_default, midpoint_vector, render_guidelines
+from featgeo.features import catalog_default, render_guidelines
 
 CATALOG = catalog_default()
 BRIEF = TopicBrief(topic="meal planning", strategy_text="Promote a planning service.")

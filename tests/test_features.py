@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from featgeo.bundled import load_example_solutions
+from conftest import load_example_solutions, midpoint_vector
 from featgeo.errors import ValidationError
 from featgeo.features import (
     BOOLEAN_THRESHOLD,
@@ -19,7 +19,6 @@ from featgeo.features import (
     decode_vector,
     density_percent,
     encode_vector,
-    midpoint_vector,
     render_guidelines,
     tier_of,
     vector_from_mapping,

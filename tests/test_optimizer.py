@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from featgeo.bundled import load_example_solutions
+from conftest import load_example_solutions, midpoint_vector
 from featgeo.errors import ValidationError
-from featgeo.features import FeatureVector, catalog_default, midpoint_vector, vector_from_mapping
+from featgeo.features import FeatureVector, catalog_default, vector_from_mapping
 from featgeo.optimizer import (
     GAConfig,
     HypervolumeTrace,

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import midpoint_vector
 import featgeo.pipeline as pipeline_module
 from featgeo.bundled import default_sim_config_path
 from featgeo.engine.client import EngineClient
@@ -20,7 +21,7 @@ from featgeo.engine.types import (
     estimate_tokens,
 )
 from featgeo.errors import EngineError, ValidationError
-from featgeo.features import catalog_default, encode_vector, midpoint_vector
+from featgeo.features import FeatureVector, catalog_default, encode_vector
 from featgeo.optimizer import GAConfig, OptimizerAbort
 from featgeo.pipeline import (
     CandidateEvaluator,
@@ -122,6 +123,56 @@ def test_config_validation_errors(tmp_path):
         RunConfig(topic="t", competitor_docs=docs, output_dir=tmp_path, backend="other")
     with pytest.raises(ValidationError):
         RunConfig(topic="t", competitor_docs=docs, output_dir=tmp_path, backend="sim")  # no sim section
+
+
+def test_config_file_reads_back_every_field_of_every_section(tmp_path):
+    docs = write_docs(tmp_path)
+    vector = [0.5] * 13
+    raw = {
+        "topic": "meal planning",
+        "competitor_docs": [doc.name for doc in docs],
+        "output_dir": "out",
+        "query_count": 2,
+        "exemplar_count": 3,
+        "backend": "live",
+        "advertiser_position": "first",
+        "judge_target": "page",
+        "regenerate_page_per_repeat": True,
+        "eval_workers": 3,
+        "cache_path": "cache.jsonl",
+        "salt": "s1",
+        "ga": {"population_size": 10, "generations": 3, "mutation_prob": 1, "mutation_sigma": 0.3,
+               "repeats_per_eval": 2, "crossover_prob": 0.8, "tournament_size": 3, "seed": 4},
+        "quality": {"alpha": 0.25, "repeats": 2},
+        "sim": {"seed": 5, "visibility_weights": [1] * 13, "visibility_bias": -2.0,
+                "quality_weights": [0.1] * 13, "tradeoff_strength": 0.4,
+                "competitor_vectors": [vector], "noise_scale": 0.2},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    cfg = RunConfig.from_file(path)
+    assert cfg == RunConfig(
+        topic="meal planning", competitor_docs=docs, output_dir=Path("out"), query_count=2,
+        exemplar_count=3, backend="live", advertiser_position="first", judge_target="page",
+        regenerate_page_per_repeat=True, eval_workers=3, cache_path=Path("cache.jsonl"), salt="s1",
+        ga=GAConfig(10, 3, 1.0, 0.3, 2, 0.8, 3, 4),
+        quality=QualityConfig(0.25, 2),
+        sim=SimConfig(5, (1.0,) * 13, -2.0, (0.1,) * 13, 0.4, (FeatureVector(tuple(vector)),), 0.2),
+    )
+    # A field added to a dataclass fails here until this test writes it with a non-default value.
+    for cls, section, loaded in ((RunConfig, raw, cfg), (GAConfig, raw["ga"], cfg.ga),
+                                 (QualityConfig, raw["quality"], cfg.quality), (SimConfig, raw["sim"], cfg.sim)):
+        assert set(section) == {f.name for f in dataclasses.fields(cls)}, cls.__name__
+        for f in dataclasses.fields(cls):
+            assert f.default is dataclasses.MISSING or getattr(loaded, f.name) != f.default, f.name
+
+
+def test_config_snapshot_keys_are_the_run_fields_but_deployment_ones_in_field_order(tmp_path):
+    cfg = small_sim_config(tmp_path, cache_path=tmp_path / "cache.jsonl", eval_workers=2)
+    snapshot = pipeline_module._config_snapshot(cfg, load_documents(cfg.competitor_docs))
+    deployment = {"output_dir", "eval_workers", "cache_path"}
+    assert list(snapshot) == [f.name for f in dataclasses.fields(RunConfig) if f.name not in deployment]
+    assert snapshot["sim"]["competitor_vectors"] == [list(v.values) for v in cfg.sim.competitor_vectors]
 
 
 # -- probe ----------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-import json
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+from conftest import midpoint_vector
 import featgeo.sim as sim_module
 from featgeo.bundled import default_sim_config_path
 from featgeo.citations import parse_citations
@@ -15,7 +15,6 @@ from featgeo.features import (
     FeatureVector,
     catalog_default,
     clamp,
-    midpoint_vector,
     render_guidelines,
 )
 from featgeo.pipeline import RunConfig, load_documents, run_optimization
@@ -52,8 +51,7 @@ def make_world(vis_weights=None, bias=0.0, qual_weights=None, tradeoff=0.0,
 
 
 def bundled_world():
-    raw = json.loads(default_sim_config_path().read_text())
-    return SimWorld(SimConfig.from_dict(raw["sim"]), CATALOG)
+    return SimWorld(RunConfig.from_file(default_sim_config_path()).sim, CATALOG)
 
 
 def weights_on(key, value):
@@ -337,8 +335,7 @@ def test_backend_theme_is_short_and_cache_stable(tmp_path):
 
 
 def test_backend_feature_extraction_returns_bundled_latents_exactly():
-    raw = json.loads(default_sim_config_path().read_text())
-    world = SimWorld(SimConfig.from_dict(raw["sim"]), CATALOG)
+    world = SimWorld(RunConfig.from_file(default_sim_config_path()).sim, CATALOG)
     client = EngineClient(SimBackend(world), CATALOG)
     doc_dir = default_sim_config_path().parent / "docs"
     for i in range(1, 6):
