@@ -9,6 +9,7 @@ cost ledger under the currently active pipeline stage.
 from __future__ import annotations
 
 import logging
+import threading
 from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 from ..errors import EngineError, ValidationError
@@ -105,6 +106,8 @@ class EngineClient:
         self.max_answer_docs = max_answer_docs
         self.theme_doc_count = theme_doc_count
         self.stage = Stage.FEATURE_EXTRACTION
+        self._key_locks: dict[str, threading.Lock] = {}  # one per cache key asked for
+        self._key_locks_lock = threading.Lock()
 
     def set_stage(self, stage: Stage) -> None:
         """Book later calls under ``stage``; set it only while no call is in flight."""
@@ -113,22 +116,38 @@ class EngineClient:
     # -- transport ---------------------------------------------------------
 
     def _complete(self, role: Role, prompt: str, payload: dict | None, salt: str) -> str:
+        """Reply text for one request, from the cache when it holds the reply.
+
+        With a cache, identical requests are single-flight: a caller whose
+        request is already in flight waits for that call and then reads its
+        reply as a cache hit, as it would had the calls run one after another.
+        If the call fails, the next waiter makes its own call.
+        """
         request = build_request(role, prompt, salt=f"{self.salt}\x1f{salt}", payload=payload)
-        if self.cache is not None:
-            hit = self.cache.get(request.cache_key)
+        if self.cache is None:
+            return self._call(request).text
+        key = request.cache_key
+        with self._key_locks_lock:
+            key_lock = self._key_locks.setdefault(key, threading.Lock())
+        with key_lock:
+            hit = self.cache.get(key)
             if hit is not None:
                 self.ledger.record_call(self.stage, role, hit, cached=True)
                 return hit.text
+            response = self._call(request)
+            self.cache.put(key, role, response)
+        return response.text
+
+    def _call(self, request: EngineRequest) -> EngineResponse:
+        """One backend call, booked in the ledger; any backend failure raises EngineError."""
         try:
             response = self.backend.complete(request)
         except EngineError:
             raise
         except Exception as exc:
-            raise EngineError(f"{role.value} backend call failed: {exc}") from exc
-        self.ledger.record_call(self.stage, role, response)
-        if self.cache is not None:
-            self.cache.put(request.cache_key, role, response)
-        return response.text
+            raise EngineError(f"{request.role.value} backend call failed: {exc}") from exc
+        self.ledger.record_call(self.stage, request.role, response)
+        return response
 
     def _complete_parsed(
         self, what: str, role: Role, prompt: str, payload: dict, parse: Callable[[str], T],

@@ -11,6 +11,7 @@ of non-dominated solutions.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -24,6 +25,7 @@ logger = logging.getLogger(__name__)
 
 EvalKey = tuple[int, int, int]  # (generation, slot, repeat); generation 0 = initial population
 Evaluator = Callable[[FeatureVector, EvalKey], tuple[float, float]]
+EvalUnit = tuple[FeatureVector, EvalKey]
 
 
 @dataclass
@@ -364,22 +366,33 @@ def _rng_for(seed: int, generation: int, unit: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, generation, unit)))
 
 
-def _evaluate(
-    ind: Individual, cfg: GAConfig, evaluator: Evaluator, generation: int, slot: int
-) -> None:
-    vis_sum = 0.0
-    qual_sum = 0.0
-    for rep in range(cfg.repeats_per_eval):
-        vis, qual = evaluator(ind.x, (generation, slot, rep))
-        if not (np.isfinite(vis) and np.isfinite(qual)):
-            raise ValidationError(
-                f"evaluator returned non-finite objectives ({vis}, {qual}) "
-                f"at generation {generation}, slot {slot}"
-            )
-        vis_sum += vis
-        qual_sum += qual
-    ind.objectives = (vis_sum / cfg.repeats_per_eval, qual_sum / cfg.repeats_per_eval)
-    ind.key = (generation, slot)
+def _evaluate_generation(
+    individuals: Sequence[Individual], cfg: GAConfig, evaluator: Evaluator, generation: int
+) -> int:
+    """Score every (slot, repeat) unit of a generation; returns the number of units.
+
+    An evaluator with ``evaluate_batch`` gets all units in one call, in key
+    order, and returns their objectives in that order; any other evaluator is
+    called once per unit. Each individual gets the mean over its repeats.
+    """
+    repeats = cfg.repeats_per_eval
+    units = [(ind.x, (generation, slot, rep)) for slot, ind in enumerate(individuals) for rep in range(repeats)]
+    batch = getattr(evaluator, "evaluate_batch", None)
+    results = batch(units) if batch is not None else [evaluator(x, key) for x, key in units]
+    for slot, ind in enumerate(individuals):
+        vis_sum = 0.0
+        qual_sum = 0.0
+        for vis, qual in results[slot * repeats:(slot + 1) * repeats]:
+            if not (math.isfinite(vis) and math.isfinite(qual)):
+                raise ValidationError(
+                    f"evaluator returned non-finite objectives ({vis}, {qual}) "
+                    f"at generation {generation}, slot {slot}"
+                )
+            vis_sum += vis
+            qual_sum += qual
+        ind.objectives = (vis_sum / repeats, qual_sum / repeats)
+        ind.key = (generation, slot)
+    return len(units)
 
 
 def _log_population(pop: Sequence[Individual], generation: int) -> list[GenerationRecord]:
@@ -406,10 +419,11 @@ def evolve(
 ) -> EvolveResult:
     """Run the (mu+lambda) NSGA-II loop.
 
-    The evaluator is called ``repeats_per_eval`` times per individual, keyed by
-    (generation, slot, repeat), and the results averaged. The returned front is
-    the non-dominated set over every individual ever evaluated; the trace holds
-    that archive's hypervolume after initialization and after each generation.
+    Each generation's individuals are scored ``repeats_per_eval`` times each,
+    keyed by (generation, slot, repeat), and the results averaged (see
+    ``_evaluate_generation``). The returned front is the non-dominated set
+    over every individual ever evaluated; the trace holds that archive's
+    hypervolume after initialization and after each generation.
     """
     log: list[GenerationRecord] = []
     trace: list[tuple[int, float]] = []
@@ -424,9 +438,7 @@ def evolve(
     try:
         init_rng = _rng_for(cfg.seed, 0, 0)
         population = seed_population(seed_vectors, cfg, catalog, init_rng, frozen=frozen_features)
-        for slot, ind in enumerate(population):
-            _evaluate(ind, cfg, evaluator, 0, slot)
-            evaluations += cfg.repeats_per_eval
+        evaluations += _evaluate_generation(population, cfg, evaluator, 0)
         for front in non_dominated_sort(population):
             crowding_distance(front)
         record(0, population)
@@ -444,9 +456,7 @@ def evolve(
                 for child in (child_a, child_b):
                     mutated = gaussian_mutate(child, cfg, catalog, rng, frozen=frozen_features)
                     offspring.append(Individual(x=mutated))
-            for i, ind in enumerate(offspring):
-                _evaluate(ind, cfg, evaluator, generation, i)
-                evaluations += cfg.repeats_per_eval
+            evaluations += _evaluate_generation(offspring, cfg, evaluator, generation)
             population = _environmental_selection(population + offspring, cfg.population_size)
             record(generation, offspring)
             log.extend(_log_population(population, generation))

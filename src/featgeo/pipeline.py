@@ -41,6 +41,8 @@ from .features import (
     render_guidelines,
 )
 from .optimizer import (
+    EvalKey,
+    EvalUnit,
     EvolveResult,
     GAConfig,
     HypervolumeTrace,
@@ -167,6 +169,14 @@ def _doc_paths(value: Any, key: str, base: Path) -> tuple[Path, ...]:
     return paths
 
 
+def _vector(value: Any, key: str) -> FeatureVector:
+    values = tuple(_items(value, float, key))
+    try:
+        return FeatureVector(values)
+    except ValidationError as exc:
+        raise ValidationError(f"config key {key}: {exc}") from exc
+
+
 # Field types whose JSON form differs from the field value, with their readers.
 _CONVERTERS: dict[Any, Callable[[Any, str, Path], Any]] = {
     tuple[Path, ...]: _doc_paths,
@@ -174,8 +184,7 @@ _CONVERTERS: dict[Any, Callable[[Any, str, Path], Any]] = {
     Path | None: lambda value, key, base: None if value in (None, "") else Path(_expect(value, str, key)),
     tuple[float, ...]: lambda value, key, base: tuple(float(x) for x in _items(value, float, key)),
     tuple[FeatureVector, ...]: lambda value, key, base: tuple(
-        FeatureVector(tuple(_items(row, float, f"{key}[{i}]")))
-        for i, row in enumerate(_expect(value, list, key))
+        _vector(row, f"{key}[{i}]") for i, row in enumerate(_expect(value, list, key))
     ),
 }
 
@@ -232,7 +241,10 @@ class AblationResult:
 def load_documents(paths: Sequence[Path]) -> list[SourceDocument]:
     docs = []
     for i, path in enumerate(paths, start=1):
-        text = Path(path).read_text(encoding="utf-8").strip()
+        try:
+            text = Path(path).read_text(encoding="utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"competitor document {path} is not UTF-8 text: {exc}") from exc
         if not text:
             raise ValidationError(f"competitor document {path} is empty")
         docs.append(SourceDocument(id=i, text=text, origin=ORIGIN_RETRIEVED))
@@ -294,12 +306,14 @@ def probe_topic(
 class CandidateEvaluator:
     """Realizes candidate vectors into pages and scores them over the probe queries.
 
-    One page per (generation, slot) unless page regeneration per repeat is on;
-    repeats re-answer with fresh salts. Engine failures mark the candidate
-    failed and yield penalty objectives (0, 0) instead of aborting the run.
-    The queries of one evaluation, and then its judge calls, fan out through
-    ``query_map``: the builtin ``map`` runs them inline, a pool's ``map`` runs
-    them concurrently.
+    ``evaluate_batch`` scores the (vector, (generation, slot, repeat)) units of
+    one generation in three phases, each fanned out through ``query_map``:
+    every page (one per slot, or one per unit with page regeneration per
+    repeat), then every (unit, query) answer, then every judge call. The
+    builtin ``map`` runs a phase inline, a pool's ``map`` runs it
+    concurrently; either way results are assembled in key order. Repeats
+    re-answer with fresh salts. An engine failure fails only its unit, which
+    makes no further calls and scores the penalty objectives (0, 0).
     """
 
     def __init__(
@@ -317,32 +331,111 @@ class CandidateEvaluator:
         self.probe = probe
         self.competitors = list(competitor_docs)
         self.catalog = catalog
-        self.pages: dict[tuple[int, int], str] = {}
         self.metrics: list[EvalMetric] = []
         self.realizations = 0
         self.advertiser_id = len(self.competitors) + 1
 
-    def __call__(self, x: FeatureVector, key: tuple[int, int, int]) -> tuple[float, float]:
-        generation, slot, repeat = key
-        self.client.set_stage(Stage.INITIAL_POPULATION if generation == 0 else Stage.GA_OPTIMIZATION)
-        try:
-            metric = self._evaluate(x, generation, slot, repeat)
-        except EngineError as exc:
-            logger.warning(
-                "candidate (gen %d, slot %d, rep %d) failed: %s; assigning penalty objectives",
-                generation, slot, repeat, exc,
-            )
-            metric = EvalMetric(generation, slot, repeat, 0.0, 0.0, 0.0, 0.0, (), failed=True)
-        self.metrics.append(metric)
-        return metric.visibility, metric.quality
+    def __call__(self, x: FeatureVector, key: EvalKey) -> tuple[float, float]:
+        return self.evaluate_batch([(x, key)])[0]
 
-    def _page_for(self, x: FeatureVector, generation: int, slot: int) -> str:
-        key = (generation, slot)
-        if self.cfg.regenerate_page_per_repeat or key not in self.pages:
-            guidelines = render_guidelines(clamp(x, self.catalog), self.catalog)
-            self.pages[key] = self.client.generate_page(self.probe.brief, guidelines)
-            self.realizations += 1
-        return self.pages[key]
+    def evaluate_batch(self, units: Sequence[EvalUnit]) -> list[tuple[float, float]]:
+        """(visibility, quality) per unit, in unit order; all units share one generation."""
+        _, (generation, _, _) = units[0]
+        self.client.set_stage(Stage.INITIAL_POPULATION if generation == 0 else Stage.GA_OPTIMIZATION)
+        failed: dict[int, EngineError] = {}
+        pages = self._realize(units, failed)
+        salts = [f"rep{repeat}" for _, (_, _, repeat) in units]
+        queries = self.probe.queries
+        docs = {i: self._candidate_docs(page) for i, page in enumerate(pages) if page is not None}
+        scored = self._phase(
+            [(i, self._score_query, (q, docs[i], salts[i])) for i in docs for q in queries], failed
+        )
+        judged = {
+            i: zip([answer for *_, answer in scored[i]], queries)
+            if self.cfg.judge_target == JUDGE_TARGET_ANSWER else [(pages[i], self.probe.brief.topic)]
+            for i in docs if i not in failed
+        }
+        judge_tasks = [
+            (i, self.client.judge_quality, (text, query, f"{salts[i]}|judge{r}"))
+            for i, pairs in judged.items()
+            for text, query in pairs
+            for r in range(self.cfg.quality.repeats)
+        ]
+        dims = self._phase(judge_tasks, failed)
+        objectives = []
+        for i, (_, (generation, slot, repeat)) in enumerate(units):
+            if i in failed:
+                logger.warning(
+                    "candidate (gen %d, slot %d, rep %d) failed: %s; assigning penalty objectives",
+                    generation, slot, repeat, failed[i],
+                )
+                metric = EvalMetric(generation, slot, repeat, 0.0, 0.0, 0.0, 0.0, (), failed=True)
+            else:
+                metric = self._metric(generation, slot, repeat, scored[i], dims[i])
+            self.metrics.append(metric)
+            objectives.append((metric.visibility, metric.quality))
+        return objectives
+
+    def _realize(self, units: Sequence[EvalUnit], failed: dict[int, EngineError]) -> list[str | None]:
+        """Page per unit, None for a failed one; the units of one slot share a page
+        unless pages regenerate per repeat.
+
+        A shared page is asked for once per repeat it serves, in repeat order,
+        until one request succeeds: exactly the repeats before it fail.
+        """
+        groups: dict[Any, list[int]] = {}
+        for i, (_, (generation, slot, _)) in enumerate(units):
+            groups.setdefault(i if self.cfg.regenerate_page_per_repeat else (generation, slot), []).append(i)
+
+        def realize(group: list[int]) -> list[str | EngineError]:
+            guidelines = render_guidelines(clamp(units[group[0]][0], self.catalog), self.catalog)
+            outcomes: list[str | EngineError] = []
+            while len(outcomes) < len(group):
+                try:
+                    page = self.client.generate_page(self.probe.brief, guidelines)
+                except EngineError as exc:
+                    outcomes.append(exc)
+                    continue
+                outcomes += [page] * (len(group) - len(outcomes))
+            return outcomes
+
+        pages: list[str | None] = [None] * len(units)
+        for group, outcomes in zip(groups.values(), self.query_map(realize, groups.values())):
+            if not isinstance(outcomes[-1], EngineError):
+                self.realizations += 1
+            for i, outcome in zip(group, outcomes):
+                if isinstance(outcome, EngineError):
+                    failed[i] = outcome
+                else:
+                    pages[i] = outcome
+        return pages
+
+    def _phase(self, tasks: list[tuple[int, Callable, tuple]], failed: dict[int, EngineError]) -> dict[int, list]:
+        """Run (unit, call, args) tasks through ``query_map``; results per unit, in task order.
+
+        A call that raises EngineError fails its unit: the unit's tasks that
+        start after it make no call (inline, that is all its later tasks),
+        and ``failed`` keeps the unit's first error in task order. Any other
+        exception aborts the batch.
+        """
+        skip = set(failed)
+
+        def run(task):
+            unit, call, args = task
+            if unit in skip:
+                return None
+            try:
+                return call(*args)
+            except EngineError as exc:
+                skip.add(unit)
+                return exc
+
+        results: dict[int, list] = {}
+        for (unit, _, _), result in zip(tasks, self.query_map(run, tasks)):
+            if isinstance(result, EngineError):
+                failed.setdefault(unit, result)
+            results.setdefault(unit, []).append(result)
+        return results
 
     def _candidate_docs(self, page: str) -> list[SourceDocument]:
         advertiser = SourceDocument(id=self.advertiser_id, text=page, origin=ORIGIN_ADVERTISER)
@@ -356,40 +449,25 @@ class CandidateEvaluator:
         word, pos, vis = visibility_scores(parse).for_source(self.advertiser_id)
         return vis, word, pos, answer
 
-    def _judge(self, text: str, query: str, salt: str) -> tuple[float, tuple[tuple[int, ...], ...]]:
-        dims = [
-            self.client.judge_quality(text, query, salt=f"{salt}|judge{r}")
-            for r in range(self.cfg.quality.repeats)
+    def _metric(self, generation: int, slot: int, repeat: int, scored: list, dims: list) -> EvalMetric:
+        """One unit's metric from its per-query scores and its judge replies in call order."""
+        vis_values, word_values, pos_values, _ = zip(*scored)
+        per_text = self.cfg.quality.repeats
+        values = [
+            average_quality([aggregate_quality(d, self.cfg.quality) for d in dims[k:k + per_text]]).value
+            for k in range(0, len(dims), per_text)
         ]
-        scores = [aggregate_quality(d, self.cfg.quality) for d in dims]
-        raw = tuple(tuple(d.content_scores() + d.appeal_scores()) for d in dims)
-        return average_quality(scores).value, raw
-
-    def _evaluate(self, x: FeatureVector, generation: int, slot: int, repeat: int) -> EvalMetric:
-        page = self._page_for(x, generation, slot)
-        docs = self._candidate_docs(page)
-        salt = f"rep{repeat}"
-        queries = self.probe.queries
-        results = self.query_map(lambda q: self._score_query(q, docs, salt), queries)
-        vis_values, word_values, pos_values, answers = zip(*results)
-        if self.cfg.judge_target == JUDGE_TARGET_ANSWER:
-            judged = list(zip(answers, queries))
-        else:
-            judged = [(page, self.probe.brief.topic)]
-        judgements = list(self.query_map(lambda pair: self._judge(*pair, salt), judged))
-        quality = sum(value for value, _ in judgements) / len(judgements)
-        judge_scores = tuple(dims for _, raw in judgements for dims in raw)
         n = len(vis_values)
         return EvalMetric(
             generation=generation,
             slot=slot,
             repeat=repeat,
             visibility=sum(vis_values) / n,
-            quality=quality,
+            quality=sum(values) / len(values),
             word=sum(word_values) / n,
             pos=sum(pos_values) / n,
             per_query_vis=vis_values,
-            judge_scores=judge_scores,
+            judge_scores=tuple(tuple(d.content_scores() + d.appeal_scores()) for d in dims),
         )
 
 

@@ -221,6 +221,10 @@ def sim_answer(
     logits = propensities / SOFTMAX_TEMPERATURE
     weights = np.exp(logits - logits.max())
     weights /= weights.sum()
+    # rng.choice(len(docs), p=weights) draws one uniform and bisects this cdf;
+    # doing so directly skips choice's validation of p on every sentence.
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
 
     sentences = []
     for _ in range(k_sentences):
@@ -228,7 +232,7 @@ def sim_answer(
         words = [
             _FILLER_VOCAB[int(i)] for i in rng.integers(0, len(_FILLER_VOCAB), size=n_words)
         ]
-        cited = docs[int(rng.choice(len(docs), p=weights))].id
+        cited = docs[int(cdf.searchsorted(rng.random(), side="right"))].id
         sentences.append(f"{words[0].capitalize()} {' '.join(words[1:])} [{cited}].")
     return " ".join(sentences)
 

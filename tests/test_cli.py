@@ -111,11 +111,14 @@ def test_probe_writes_probe_file(tmp_path, small_config, capsys):
      "competitor document is not an existing file"),
     (lambda raw: {**raw, "sim": {**raw["sim"], "competitor_vectors": [["a"] * 13]}},
      "sim.competitor_vectors[0][0] must be a number"),
+    (lambda raw: {**raw, "sim": {**raw["sim"], "competitor_vectors": [[1.0] * 12] + raw["sim"]["competitor_vectors"][1:]}},
+     "sim.competitor_vectors[0]: feature vector must hold 13 values, got 12"),
     (lambda raw: {**raw, "sim": {k: v for k, v in raw["sim"].items() if k != "seed"}}, "missing config key sim.seed"),
     (lambda raw: {**raw, "ga": [1, 2]}, "config ga must be a JSON object"),
     (lambda raw: [raw], "config file must be a JSON object"),
 ], ids=["unknown-section-key", "unknown-key", "string-int", "string-count", "bool-int", "string-bool",
-        "string-list", "directory-doc", "string-float", "missing-key", "list-section", "list-file"])
+        "string-list", "directory-doc", "string-float", "short-vector", "missing-key", "list-section",
+        "list-file"])
 def test_malformed_config_exits_with_validation_status_naming_the_key(tmp_path, small_config, capsys, edit, key):
     small_config.write_text(json.dumps(edit(json.loads(small_config.read_text()))))
     out_dir = tmp_path / "probe_out"
@@ -123,6 +126,19 @@ def test_malformed_config_exits_with_validation_status_naming_the_key(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and err.count("\n") == 1  # one line, no traceback
     assert not out_dir.exists()
+
+
+def test_non_utf8_competitor_document_exits_with_validation_status_naming_it(tmp_path, small_config, capsys):
+    raw = json.loads(small_config.read_text())
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"Caf\xe9 meal plans for busy weeks.\n")
+    raw["competitor_docs"][2] = str(latin1)
+    small_config.write_text(json.dumps(raw))
+    for command in ("probe", "optimize"):
+        out_dir = tmp_path / command
+        assert run_cli([command, "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: competitor document {latin1} is not UTF-8 text") and err.count("\n") == 1
 
 
 def test_report_reexports_and_respects_overwrite(tmp_path, small_config, capsys):
@@ -251,7 +267,7 @@ def test_report_on_malformed_record_file_names_it_and_changes_no_report_file(
 def test_simulate_exits_with_validation_status_when_the_evaluator_returns_nan(
     tmp_path, small_config, monkeypatch, capsys
 ):
-    monkeypatch.setattr(CandidateEvaluator, "__call__", lambda self, x, key: (float("nan"), 0.0))
+    monkeypatch.setattr(CandidateEvaluator, "evaluate_batch", lambda self, units: [(float("nan"), 0.0)] * len(units))
     out_dir = tmp_path / "run"
     assert run_cli(["simulate", "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -262,10 +278,10 @@ def test_simulate_exits_with_validation_status_when_the_evaluator_returns_nan(
 
 
 def test_evolve_abort_from_an_internal_bug_propagates_as_itself(tmp_path, small_config, monkeypatch):
-    def broken(self, x, key):
+    def broken(self, units):
         raise ZeroDivisionError("internal bug")
 
-    monkeypatch.setattr(CandidateEvaluator, "__call__", broken)
+    monkeypatch.setattr(CandidateEvaluator, "evaluate_batch", broken)
     with pytest.raises(ZeroDivisionError, match="internal bug"):
         run_cli(["simulate", "--config", str(small_config), "--output-dir", str(tmp_path / "run")])
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())

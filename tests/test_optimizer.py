@@ -365,6 +365,38 @@ def test_evolve_calls_evaluator_once_per_candidate_and_repeat():
         assert reps == [0, 1]
 
 
+class BatchRecordingEvaluator(RecordingEvaluator):
+    def __init__(self, world_fn):
+        super().__init__(world_fn)
+        self.batches = []
+
+    def evaluate_batch(self, units):
+        self.batches.append([key for _, key in units])
+        return [self(x, key) for x, key in units]
+
+
+def test_evolve_hands_a_batch_evaluator_each_generation_in_one_call():
+    cfg = cfg_with(population_size=6, generations=3, repeats_per_eval=2)
+    scalar, batched = RecordingEvaluator(sphere_landscape), BatchRecordingEvaluator(sphere_landscape)
+    a = evolve(cfg, scalar, [midpoint_vector(CATALOG)], CATALOG)
+    b = evolve(cfg, batched, [midpoint_vector(CATALOG)], CATALOG)
+    assert batched.batches == [[(g, s, r) for s in range(6) for r in range(2)] for g in range(4)]
+    assert scalar.keys == batched.keys  # the scalar evaluator sees the same units in the same order
+    assert (a.log, a.trace, a.evaluations) == (b.log, b.trace, b.evaluations)
+
+
+def test_evolve_rejects_non_finite_objectives_naming_generation_and_slot():
+    def evaluator(x, key):
+        return (float("nan"), 1.0) if key == (1, 2, 1) else sphere_landscape(x)
+
+    cfg = cfg_with(population_size=4, generations=2, repeats_per_eval=2)
+    with pytest.raises(OptimizerAbort) as err:
+        evolve(cfg, evaluator, [midpoint_vector(CATALOG)], CATALOG)
+    assert isinstance(err.value.cause, ValidationError)
+    assert "non-finite objectives (nan, 1.0) at generation 1, slot 2" in str(err.value)
+    assert len(err.value.partial_trace) == 1
+
+
 def test_evolve_archive_trace_is_monotone():
     for seed in range(5):
         cfg = cfg_with(population_size=8, generations=10, seed=seed)

@@ -4,6 +4,7 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from conftest import midpoint_vector
 import featgeo.pipeline as pipeline_module
 from featgeo.bundled import default_sim_config_path
+from featgeo.engine.cache import ResponseCache
 from featgeo.engine.client import EngineClient
 from featgeo.engine.ledger import CostLedger
 from featgeo.engine.types import (
@@ -328,8 +330,7 @@ def test_page_memo_reuses_page_across_repeats(tmp_path):
     backend = RoleScriptBackend(world)
     evaluator = make_evaluator(cfg, backend)
     x = midpoint_vector(CATALOG)
-    for rep in range(3):
-        evaluator(x, (0, 0, rep))
+    evaluator.evaluate_batch([(x, (0, 0, rep)) for rep in range(3)])
     assert evaluator.realizations == 1
     assert backend.calls.count(Role.PAGE_GEN) == 1
     evaluator(x, (1, 0, 0))  # a different candidate slot realizes again
@@ -341,9 +342,86 @@ def test_regenerate_flag_realizes_each_repeat(tmp_path):
     world = SimWorld(cfg.sim, CATALOG)
     evaluator = make_evaluator(cfg, SimBackend(world))
     x = midpoint_vector(CATALOG)
-    for rep in range(3):
-        evaluator(x, (0, 0, rep))
+    evaluator.evaluate_batch([(x, (0, 0, rep)) for rep in range(3)])
     assert evaluator.realizations == 3
+
+
+def batch_units(x, slots_repeats):
+    return [(x, (0, slot, repeat)) for slot, repeat in slots_repeats]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_failing_answer_fails_only_its_unit(tmp_path, workers):
+    cfg = small_sim_config(tmp_path, judge_target="answer")
+    world = SimWorld(cfg.sim, CATALOG)
+    first_query = manual_probe().queries[0]
+
+    def fail_rep2(req):
+        if req.payload["salt"] == "rep2" and req.payload["query"] == first_query:
+            raise EngineError("answer backend down")
+        return SimBackend(world).complete(req).text
+
+    # Repeat 2 exists for slot 0 only, so exactly one unit sees the failure.
+    units = batch_units(midpoint_vector(CATALOG), [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)])
+    healthy = make_evaluator(cfg, SimBackend(world)).evaluate_batch(units)
+    backend = RoleScriptBackend(world, {Role.ANSWER_GEN: fail_rep2})
+    evaluator = make_evaluator(cfg, backend)
+    with ThreadPoolExecutor(workers) as pool:
+        evaluator.query_map = pool.map
+        objectives = evaluator.evaluate_batch(units)
+    assert objectives == healthy[:2] + [(0.0, 0.0)] + healthy[3:]
+    assert [m.failed for m in evaluator.metrics] == [False, False, True, False, False]
+    assert [(m.slot, m.repeat) for m in evaluator.metrics] == [key[1:] for _, key in units]
+    if workers == 1:  # the failed unit makes no further call: not its second answer, no judge call
+        assert backend.calls.count(Role.ANSWER_GEN) == 4 * cfg.query_count + 1
+        assert backend.calls.count(Role.JUDGE) == 4 * cfg.query_count * cfg.quality.repeats
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_failed_first_page_fails_only_that_repeat(tmp_path, monkeypatch, workers):
+    cfg = small_sim_config(tmp_path, eval_workers=workers)
+    world = SimWorld(cfg.sim, CATALOG)
+    lock, pages = threading.Lock(), {"n": 0}
+
+    def first_page_fails(req):
+        with lock:
+            pages["n"] += 1
+            if pages["n"] == 1:
+                raise EngineError("page backend down")
+        return SimBackend(world).complete(req).text
+
+    run_against(monkeypatch, RoleScriptBackend(world, {Role.PAGE_GEN: first_page_fails}))
+    record = run_optimization(cfg)
+    assert record.status == "complete"  # the page accounting of _verify_run holds
+    failed = [m for m in record.eval_metrics if m.failed]
+    assert [(m.generation, m.repeat) for m in failed] == [(0, 0)]
+    slot = failed[0].slot
+    assert [m.failed for m in record.eval_metrics if (m.generation, m.slot) == (0, slot)] == [True, False]
+
+
+def test_identical_requests_in_flight_make_one_call(tmp_path):
+    cfg = small_sim_config(tmp_path)
+    world = SimWorld(cfg.sim, CATALOG)
+
+    class SlowPages(RoleScriptBackend):
+        def complete(self, request):
+            if request.role == Role.PAGE_GEN:
+                time.sleep(0.05)
+            return super().complete(request)
+
+    cache = ResponseCache(tmp_path / "responses.jsonl")
+    client = EngineClient(SlowPages(world), CATALOG, cache=cache,
+                          max_answer_docs=len(cfg.competitor_docs) + 1)
+    docs = load_documents(cfg.competitor_docs)
+    with ThreadPoolExecutor(2) as pool:
+        evaluator = CandidateEvaluator(cfg, client, manual_probe(), docs, CATALOG, pool.map)
+        # Two clones in one generation send the same page request.
+        first, second = evaluator.evaluate_batch(batch_units(midpoint_vector(CATALOG), [(0, 0), (1, 0)]))
+    assert first == second
+    assert client.ledger.role_calls(Role.PAGE_GEN) == 1
+    assert client.ledger.role_requests(Role.PAGE_GEN) == 2  # one live call, one cache hit
+    records = [json.loads(line) for line in cache.path.read_text().splitlines()]
+    assert [r["role"] for r in records].count(Role.PAGE_GEN.value) == 1
 
 
 def test_advertiser_position_first_keeps_last_id(tmp_path):
@@ -368,18 +446,21 @@ def run_tree(run_dir):
     return out
 
 
-@pytest.mark.parametrize("judge_target", ["page", "answer"])
-def test_run_optimization_is_deterministic_across_runs_and_workers(tmp_path, judge_target):
+@pytest.mark.parametrize("judge_target, regenerate", [
+    ("page", False), ("answer", False), ("page", True), ("answer", True),
+], ids=["page", "answer", "page-regenerate", "answer-regenerate"])
+def test_run_optimization_is_deterministic_across_runs_and_workers(tmp_path, judge_target, regenerate):
     trees = []
-    for name, workers in (("a", 1), ("b", 1), ("c", 3)):
+    for name, workers in (("a", 1), ("b", 1), ("c", 2), ("d", 3), ("e", 4), ("f", 16)):
         (tmp_path / name).mkdir()
         cfg = small_sim_config(tmp_path / name, eval_workers=workers, judge_target=judge_target,
-                               output_dir=tmp_path / name / "run")
+                               regenerate_page_per_repeat=regenerate, output_dir=tmp_path / name / "run")
         record = run_optimization(cfg)
         assert record.status == "complete"
         trees.append(run_tree(cfg.output_dir))
-    assert trees[0] == trees[1]
-    assert trees[0] == trees[2]
+    assert "report/cost_table.txt" in trees[0]
+    for tree in trees[1:]:
+        assert tree == trees[0]
 
 
 class InFlightBackend(RoleScriptBackend):
@@ -412,6 +493,15 @@ def test_eval_workers_bound_the_answers_in_flight(tmp_path, monkeypatch, workers
     run_against(monkeypatch, backend)
     assert run_optimization(cfg).status == "complete"
     assert backend.max_in_flight == workers
+
+
+def test_a_generation_batch_puts_as_many_answers_in_flight_as_workers(tmp_path, monkeypatch):
+    # Two queries per unit: only answers of several units at once can keep four workers busy.
+    cfg = small_sim_config(tmp_path, eval_workers=4)
+    backend = InFlightBackend(SimWorld(cfg.sim, CATALOG))
+    run_against(monkeypatch, backend)
+    assert run_optimization(cfg).status == "complete"
+    assert cfg.query_count == 2 and backend.max_in_flight == 4
 
 
 def test_run_record_files_and_report_exist(tmp_path):
@@ -467,17 +557,17 @@ def test_run_records_raw_judge_dimensions(tmp_path):
 
 
 def break_evaluations_after(monkeypatch, n):
-    """Make every evaluation after the first n raise a bug that aborts the run."""
+    """Make the batch that takes the run past n evaluated units raise a bug that aborts the run."""
     calls = {"n": 0}
-    original = CandidateEvaluator._evaluate
+    original = CandidateEvaluator.evaluate_batch
 
-    def sometimes_broken(self, x, generation, slot, repeat):
-        calls["n"] += 1
+    def sometimes_broken(self, units):
+        calls["n"] += len(units)
         if calls["n"] > n:
             raise RuntimeError("hard backend bug")  # not an EngineError: aborts the run
-        return original(self, x, generation, slot, repeat)
+        return original(self, units)
 
-    monkeypatch.setattr(CandidateEvaluator, "_evaluate", sometimes_broken)
+    monkeypatch.setattr(CandidateEvaluator, "evaluate_batch", sometimes_broken)
 
 
 def test_evolve_abort_persists_partial_record(tmp_path, monkeypatch):

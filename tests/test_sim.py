@@ -179,6 +179,58 @@ def test_dominant_propensity_takes_nearly_all_citations():
     assert winner / total >= 0.97
 
 
+def reference_sim_answer(query, docs, w, salt=""):
+    """sim_answer drawing each citation with rng.choice(len(docs), p=weights): the differential oracle."""
+    propensities = np.array([w.source_state(d)[1] for d in docs])
+    k_sentences = 4 + sim_module.digest_to_int(query) % 7
+    rng = sim_module._stream(w, query, sim_module._docs_digest(docs), salt)
+    if w.config.noise_scale > 0:
+        propensities = propensities + rng.normal(0.0, w.config.noise_scale, size=len(docs))
+    logits = propensities / sim_module.SOFTMAX_TEMPERATURE
+    weights = np.exp(logits - logits.max())
+    weights /= weights.sum()
+    sentences = []
+    for _ in range(k_sentences):
+        n_words = int(rng.integers(6, 15))
+        vocab = sim_module._FILLER_VOCAB
+        words = [vocab[int(i)] for i in rng.integers(0, len(vocab), size=n_words)]
+        cited = docs[int(rng.choice(len(docs), p=weights))].id
+        sentences.append(f"{words[0].capitalize()} {' '.join(words[1:])} [{cited}].")
+    return " ".join(sentences)
+
+
+def test_cdf_draw_matches_rng_choice_on_seeded_cases():
+    # sim_answer bisects the cdf of its weights with one uniform per sentence;
+    # rng.choice(n, p=weights) must draw the same index and leave the stream
+    # at the same place, for every weight shape from near-uniform to one-hot.
+    cases = np.random.default_rng(20240607)
+    for _ in range(20_000):
+        n = int(cases.integers(1, 8))
+        logits = cases.normal(0.0, [0.05, 1.0, 30.0, 800.0][int(cases.integers(4))], size=n)
+        weights = np.exp(logits - logits.max())
+        weights /= weights.sum()
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        seed = int(cases.integers(2**63))
+        ours, numpy_choice = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            assert int(cdf.searchsorted(ours.random(), side="right")) == int(numpy_choice.choice(n, p=weights))
+        assert ours.random() == numpy_choice.random()
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_answer_matches_the_rng_choice_reference(noise):
+    world = make_world(vis_weights=weights_on("has_intro_summary", 6.0), bias=-3.0, noise=noise,
+                       competitors=[midpoint_vector(CATALOG)] * 2)
+    cases = np.random.default_rng(11)
+    for case in range(150):
+        n = int(cases.integers(1, 7))
+        docs = [doc_with_intro(i + 1, float(cases.integers(2))) if i >= 2 else
+                SourceDocument(id=i + 1, text=f"Competitor {i + 1}.") for i in range(n)]
+        query, salt = f"query {case % 17}?", f"rep{case}"
+        assert sim_answer(query, docs, world, salt=salt) == reference_sim_answer(query, docs, world, salt=salt)
+
+
 def test_answer_requires_documents():
     with pytest.raises(ValidationError):
         sim_answer("q", [], make_world())
