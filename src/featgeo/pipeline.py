@@ -307,10 +307,10 @@ class CandidateEvaluator:
     """Realizes candidate vectors into pages and scores them over the probe queries.
 
     ``evaluate_batch`` scores the (vector, (generation, slot, repeat)) units of
-    one generation in three phases, each fanned out through ``query_map``:
-    every page (one per slot, or one per unit with page regeneration per
-    repeat), then every (unit, query) answer, then every judge call. The
-    builtin ``map`` runs a phase inline, a pool's ``map`` runs it
+    one generation in two steps, each fanned out through ``query_map``: every
+    page (one per slot, or one per unit with page regeneration per repeat),
+    then every unit, whose answers and then judge calls run one after another.
+    The builtin ``map`` runs a step inline, a pool's ``map`` runs it
     concurrently; either way results are assembled in key order. Repeats
     re-answer with fresh salts. An engine failure fails only its unit, which
     makes no further calls and scores the penalty objectives (0, 0).
@@ -342,43 +342,22 @@ class CandidateEvaluator:
         """(visibility, quality) per unit, in unit order; all units share one generation."""
         _, (generation, _, _) = units[0]
         self.client.set_stage(Stage.INITIAL_POPULATION if generation == 0 else Stage.GA_OPTIMIZATION)
-        failed: dict[int, EngineError] = {}
-        pages = self._realize(units, failed)
-        salts = [f"rep{repeat}" for _, (_, _, repeat) in units]
-        queries = self.probe.queries
-        docs = {i: self._candidate_docs(page) for i, page in enumerate(pages) if page is not None}
-        scored = self._phase(
-            [(i, self._score_query, (q, docs[i], salts[i])) for i in docs for q in queries], failed
-        )
-        judged = {
-            i: zip([answer for *_, answer in scored[i]], queries)
-            if self.cfg.judge_target == JUDGE_TARGET_ANSWER else [(pages[i], self.probe.brief.topic)]
-            for i in docs if i not in failed
-        }
-        judge_tasks = [
-            (i, self.client.judge_quality, (text, query, f"{salts[i]}|judge{r}"))
-            for i, pairs in judged.items()
-            for text, query in pairs
-            for r in range(self.cfg.quality.repeats)
-        ]
-        dims = self._phase(judge_tasks, failed)
+        pages = self._realize(units)
         objectives = []
-        for i, (_, (generation, slot, repeat)) in enumerate(units):
-            if i in failed:
+        for (_, key), outcome in zip(units, self.query_map(self._score_unit, pages, units)):
+            if isinstance(outcome, EngineError):
                 logger.warning(
                     "candidate (gen %d, slot %d, rep %d) failed: %s; assigning penalty objectives",
-                    generation, slot, repeat, failed[i],
+                    *key, outcome,
                 )
-                metric = EvalMetric(generation, slot, repeat, 0.0, 0.0, 0.0, 0.0, (), failed=True)
-            else:
-                metric = self._metric(generation, slot, repeat, scored[i], dims[i])
-            self.metrics.append(metric)
-            objectives.append((metric.visibility, metric.quality))
+                outcome = EvalMetric(*key, 0.0, 0.0, 0.0, 0.0, (), failed=True)
+            self.metrics.append(outcome)
+            objectives.append((outcome.visibility, outcome.quality))
         return objectives
 
-    def _realize(self, units: Sequence[EvalUnit], failed: dict[int, EngineError]) -> list[str | None]:
-        """Page per unit, None for a failed one; the units of one slot share a page
-        unless pages regenerate per repeat.
+    def _realize(self, units: Sequence[EvalUnit]) -> list[str | EngineError]:
+        """Page per unit, or the EngineError that failed it; the units of one slot
+        share a page unless pages regenerate per repeat.
 
         A shared page is asked for once per repeat it serves, in repeat order,
         until one request succeeds: exactly the repeats before it fail.
@@ -399,43 +378,45 @@ class CandidateEvaluator:
                 outcomes += [page] * (len(group) - len(outcomes))
             return outcomes
 
-        pages: list[str | None] = [None] * len(units)
+        pages: dict[int, str | EngineError] = {}
         for group, outcomes in zip(groups.values(), self.query_map(realize, groups.values())):
             if not isinstance(outcomes[-1], EngineError):
                 self.realizations += 1
-            for i, outcome in zip(group, outcomes):
-                if isinstance(outcome, EngineError):
-                    failed[i] = outcome
-                else:
-                    pages[i] = outcome
-        return pages
+            pages.update(zip(group, outcomes))
+        return [pages[i] for i in range(len(units))]
 
-    def _phase(self, tasks: list[tuple[int, Callable, tuple]], failed: dict[int, EngineError]) -> dict[int, list]:
-        """Run (unit, call, args) tasks through ``query_map``; results per unit, in task order.
-
-        A call that raises EngineError fails its unit: the unit's tasks that
-        start after it make no call (inline, that is all its later tasks),
-        and ``failed`` keeps the unit's first error in task order. Any other
-        exception aborts the batch.
-        """
-        skip = set(failed)
-
-        def run(task):
-            unit, call, args = task
-            if unit in skip:
-                return None
-            try:
-                return call(*args)
-            except EngineError as exc:
-                skip.add(unit)
-                return exc
-
-        results: dict[int, list] = {}
-        for (unit, _, _), result in zip(tasks, self.query_map(run, tasks)):
-            if isinstance(result, EngineError):
-                failed.setdefault(unit, result)
-            results.setdefault(unit, []).append(result)
-        return results
+    def _score_unit(self, page: str | EngineError, unit: EvalUnit) -> EvalMetric | EngineError:
+        """One unit's metric, or the EngineError of its failed page or first failed call."""
+        if isinstance(page, EngineError):
+            return page
+        _, (generation, slot, repeat) = unit
+        docs = self._candidate_docs(page)
+        salt = f"rep{repeat}"
+        queries = self.probe.queries
+        try:
+            results = [self._score_query(q, docs, salt) for q in queries]
+            vis_values, word_values, pos_values, answers = zip(*results)
+            if self.cfg.judge_target == JUDGE_TARGET_ANSWER:
+                judged = list(zip(answers, queries))
+            else:
+                judged = [(page, self.probe.brief.topic)]
+            judgements = [self._judge(text, query, salt) for text, query in judged]
+        except EngineError as exc:
+            return exc
+        quality = sum(value for value, _ in judgements) / len(judgements)
+        judge_scores = tuple(dims for _, raw in judgements for dims in raw)
+        n = len(vis_values)
+        return EvalMetric(
+            generation=generation,
+            slot=slot,
+            repeat=repeat,
+            visibility=sum(vis_values) / n,
+            quality=quality,
+            word=sum(word_values) / n,
+            pos=sum(pos_values) / n,
+            per_query_vis=vis_values,
+            judge_scores=judge_scores,
+        )
 
     def _candidate_docs(self, page: str) -> list[SourceDocument]:
         advertiser = SourceDocument(id=self.advertiser_id, text=page, origin=ORIGIN_ADVERTISER)
@@ -449,26 +430,14 @@ class CandidateEvaluator:
         word, pos, vis = visibility_scores(parse).for_source(self.advertiser_id)
         return vis, word, pos, answer
 
-    def _metric(self, generation: int, slot: int, repeat: int, scored: list, dims: list) -> EvalMetric:
-        """One unit's metric from its per-query scores and its judge replies in call order."""
-        vis_values, word_values, pos_values, _ = zip(*scored)
-        per_text = self.cfg.quality.repeats
-        values = [
-            average_quality([aggregate_quality(d, self.cfg.quality) for d in dims[k:k + per_text]]).value
-            for k in range(0, len(dims), per_text)
+    def _judge(self, text: str, query: str, salt: str) -> tuple[float, tuple[tuple[int, ...], ...]]:
+        dims = [
+            self.client.judge_quality(text, query, salt=f"{salt}|judge{r}")
+            for r in range(self.cfg.quality.repeats)
         ]
-        n = len(vis_values)
-        return EvalMetric(
-            generation=generation,
-            slot=slot,
-            repeat=repeat,
-            visibility=sum(vis_values) / n,
-            quality=sum(values) / len(values),
-            word=sum(word_values) / n,
-            pos=sum(pos_values) / n,
-            per_query_vis=vis_values,
-            judge_scores=tuple(tuple(d.content_scores() + d.appeal_scores()) for d in dims),
-        )
+        scores = [aggregate_quality(d, self.cfg.quality) for d in dims]
+        raw = tuple(tuple(d.content_scores() + d.appeal_scores()) for d in dims)
+        return average_quality(scores).value, raw
 
 
 def _expected_realizations(cfg: RunConfig) -> int:

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import threading
 import time
@@ -485,23 +486,18 @@ class InFlightBackend(RoleScriptBackend):
                 self.in_flight -= 1
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_eval_workers_bound_the_answers_in_flight(tmp_path, monkeypatch, workers):
-    cfg = small_sim_config(tmp_path, eval_workers=workers, query_count=4,
-                           ga=GAConfig(population_size=2, generations=1, repeats_per_eval=1))
+@pytest.mark.parametrize("workers, query_count, ga", [
+    (1, 4, GAConfig(population_size=2, generations=1, repeats_per_eval=1)),
+    (2, 4, GAConfig(population_size=2, generations=1, repeats_per_eval=1)),
+    # Two queries per unit: only answers of several units at once can keep four workers busy.
+    (4, 2, None),
+], ids=["1", "2", "4"])
+def test_eval_workers_bound_the_answers_in_flight(tmp_path, monkeypatch, workers, query_count, ga):
+    cfg = small_sim_config(tmp_path, eval_workers=workers, query_count=query_count, ga=ga)
     backend = InFlightBackend(SimWorld(cfg.sim, CATALOG))
     run_against(monkeypatch, backend)
     assert run_optimization(cfg).status == "complete"
     assert backend.max_in_flight == workers
-
-
-def test_a_generation_batch_puts_as_many_answers_in_flight_as_workers(tmp_path, monkeypatch):
-    # Two queries per unit: only answers of several units at once can keep four workers busy.
-    cfg = small_sim_config(tmp_path, eval_workers=4)
-    backend = InFlightBackend(SimWorld(cfg.sim, CATALOG))
-    run_against(monkeypatch, backend)
-    assert run_optimization(cfg).status == "complete"
-    assert cfg.query_count == 2 and backend.max_in_flight == 4
 
 
 def test_run_record_files_and_report_exist(tmp_path):
@@ -557,17 +553,25 @@ def test_run_records_raw_judge_dimensions(tmp_path):
 
 
 def break_evaluations_after(monkeypatch, n):
-    """Make the batch that takes the run past n evaluated units raise a bug that aborts the run."""
-    calls = {"n": 0}
+    """Evaluate the run's first n units, then raise a bug that aborts the run.
+
+    Returns a probe whose "threads" is the most threads alive after a batch ran.
+    """
+    probe = {"units": 0, "threads": 0}
     original = CandidateEvaluator.evaluate_batch
 
     def sometimes_broken(self, units):
-        calls["n"] += len(units)
-        if calls["n"] > n:
+        room = n - probe["units"]
+        probe["units"] += len(units)
+        ran = units if len(units) <= room else units[:max(room, 0)]
+        objectives = original(self, ran) if ran else []
+        probe["threads"] = max(probe["threads"], threading.active_count())
+        if len(objectives) < len(units):
             raise RuntimeError("hard backend bug")  # not an EngineError: aborts the run
-        return original(self, units)
+        return objectives
 
     monkeypatch.setattr(CandidateEvaluator, "evaluate_batch", sometimes_broken)
+    return probe
 
 
 def test_evolve_abort_persists_partial_record(tmp_path, monkeypatch):
@@ -584,11 +588,11 @@ def test_evolve_abort_persists_partial_record(tmp_path, monkeypatch):
 @pytest.mark.parametrize("aborted", [False, True])
 def test_run_leaves_no_pool_thread_behind(tmp_path, monkeypatch, aborted):
     cfg = small_sim_config(tmp_path, eval_workers=3)
-    if aborted:
-        break_evaluations_after(monkeypatch, 6)
+    probe = break_evaluations_after(monkeypatch, 6 if aborted else math.inf)
     before = threading.active_count()
     with pytest.raises(OptimizerAbort) if aborted else contextlib.nullcontext():
         run_optimization(cfg)
+    assert probe["threads"] > before  # the pool ran tasks before the run ended
     assert threading.active_count() == before
 
 
