@@ -1,5 +1,8 @@
 """Append-only response cache keyed by request digest.
 
+``EngineClient`` scopes each digest to its backend's identity and the prompt
+template set, so one store can serve several engines and template versions.
+
 One JSON record per line: digest, role, and the full response payload. A hit
 returns the stored payload byte-for-byte, so cached runs replay exactly.
 The ``salt`` folded into request digests lets experiments force re-sampling

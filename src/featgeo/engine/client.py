@@ -1,9 +1,10 @@
 """Role-typed gateway to a generative engine.
 
 The client renders prompts from the versioned templates, routes them through a
-pluggable backend, caches replies by request digest, validates and parses the
-replies per role (with bounded retries), and books every interaction into the
-cost ledger under the currently active pipeline stage.
+pluggable backend, caches replies by request digest (scoped to the backend's
+identity and the template set), validates and parses the replies per role
+(with bounded retries), and books every interaction into the cost ledger under
+the currently active pipeline stage.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..features import (
 from ..quality import ALL_DIMENSIONS, QualityDimensions
 from .cache import ResponseCache
 from .ledger import CostLedger
-from .templates import render_prompt
+from .templates import render_prompt, templates_digest
 from .types import (
     EngineRequest,
     EngineResponse,
@@ -28,6 +29,7 @@ from .types import (
     Stage,
     TopicBrief,
     build_request,
+    text_digest,
 )
 
 logger = logging.getLogger(__name__)
@@ -41,7 +43,15 @@ BRIEF_WORD_LIMIT = 200
 
 
 class EngineBackend(Protocol):
-    """Anything that can answer one prompt-level engine request."""
+    """Anything that can answer one prompt-level engine request.
+
+    ``identity`` names the engine behind the backend (for the sim, its config;
+    for a live endpoint, URL and model), so that a shared response cache never
+    replays one engine's replies to another. A backend without one, such as a
+    wrapper or a test double, keys its cache entries with an empty identity.
+    """
+
+    identity: str
 
     def complete(self, request: EngineRequest) -> EngineResponse: ...
 
@@ -108,6 +118,9 @@ class EngineClient:
         self.stage = Stage.FEATURE_EXTRACTION
         self._key_locks: dict[str, threading.Lock] = {}  # one per cache key asked for
         self._key_locks_lock = threading.Lock()
+        # Folded into cache keys only: what a request sends stays as it is.
+        identity = getattr(backend, "identity", "")
+        self._key_scope = f"{identity}\x1f{templates_digest()}"
 
     def set_stage(self, stage: Stage) -> None:
         """Book later calls under ``stage``; set it only while no call is in flight."""
@@ -118,7 +131,7 @@ class EngineClient:
     def _complete(self, role: Role, prompt: str, payload: dict | None, salt: str) -> str:
         """Reply text for one request, from the cache when it holds the reply.
 
-        With a cache, identical requests are single-flight: a caller whose
+        With a cache, an identical request is single-flight: a caller whose
         request is already in flight waits for that call and then reads its
         reply as a cache hit, as it would had the calls run one after another.
         If the call fails, the next waiter makes its own call.
@@ -126,7 +139,7 @@ class EngineClient:
         request = build_request(role, prompt, salt=f"{self.salt}\x1f{salt}", payload=payload)
         if self.cache is None:
             return self._call(request).text
-        key = request.cache_key
+        key = text_digest(f"{self._key_scope}\x1f{request.cache_key}")
         with self._key_locks_lock:
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         with key_lock:

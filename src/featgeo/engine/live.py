@@ -2,15 +2,26 @@
 
 Configured entirely through environment variables (or constructor arguments);
 no vendor-specific assumptions beyond the common chat-completions JSON shape.
+Built on ``urllib.request``, which honours the standard proxy environment
+variables (``https_proxy``, ``http_proxy``, ``no_proxy``).
+
+Transient failures (HTTP 429, HTTP 5xx, timeouts, refused or reset
+connections) are retried with exponential backoff and full jitter: attempt n
+waits a uniform draw from [0, min(cap, base * 2**(n-1))], or the server's
+delta-seconds ``Retry-After`` up to the cap. Every retry resends the same
+request. Any other failure raises at once.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import random
+import threading
 import time
-from typing import Any, Mapping
-
-import requests
+import urllib.error
+import urllib.request
+from typing import Any, Callable, Mapping
 
 from ..errors import EngineError, ValidationError
 from .types import EngineRequest, EngineResponse, estimate_tokens
@@ -22,6 +33,16 @@ ENV_CACHE_DIR = "FEATGEO_CACHE_DIR"
 
 _TEMPERATURES = {"deterministic": 0.0, "balanced": 0.4, "creative": 0.8}
 
+MAX_ATTEMPTS = 5  # sends per request, the first one included
+BACKOFF_BASE_S = 0.5
+BACKOFF_CAP_S = 30.0
+
+
+def _retry_after(headers: Mapping[str, str] | None) -> float | None:
+    """The delta-seconds ``Retry-After`` value, if the server sent one."""
+    value = (headers or {}).get("Retry-After", "").strip()
+    return float(value) if value.isdigit() else None
+
 
 class ChatCompletionBackend:
     """POSTs each request to ``<base_url>/chat/completions``."""
@@ -31,16 +52,24 @@ class ChatCompletionBackend:
         base_url: str,
         model: str,
         api_key: str = "",
-        session: requests.Session | None = None,
+        *,
+        opener: urllib.request.OpenerDirector | None = None,
         timeout: float = 120.0,
+        sleep: Callable[[float], None] = time.sleep,
+        rng: random.Random | None = None,
     ):
         if not base_url or not model:
             raise ValidationError("live engine backend requires a base URL and model id")
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key
-        self.session = session or requests.Session()
+        self.opener = opener or urllib.request.build_opener()
         self.timeout = timeout
+        self.sleep = sleep
+        self.rng = rng or random.Random()
+        self.identity = f"{self.base_url} {self.model}"
+        self.transport_retries = 0
+        self._retries_lock = threading.Lock()
 
     @classmethod
     def from_env(cls) -> "ChatCompletionBackend":
@@ -61,16 +90,19 @@ class ChatCompletionBackend:
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": _TEMPERATURES.get(request.temperature_tag, 0.4),
         }
+        http_request = urllib.request.Request(
+            f"{self.base_url}/chat/completions",
+            data=json.dumps(body).encode("utf-8"),
+            headers=headers,
+            method="POST",
+        )
         started = time.perf_counter()
-        try:
-            resp = self.session.post(
-                f"{self.base_url}/chat/completions", json=body, headers=headers, timeout=self.timeout
-            )
-            resp.raise_for_status()
-            data: Mapping[str, Any] = resp.json()
-        except requests.RequestException as exc:
-            raise EngineError(f"engine HTTP request failed: {exc}") from exc
+        status, raw = self._send(http_request)
         elapsed = time.perf_counter() - started
+        try:
+            data: Mapping[str, Any] = json.loads(raw)
+        except ValueError as exc:
+            raise EngineError(f"engine HTTP {status} body is not JSON: {exc}") from exc
         try:
             text = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -91,3 +123,40 @@ class ChatCompletionBackend:
             usage_estimated=True,
             elapsed_seconds=elapsed,
         )
+
+    def _send(self, http_request: urllib.request.Request) -> tuple[int, bytes]:
+        """(status, body) of the first 2xx reply, resending on transient failures."""
+        attempt = 0
+        while True:
+            attempt += 1
+            retry_after = None
+            try:
+                with self.opener.open(http_request, timeout=self.timeout) as reply:
+                    return reply.status, reply.read()
+            except urllib.error.HTTPError as exc:
+                exc.close()  # the error reply's unread body holds the connection
+                if exc.code != 429 and exc.code < 500:
+                    raise EngineError(f"engine HTTP {exc.code} {exc.reason}; not retried") from exc
+                cause: Exception = exc
+                retry_after = _retry_after(exc.headers)
+            except urllib.error.URLError as exc:
+                # A refused connection or a connect timeout; a reason that is no
+                # OSError is a malformed URL, which no resend mends.
+                if not isinstance(exc.reason, OSError):
+                    raise EngineError(f"engine HTTP request failed: {exc}") from exc
+                cause = exc
+            except (TimeoutError, ConnectionError) as exc:
+                # socket.timeout is TimeoutError; http.client.RemoteDisconnected
+                # is a ConnectionResetError.
+                cause = exc
+            if attempt == MAX_ATTEMPTS:
+                raise EngineError(
+                    f"engine HTTP request failed after {MAX_ATTEMPTS} attempts: {cause}"
+                ) from cause
+            if retry_after is None:
+                delay = self.rng.uniform(0.0, min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** (attempt - 1)))
+            else:
+                delay = min(retry_after, BACKOFF_CAP_S)
+            with self._retries_lock:
+                self.transport_retries += 1
+            self.sleep(delay)

@@ -6,7 +6,7 @@ from functools import lru_cache
 from importlib import resources
 
 from ..errors import ValidationError
-from .types import Role
+from .types import Role, text_digest
 
 _TEMPLATE_FILES: dict[Role, str] = {
     Role.QUERY_GEN: "query_gen.txt",
@@ -22,6 +22,12 @@ _TEMPLATE_FILES: dict[Role, str] = {
 def load_template(role: Role) -> str:
     ref = resources.files("featgeo.engine") / "templates" / _TEMPLATE_FILES[role]
     return ref.read_text(encoding="utf-8")
+
+
+@lru_cache(maxsize=None)
+def templates_digest() -> str:
+    """One digest over every role template, so an edited template keys new cache entries."""
+    return text_digest("\x1f".join(load_template(role) for role in _TEMPLATE_FILES))
 
 
 def render_prompt(role: Role, **params: str) -> str:

@@ -60,7 +60,8 @@ class EngineRequest:
 
     ``payload`` carries the structured inputs the prompt was rendered from so
     that simulated backends can act on them directly; it never participates in
-    the cache key, which is a digest of (role, salt, prompt).
+    the cache key, which is a digest of (role, salt, prompt); ``EngineClient``
+    scopes that digest to its backend's identity and the template set.
     """
 
     role: Role

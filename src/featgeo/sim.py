@@ -11,6 +11,8 @@ exposes the exact Pareto front for comparison against the optimizer.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,6 +42,7 @@ from .engine.types import (
     SourceDocument,
     digest_to_int,
     estimate_tokens,
+    text_digest,
 )
 
 # Marker line that carries a page's latent feature record through the sim loop.
@@ -365,6 +368,8 @@ class SimBackend:
     def __init__(self, world: SimWorld):
         self.world = world
         self.catalog = world.catalog
+        config = json.dumps(dataclasses.asdict(world.config), sort_keys=True)
+        self.identity = f"sim {text_digest(config)}"
 
     def complete(self, request: EngineRequest) -> EngineResponse:
         if request.payload is None:

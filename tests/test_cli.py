@@ -6,6 +6,7 @@ import pytest
 
 from featgeo.cli import EXIT_INTEGRITY, EXIT_OK, EXIT_VALIDATION, run_cli
 from featgeo.bundled import default_sim_config_path
+from featgeo.engine.live import ENV_CACHE_DIR
 from featgeo.pipeline import CandidateEvaluator
 
 
@@ -48,6 +49,20 @@ def test_simulate_different_seed_changes_results(tmp_path, small_config):
     run_cli(["simulate", "--config", str(small_config), "--seed", "7", "--output-dir", str(a)])
     run_cli(["simulate", "--config", str(small_config), "--seed", "8", "--output-dir", str(b)])
     assert tree(a) != tree(b)
+
+
+def test_shared_cache_dir_does_not_replay_one_seed_into_another(tmp_path, small_config, monkeypatch):
+    def simulate(seed, out, cache_dir):
+        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / cache_dir))
+        assert run_cli(["simulate", "--config", str(small_config), "--seed", seed,
+                        "--output-dir", str(tmp_path / out)]) == EXIT_OK
+        return tree(tmp_path / out)
+
+    clean = simulate("8", "clean8", "clean_cache")
+    simulate("7", "shared7", "shared_cache")
+    shared = simulate("8", "shared8", "shared_cache")
+    assert shared["probe.json"] == clean["probe.json"]
+    assert shared == clean
 
 
 def test_simulate_refuses_existing_dir_without_overwrite(tmp_path, small_config, capsys):

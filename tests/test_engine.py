@@ -1,5 +1,12 @@
+import email.message
+import http.client
+import http.server
+import io
 import json
+import socket
+import sys
 import threading
+import urllib.error
 
 import pytest
 
@@ -7,6 +14,7 @@ from conftest import midpoint_vector
 from featgeo.engine.cache import ResponseCache
 from featgeo.engine.client import EngineClient, format_feature_definitions
 from featgeo.engine.ledger import CostLedger
+from featgeo.engine import client as client_module, live
 from featgeo.engine.live import ChatCompletionBackend
 from featgeo.engine.templates import load_template, render_prompt
 from featgeo.engine.types import (
@@ -143,6 +151,35 @@ def test_salt_forces_resampling(tmp_path):
     a.generate_page(BRIEF, GUIDELINES)
     b.generate_page(BRIEF, GUIDELINES)
     assert len(cache) == 2
+
+
+class NamedBackend(ScriptedBackend):
+    def __init__(self, replies, identity):
+        super().__init__(replies)
+        self.identity = identity
+
+
+def test_shared_cache_replays_only_to_the_engine_and_templates_that_filled_it(tmp_path, monkeypatch):
+    cache = ResponseCache(tmp_path / "c.jsonl")
+    clients = [EngineClient(NamedBackend([f"page {name}"], name), CATALOG, cache=cache)
+               for name in ("sim a", "sim b", "sim a")]
+    assert [c.generate_page(BRIEF, GUIDELINES) for c in clients] == ["page sim a", "page sim b", "page sim a"]
+    assert [len(c.backend.requests) for c in clients] == [1, 1, 0]
+    assert len(cache) == 2
+    # An edited prompt template keys afresh, also for the same engine.
+    monkeypatch.setattr(client_module, "templates_digest", lambda: "edited templates")
+    edited = EngineClient(NamedBackend(["page edited"], "sim a"), CATALOG, cache=cache)
+    assert edited.generate_page(BRIEF, GUIDELINES) == "page edited"
+    assert len(cache) == 3
+    # The request itself, salt and prompt included, does not change with the scope.
+    assert edited.backend.requests[0] == clients[0].backend.requests[0]
+
+
+def test_live_backend_identity_is_its_url_and_model():
+    a = ChatCompletionBackend("http://engine/v1/", "model-x")
+    assert a.identity == ChatCompletionBackend("http://engine/v1", "model-x").identity
+    assert a.identity != ChatCompletionBackend("http://engine/v1", "model-y").identity
+    assert a.identity != ChatCompletionBackend("http://other/v1", "model-x").identity
 
 
 def test_cache_key_is_deterministic():
@@ -408,49 +445,240 @@ def test_backend_exception_wrapped_as_engine_error():
 # -- live transport ------------------------------------------------------------------
 
 
-class StubSession:
-    def __init__(self, payload):
-        self.payload = payload
-        self.calls = []
+class Reply(io.BytesIO):
+    """A 2xx reply as the opener hands it back: a readable context manager with a status."""
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
+    def __init__(self, body, status=200):
+        super().__init__(body if isinstance(body, bytes) else json.dumps(body).encode("utf-8"))
+        self.status = status
 
-        class R:
-            def __init__(self, payload):
-                self._payload = payload
 
-            def raise_for_status(self):
-                pass
+def http_error(code, retry_after=None):
+    headers = email.message.Message()
+    if retry_after is not None:
+        headers["Retry-After"] = retry_after
+    return urllib.error.HTTPError(ENDPOINT, code, "status text", headers, io.BytesIO(b""))
 
-            def json(self):
-                return self._payload
 
-        return R(self.payload)
+class ScriptedOpener:
+    """Stands in for urllib's opener: records each send and plays one scripted outcome for it."""
+
+    def __init__(self, *outcomes):
+        self.outcomes = list(outcomes)
+        self.sent = []
+
+    def open(self, request, timeout=None):
+        self.sent.append({
+            "request": request,
+            "url": request.full_url,
+            "method": request.get_method(),
+            "headers": dict(request.header_items()),
+            "json": json.loads(request.data),
+            "timeout": timeout,
+        })
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+
+class TopOfRange:
+    """An RNG whose uniform draw is always the top of its range, so backoff bounds show."""
+
+    def uniform(self, lo, hi):
+        return hi
+
+
+ENDPOINT = "http://engine/chat/completions"
+HELLO = {"choices": [{"message": {"content": "hello"}}],
+         "usage": {"prompt_tokens": 12, "completion_tokens": 7}}
+
+
+def live_backend(*outcomes, api_key="", rng=None):
+    opener, sleeps = ScriptedOpener(*outcomes), []
+    backend = ChatCompletionBackend(
+        "http://engine/", "model-x", api_key=api_key, opener=opener, sleep=sleeps.append, rng=rng,
+    )
+    return backend, opener, sleeps
 
 
 def test_live_backend_uses_reported_usage():
-    session = StubSession(
-        {"choices": [{"message": {"content": "hello"}}],
-         "usage": {"prompt_tokens": 12, "completion_tokens": 7}}
-    )
-    backend = ChatCompletionBackend("http://engine", "model-x", api_key="k", session=session)
+    backend, opener, sleeps = live_backend(Reply(HELLO), api_key="k")
     resp = backend.complete(build_request(Role.ANSWER_GEN, "prompt body"))
     assert resp.text == "hello"
     assert (resp.prompt_tokens, resp.completion_tokens, resp.usage_estimated) == (12, 7, False)
-    call = session.calls[0]
-    assert call["url"] == "http://engine/chat/completions"
-    assert call["json"]["model"] == "model-x"
+    [call] = opener.sent
+    assert call["url"] == ENDPOINT and call["method"] == "POST" and call["timeout"] == 120.0
+    assert call["json"] == {
+        "model": "model-x",
+        "messages": [{"role": "user", "content": "prompt body"}],
+        "temperature": 0.4,
+    }
     assert call["headers"]["Authorization"] == "Bearer k"
+    assert call["headers"]["Content-type"] == "application/json"
+    assert sleeps == [] and backend.transport_retries == 0
 
 
 def test_live_backend_estimates_missing_usage():
-    session = StubSession({"choices": [{"message": {"content": "abcdefgh"}}]})
-    backend = ChatCompletionBackend("http://engine", "m", session=session)
+    backend, opener, _ = live_backend(Reply({"choices": [{"message": {"content": "abcdefgh"}}]}))
     resp = backend.complete(build_request(Role.JUDGE, "x" * 40))
     assert resp.usage_estimated
     assert resp.prompt_tokens == estimate_tokens("x" * 40) == 10
     assert resp.completion_tokens == 2
+    assert "Authorization" not in opener.sent[0]["headers"]  # no key, no auth header
+
+
+@pytest.mark.parametrize("role, temperature", [
+    (Role.QUERY_GEN, 0.8), (Role.THEME_EXTRACT, 0.4), (Role.FEATURE_EXTRACT, 0.0),
+    (Role.PAGE_GEN, 0.8), (Role.ANSWER_GEN, 0.4), (Role.JUDGE, 0.0),
+])
+def test_live_backend_sends_the_temperature_of_each_roles_tag(role, temperature):
+    backend, opener, _ = live_backend(Reply(HELLO))
+    backend.complete(build_request(role, "prompt"))
+    assert opener.sent[0]["json"]["temperature"] == temperature
+
+
+def test_live_backend_resends_the_same_request_after_a_429():
+    backend, opener, sleeps = live_backend(http_error(429), Reply(HELLO))
+    assert backend.complete(build_request(Role.ANSWER_GEN, "prompt")).text == "hello"
+    first, second = opener.sent
+    assert second["request"] is first["request"]
+    assert backend.transport_retries == 1
+    assert len(sleeps) == 1 and 0.0 <= sleeps[0] <= live.BACKOFF_BASE_S
+
+
+def test_live_backend_gives_up_on_a_503_streak_after_the_attempt_limit():
+    streak = [http_error(503) for _ in range(live.MAX_ATTEMPTS + 1)]
+    backend, opener, sleeps = live_backend(*streak, rng=TopOfRange())
+    with pytest.raises(EngineError, match=f"after {live.MAX_ATTEMPTS} attempts.*503"):
+        backend.complete(build_request(Role.ANSWER_GEN, "prompt"))
+    assert len(opener.sent) == live.MAX_ATTEMPTS
+    assert backend.transport_retries == live.MAX_ATTEMPTS - 1
+    # Full jitter draws from [0, base * 2**(n-1)], capped; the RNG here draws each top.
+    assert sleeps == [min(live.BACKOFF_CAP_S, live.BACKOFF_BASE_S * 2 ** n)
+                      for n in range(live.MAX_ATTEMPTS - 1)]
+
+
+@pytest.mark.parametrize("fault", [
+    TimeoutError("timed out"),
+    socket.timeout("read timed out"),
+    urllib.error.URLError(ConnectionRefusedError(111, "Connection refused")),
+    ConnectionResetError(104, "Connection reset by peer"),
+    http.client.RemoteDisconnected("Remote end closed connection without response"),
+    http_error(500),
+])
+def test_live_backend_retries_transient_faults(fault):
+    backend, opener, sleeps = live_backend(fault, Reply(HELLO))
+    assert backend.complete(build_request(Role.ANSWER_GEN, "prompt")).text == "hello"
+    assert len(opener.sent) == 2 and len(sleeps) == 1 and backend.transport_retries == 1
+
+
+@pytest.mark.parametrize("retry_after, slept", [("7", 7.0), ("3600", live.BACKOFF_CAP_S)])
+def test_live_backend_waits_what_retry_after_says_up_to_the_cap(retry_after, slept):
+    backend, _, sleeps = live_backend(http_error(429, retry_after), Reply(HELLO))
+    backend.complete(build_request(Role.ANSWER_GEN, "prompt"))
+    assert sleeps == [slept]
+
+
+@pytest.mark.parametrize("outcome, message", [
+    (http_error(401), "HTTP 401"),
+    (http_error(404), "HTTP 404"),
+    (Reply(b"<html>busy</html>"), "HTTP 200 body is not JSON"),
+    (Reply({"choices": []}), "unexpected engine response shape"),
+    (urllib.error.URLError("unknown url type: htp"), "unknown url type"),
+])
+def test_live_backend_fails_at_once_on_faults_a_resend_cannot_mend(outcome, message):
+    backend, opener, sleeps = live_backend(outcome, Reply(HELLO))
+    with pytest.raises(EngineError, match=message):
+        backend.complete(build_request(Role.ANSWER_GEN, "prompt"))
+    assert len(opener.sent) == 1 and sleeps == [] and backend.transport_retries == 0
+
+
+def test_transport_retries_stay_out_of_the_ledger():
+    backend, _, _ = live_backend(http_error(503), Reply(HELLO))
+    client = EngineClient(backend, CATALOG)
+    client.answer_query("q", docs(2))
+    assert backend.transport_retries == 1
+    assert client.ledger.role_calls(Role.ANSWER_GEN) == 1
+
+
+def test_transport_retry_count_loses_no_update_across_threads():
+    class FirstSendFails:
+        def open(self, request, timeout=None):
+            if getattr(request, "sent_before", False):
+                return Reply(HELLO)
+            request.sent_before = True
+            raise http_error(503)
+
+    backend = ChatCompletionBackend("http://engine", "m", opener=FirstSendFails(), sleep=lambda s: None)
+    requests_each, workers = 200, 8
+
+    def send():
+        for _ in range(requests_each):
+            backend.complete(build_request(Role.ANSWER_GEN, "prompt"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=send) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert backend.transport_retries == requests_each * workers
+
+
+def test_live_backend_talks_http_to_a_loopback_server(monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    received = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            received.append((self.path, dict(self.headers), json.loads(body)))
+            if len(received) == 1:
+                self.send_response(503)
+                self.send_header("Retry-After", "0")
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                return
+            reply = json.dumps(HELLO).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        sleeps = []
+        backend = ChatCompletionBackend(
+            f"http://127.0.0.1:{server.server_port}/v1", "model-x", api_key="k",
+            timeout=5.0, sleep=sleeps.append,
+        )
+        resp = backend.complete(build_request(Role.JUDGE, "prompt body"))
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    assert (resp.text, resp.prompt_tokens, resp.completion_tokens) == ("hello", 12, 7)
+    assert sleeps == [0.0] and backend.transport_retries == 1
+    assert len(received) == 2 and received[0] == received[1]
+    path, headers, body = received[1]
+    assert path == "/v1/chat/completions"
+    assert headers["Authorization"] == "Bearer k"
+    assert headers["Content-Type"] == "application/json"
+    assert body == {"model": "model-x", "messages": [{"role": "user", "content": "prompt body"}],
+                    "temperature": 0.0}
 
 
 def test_live_backend_requires_configuration():

@@ -1,6 +1,9 @@
 """Source-layout guards: imports live at module top, and the record modules stay below the pipeline."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import featgeo
@@ -19,6 +22,13 @@ def test_no_import_inside_a_function_body():
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     offenders.append(f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}")
     assert not offenders, f"function-level imports: {offenders}"
+
+
+def test_cli_import_pulls_in_no_third_party_http_stack():
+    probe = "import sys, featgeo.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 def _imported_modules(path: Path) -> set[str]:

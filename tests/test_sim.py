@@ -386,6 +386,15 @@ def test_backend_theme_is_short_and_cache_stable(tmp_path):
     assert client.ledger.role_calls(Role.THEME_EXTRACT) == 1  # second was a cache hit
 
 
+def test_backend_identity_follows_the_sim_config():
+    assert SimBackend(make_world(seed=5)).identity == SimBackend(make_world(seed=5)).identity
+    identities = {SimBackend(world).identity for world in (
+        make_world(seed=5), make_world(seed=6), make_world(seed=5, noise=0.1), bundled_world(),
+    )}
+    assert len(identities) == 4
+    assert all(identity.startswith("sim ") for identity in identities)
+
+
 def test_backend_feature_extraction_returns_bundled_latents_exactly():
     world = SimWorld(RunConfig.from_file(default_sim_config_path()).sim, CATALOG)
     client = EngineClient(SimBackend(world), CATALOG)
