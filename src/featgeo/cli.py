@@ -145,11 +145,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = _load_config(args)
     _check_run_dir(Path(cfg.output_dir), args.overwrite)
-    catalog = catalog_default()
-    if args.feature and args.feature not in catalog.keys():
-        raise ValidationError(
-            f"unknown feature key {args.feature!r}; known keys: {', '.join(catalog.keys())}"
-        )
+    # run_ablation rejects an unknown key, listing the known ones, before it runs anything.
     results = run_ablation_sweep(cfg) if args.all else [run_ablation(cfg, args.feature)]
     print(f"{'feature':<28}{'base vis':>10}{'ablated':>10}{'delta':>10}")
     for r in results:

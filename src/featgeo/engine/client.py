@@ -241,8 +241,8 @@ class EngineClient:
             lambda reply: vector_from_mapping(_parse_numbers(reply, catalog.keys()), catalog, lenient=True),
         )
 
-    def generate_page(self, brief: TopicBrief, guidelines: GuidelineBlock) -> str:
-        """Realize a feature configuration (as rendered guidelines) into page text."""
+    def generate_page(self, brief: TopicBrief, guidelines: GuidelineBlock, salt: str = "") -> str:
+        """Realize a feature configuration (as rendered guidelines) into page text; a salt asks for a fresh one."""
         if not guidelines.lines:
             raise ValidationError("guidelines must contain at least one line")
         prompt = render_prompt(
@@ -250,7 +250,7 @@ class EngineClient:
         )
         return self._complete_parsed(
             "page generation", Role.PAGE_GEN, prompt, {"brief": brief, "guidelines": guidelines},
-            _non_empty,
+            _non_empty, salt=salt, retry_prefix=f"{salt}|" if salt else "",
         )
 
     def answer_query(self, query: str, docs: Sequence[SourceDocument], salt: str = "") -> str:

@@ -108,19 +108,12 @@ class ChatCompletionBackend:
         except (KeyError, IndexError, TypeError) as exc:
             raise EngineError(f"unexpected engine response shape: {data!r}") from exc
         usage = data.get("usage") or {}
-        if "prompt_tokens" in usage and "completion_tokens" in usage:
-            return EngineResponse(
-                text=text,
-                prompt_tokens=int(usage["prompt_tokens"]),
-                completion_tokens=int(usage["completion_tokens"]),
-                usage_estimated=False,
-                elapsed_seconds=elapsed,
-            )
+        reported = "prompt_tokens" in usage and "completion_tokens" in usage
         return EngineResponse(
             text=text,
-            prompt_tokens=estimate_tokens(request.prompt),
-            completion_tokens=estimate_tokens(text),
-            usage_estimated=True,
+            prompt_tokens=int(usage["prompt_tokens"]) if reported else estimate_tokens(request.prompt),
+            completion_tokens=int(usage["completion_tokens"]) if reported else estimate_tokens(text),
+            usage_estimated=not reported,
             elapsed_seconds=elapsed,
         )
 

@@ -13,6 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub, truediv
 from typing import Mapping
 
 from .errors import ValidationError
@@ -62,10 +63,7 @@ class FeatureDefinition:
     def __post_init__(self):
         if self.layer not in LAYERS:
             raise ValidationError(f"unknown layer {self.layer!r} for feature {self.key!r}")
-        if not self.lo < self.hi:
-            raise ValidationError(f"feature {self.key!r}: lo must be < hi")
-        if self.lo not in (0.0, 1.0) or self.hi not in (1.0, 3.0):
-            raise ValidationError(f"feature {self.key!r}: bounds must come from {{0,1}} x {{1,3}}")
+        # Each kind pins its exact bounds, so no other bound check is needed.
         bounds = (self.lo, self.hi)
         if self.kind == KIND_BOOLEAN:
             if bounds != (0.0, 1.0):
@@ -83,14 +81,14 @@ class FeatureDefinition:
         else:
             raise ValidationError(f"unknown feature kind {self.kind!r}")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class FeatureCatalog:
-    """Ordered, immutable collection of exactly 13 feature definitions."""
+    """Ordered, immutable collection of exactly 13 feature definitions.
+
+    The bounds are derived once, as the per-feature tuples ``lows``, ``highs``
+    and ``widths``, for the per-candidate paths (clamp, normalized_values).
+    """
 
     features: tuple[FeatureDefinition, ...]
 
@@ -106,6 +104,9 @@ class FeatureCatalog:
         expected = {LAYER_STRUCTURE: 4, LAYER_CONTENT: 5, LAYER_LANGUAGE: 4}
         if layer_counts != expected:
             raise ValidationError(f"catalog layer counts {layer_counts} != {expected}")
+        object.__setattr__(self, "lows", tuple(f.lo for f in self.features))
+        object.__setattr__(self, "highs", tuple(f.hi for f in self.features))
+        object.__setattr__(self, "widths", tuple(f.hi - f.lo for f in self.features))
 
     def __len__(self) -> int:
         return len(self.features)
@@ -138,7 +139,7 @@ class FeatureVector:
     def __post_init__(self):
         if len(self.values) != 13:
             raise ValidationError(f"feature vector must hold 13 values, got {len(self.values)}")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
 
     def __getitem__(self, i: int) -> float:
         return self.values[i]
@@ -234,13 +235,13 @@ def catalog_default() -> FeatureCatalog:
 
 
 def clamp(v: FeatureVector, c: FeatureCatalog) -> FeatureVector:
-    """Project every value into its feature's [lo, hi] range. Idempotent."""
-    clamped = []
-    for value, feat in zip(v.values, c):
-        if not math.isfinite(value):
-            raise ValidationError(f"non-finite value for feature {feat.key!r}: {value!r}")
-        clamped.append(min(max(value, feat.lo), feat.hi))
-    return FeatureVector(tuple(clamped))
+    """Project every value into its feature's [lo, hi] range. Idempotent: a
+    vector already in range comes back as the same object."""
+    if not all(map(math.isfinite, v.values)):
+        value, feat = next((value, feat) for value, feat in zip(v.values, c) if not math.isfinite(value))
+        raise ValidationError(f"non-finite value for feature {feat.key!r}: {value!r}")
+    clamped = tuple(map(min, map(max, v.values, c.lows), c.highs))
+    return v if clamped == v.values else FeatureVector(clamped)
 
 
 def tier_of(value: float) -> str:
@@ -338,4 +339,4 @@ def decode_vector(text: str, c: FeatureCatalog, lenient: bool = False) -> Featur
 
 def normalized_values(v: FeatureVector, c: FeatureCatalog) -> tuple[float, ...]:
     """Each value mapped to [0, 1] within its feature range."""
-    return tuple((value - f.lo) / f.width for value, f in zip(v.values, c))
+    return tuple(map(truediv, map(sub, v.values, c.lows), c.widths))

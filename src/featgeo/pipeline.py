@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -154,6 +155,8 @@ def _expect(value: Any, kind: type, key: str) -> Any:
     fits = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, fits):
         raise ValidationError(f"config key {key} must be {_JSON_KINDS[kind]}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):  # json.loads reads NaN and Infinity
+        raise ValidationError(f"config key {key} must be a finite number, got {value!r}")
     return value
 
 
@@ -367,11 +370,14 @@ class CandidateEvaluator:
             groups.setdefault(i if self.cfg.regenerate_page_per_repeat else (generation, slot), []).append(i)
 
         def realize(group: list[int]) -> list[str | EngineError]:
-            guidelines = render_guidelines(clamp(units[group[0]][0], self.catalog), self.catalog)
+            x, (_, _, repeat) = units[group[0]]
+            guidelines = render_guidelines(clamp(x, self.catalog), self.catalog)
+            # A page of its own per repeat needs its own request, or a cache replays the first.
+            salt = f"rep{repeat}" if self.cfg.regenerate_page_per_repeat else ""
             outcomes: list[str | EngineError] = []
             while len(outcomes) < len(group):
                 try:
-                    page = self.client.generate_page(self.probe.brief, guidelines)
+                    page = self.client.generate_page(self.probe.brief, guidelines, salt=salt)
                 except EngineError as exc:
                     outcomes.append(exc)
                     continue
@@ -438,12 +444,6 @@ class CandidateEvaluator:
         scores = [aggregate_quality(d, self.cfg.quality) for d in dims]
         raw = tuple(tuple(d.content_scores() + d.appeal_scores()) for d in dims)
         return average_quality(scores).value, raw
-
-
-def _expected_realizations(cfg: RunConfig) -> int:
-    per_candidate = cfg.ga.repeats_per_eval if cfg.regenerate_page_per_repeat else 1
-    candidates = cfg.ga.population_size * (cfg.ga.generations + 1)
-    return candidates * per_candidate
 
 
 def _to_json(value: Any) -> Any:
@@ -532,7 +532,8 @@ def run_optimization(
 
 
 def _verify_run(cfg: RunConfig, client: EngineClient, evaluator: CandidateEvaluator) -> None:
-    expected = _expected_realizations(cfg)
+    per_candidate = cfg.ga.repeats_per_eval if cfg.regenerate_page_per_repeat else 1
+    expected = cfg.ga.population_size * (cfg.ga.generations + 1) * per_candidate
     booked = client.ledger.role_requests(Role.PAGE_GEN)
     if evaluator.realizations != expected or booked != expected:
         raise IntegrityError(

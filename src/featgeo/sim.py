@@ -108,10 +108,10 @@ class SimConfig:
                 raise ValidationError(f"{name} must be finite")
         if not math.isfinite(self.visibility_bias):
             raise ValidationError("visibility bias must be finite")
-        if self.tradeoff_strength < 0:
-            raise ValidationError(f"tradeoff strength must be >= 0, got {self.tradeoff_strength}")
-        if self.noise_scale < 0:
-            raise ValidationError(f"noise scale must be >= 0, got {self.noise_scale}")
+        if not 0 <= self.tradeoff_strength < math.inf:
+            raise ValidationError(f"tradeoff strength must be finite and >= 0, got {self.tradeoff_strength}")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValidationError(f"noise scale must be finite and >= 0, got {self.noise_scale}")
 
 
 class SimWorld:
@@ -172,16 +172,22 @@ def _logistic(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _propensity_and_base(x: FeatureVector, w: SimWorld) -> tuple[float, float]:
+    """Citation propensity and continuous quality base of x, from one normalization.
+    The dot products stay numpy's: a Python sum adds in another order."""
+    x_norm = np.asarray(normalized_values(x, w.catalog))
+    propensity = float(_logistic(x_norm @ w._vis_weights + w.config.visibility_bias))
+    return propensity, float(x_norm @ w._qual_weights - w.config.tradeoff_strength * propensity)
+
+
 def sim_propensity(x: FeatureVector, w: SimWorld) -> float:
     """Citation propensity in (0, 1): logistic of a linear score over range-normalized features."""
-    x_norm = np.asarray(normalized_values(x, w.catalog))
-    return float(_logistic(x_norm @ w._vis_weights + w.config.visibility_bias))
+    return _propensity_and_base(x, w)[0]
 
 
 def sim_quality_base(x: FeatureVector, w: SimWorld) -> float:
     """Continuous quality term before quantization: linear score minus the propensity coupling."""
-    x_norm = np.asarray(normalized_values(x, w.catalog))
-    return float(x_norm @ w._qual_weights - w.config.tradeoff_strength * sim_propensity(x, w))
+    return _propensity_and_base(x, w)[1]
 
 
 def _dims_from_base(base) -> np.ndarray:
@@ -191,10 +197,15 @@ def _dims_from_base(base) -> np.ndarray:
     return np.clip(np.floor(staggered + 0.5), 1, 5).astype(int)
 
 
+def _dims_of(base: float) -> QualityDimensions:
+    """``_dims_from_base`` of one base in float arithmetic; clipping before the floor keeps the integers."""
+    v = 3.0 + 2.0 * base
+    return QualityDimensions(*[math.floor(min(max(v + o + 0.5, 1.0), 5.0)) for o in _DIMENSION_OFFSETS])
+
+
 def sim_quality_dims(x: FeatureVector, w: SimWorld) -> QualityDimensions:
     """Deterministic judge ground truth for a page with latent vector x."""
-    dims = _dims_from_base(sim_quality_base(x, w))
-    return QualityDimensions(**{name: int(s) for name, s in zip(ALL_DIMENSIONS, dims)})
+    return _dims_of(_propensity_and_base(x, w)[1])
 
 
 def _docs_digest(docs: Sequence[SourceDocument]) -> str:
@@ -249,9 +260,7 @@ def _evaluate_grid(
     matrix: np.ndarray, w: SimWorld, quality_cfg: QualityConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized exact objectives (visibility %, quality %) for rows of feature values."""
-    lo = np.array([f.lo for f in w.catalog])
-    width = np.array([f.width for f in w.catalog])
-    x_norm = (matrix - lo) / width
+    x_norm = (matrix - np.array(w.catalog.lows)) / np.array(w.catalog.widths)
     prop = _logistic(x_norm @ w._vis_weights + w.config.visibility_bias)
     base = x_norm @ w._qual_weights - w.config.tradeoff_strength * prop
     dims = _dims_from_base(base)
@@ -318,8 +327,8 @@ def direct_evaluator(w: SimWorld, quality_cfg: QualityConfig | None = None):
     quality_cfg = quality_cfg or QualityConfig()
 
     def evaluate(x: FeatureVector, key=None) -> tuple[float, float]:
-        score = aggregate_quality(sim_quality_dims(x, w), quality_cfg)
-        return 100.0 * sim_propensity(x, w), score.value
+        propensity, base = _propensity_and_base(x, w)
+        return 100.0 * propensity, aggregate_quality(_dims_of(base), quality_cfg).value
 
     return evaluate
 

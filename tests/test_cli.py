@@ -131,9 +131,20 @@ def test_probe_writes_probe_file(tmp_path, small_config, capsys):
     (lambda raw: {**raw, "sim": {k: v for k, v in raw["sim"].items() if k != "seed"}}, "missing config key sim.seed"),
     (lambda raw: {**raw, "ga": [1, 2]}, "config ga must be a JSON object"),
     (lambda raw: [raw], "config file must be a JSON object"),
+    (lambda raw: {**raw, "sim": {**raw["sim"], "tradeoff_strength": float("nan")}},
+     "sim.tradeoff_strength must be a finite number"),
+    (lambda raw: {**raw, "sim": {**raw["sim"], "noise_scale": float("inf")}},
+     "sim.noise_scale must be a finite number"),
+    (lambda raw: {**raw, "ga": {**raw["ga"], "mutation_sigma": float("nan")}},
+     "ga.mutation_sigma must be a finite number"),
+    (lambda raw: {**raw, "sim": {**raw["sim"], "visibility_weights": [-float("inf")] + raw["sim"]["visibility_weights"][1:]}},
+     "sim.visibility_weights[0] must be a finite number"),
+    (lambda raw: {**raw, "sim": {**raw["sim"], "competitor_vectors": raw["sim"]["competitor_vectors"][:1]
+                                 + [[float("nan")] * 13] + raw["sim"]["competitor_vectors"][2:]}},
+     "sim.competitor_vectors[1][0] must be a finite number"),
 ], ids=["unknown-section-key", "unknown-key", "string-int", "string-count", "bool-int", "string-bool",
         "string-list", "directory-doc", "string-float", "short-vector", "missing-key", "list-section",
-        "list-file"])
+        "list-file", "nan-scalar", "infinite-scalar", "nan-sigma", "infinite-weight", "nan-vector"])
 def test_malformed_config_exits_with_validation_status_naming_the_key(tmp_path, small_config, capsys, edit, key):
     small_config.write_text(json.dumps(edit(json.loads(small_config.read_text()))))
     out_dir = tmp_path / "probe_out"

@@ -1,12 +1,15 @@
 """Source-layout guards: imports live at module top, and the record modules stay below the pipeline."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import featgeo
+import featgeo.features
+import featgeo.sim
 
 PACKAGE_DIR = Path(featgeo.__file__).parent
 
@@ -77,3 +80,14 @@ def test_dominance_is_decided_by_one_sweep():
     assert sorted(sites) == [
         "optimizer.py:__post_init__", "optimizer.py:non_dominated_sort", "optimizer.py:pareto_front_of",
     ], sites
+
+
+def test_benchmark_hooks_resolve_against_the_package(monkeypatch):
+    """perfbench patches featgeo names by attribute, so a renamed target fails here, not in a traced run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    instrument = importlib.import_module("instrument")
+    clamp = featgeo.features.clamp
+    with instrument.counting(instrument.Counters()), instrument.tracing(instrument.Tracer()), \
+            instrument.recording_optimizer(instrument.OptimizerLog()):
+        assert featgeo.sim.clamp is not clamp
+    assert featgeo.sim.clamp is clamp and featgeo.features.clamp is clamp

@@ -347,6 +347,17 @@ def test_regenerate_flag_realizes_each_repeat(tmp_path):
     assert evaluator.realizations == 3
 
 
+def test_regenerated_pages_are_not_replayed_from_the_cache(tmp_path):
+    cfg = small_sim_config(tmp_path, regenerate_page_per_repeat=True)
+    client = EngineClient(SimBackend(SimWorld(cfg.sim, CATALOG)), CATALOG,
+                          cache=ResponseCache(tmp_path / "responses.jsonl"),
+                          max_answer_docs=len(cfg.competitor_docs) + 1)
+    evaluator = CandidateEvaluator(cfg, client, manual_probe(), load_documents(cfg.competitor_docs), CATALOG)
+    evaluator.evaluate_batch([(midpoint_vector(CATALOG), (0, 0, rep)) for rep in range(3)])
+    assert client.ledger.role_calls(Role.PAGE_GEN) == 3  # live calls
+    assert client.ledger.role_requests(Role.PAGE_GEN) == 3  # live calls plus cache hits
+
+
 def batch_units(x, slots_repeats):
     return [(x, (0, slot, repeat)) for slot, repeat in slots_repeats]
 

@@ -18,7 +18,7 @@ from featgeo.features import (
     render_guidelines,
 )
 from featgeo.pipeline import RunConfig, load_documents, run_optimization
-from featgeo.quality import ALL_DIMENSIONS, QualityConfig
+from featgeo.quality import ALL_DIMENSIONS, QualityConfig, aggregate_quality
 from featgeo.sim import (
     SimBackend,
     SimConfig,
@@ -311,6 +311,33 @@ def test_scalar_and_vectorized_evaluation_agree():
         assert qual_s == pytest.approx(float(qual_v[0]), abs=1e-12)
 
 
+def test_direct_evaluator_equals_its_public_parts_exactly():
+    world = bundled_world()
+    evaluate = direct_evaluator(world)
+    rng = np.random.default_rng(9)
+    randoms = [clamp(FeatureVector(tuple(rng.uniform(0, 3, size=13))), CATALOG) for _ in range(200)]
+    corners = [
+        FeatureVector(tuple(f.hi if (mask >> i) & 1 else f.lo for i, f in enumerate(CATALOG)))
+        for mask in range(2 ** 13)
+    ]
+    for x in randoms + corners:
+        quality = aggregate_quality(sim_quality_dims(x, world), QualityConfig()).value
+        assert evaluate(x) == (100 * sim_propensity(x, world), quality)
+
+
+def test_scalar_quantization_matches_the_vectorized_one():
+    # Every base at which some dimension steps (v + offset + 0.5 an integer),
+    # a float either side of it, far outside [1, 5], and random ones.
+    steps = [(k - 0.5 - offset - 3.0) / 2.0 for k in range(-3, 10) for offset in sim_module._DIMENSION_OFFSETS]
+    bases = steps + [np.nextafter(b, d) for b in steps for d in (-np.inf, np.inf)]
+    bases += [-1e300, 1e300] + list(np.random.default_rng(4).uniform(-3.0, 3.0, size=500))
+    for base in bases:
+        dims = sim_module._dims_of(float(base))
+        assert tuple(getattr(dims, name) for name in ALL_DIMENSIONS) == tuple(
+            int(s) for s in sim_module._dims_from_base(base)
+        ), base
+
+
 def test_budget_exceeded_raises():
     with pytest.raises(BudgetError):
         brute_force_pareto(101, ["statistics_level", "list_density", "quotation_level"],
@@ -458,6 +485,11 @@ def test_sim_config_validation():
         SimConfig(1, (0.0,) * 13, 0.0, (0.0,) * 13, -1.0, ())
     with pytest.raises(ValidationError):
         SimConfig(1, (0.0,) * 13, 0.0, (0.0,) * 13, 0.0, (), noise_scale=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="tradeoff strength must be finite"):
+            SimConfig(1, (0.0,) * 13, 0.0, (0.0,) * 13, bad, ())
+        with pytest.raises(ValidationError, match="noise scale must be finite"):
+            SimConfig(1, (0.0,) * 13, 0.0, (0.0,) * 13, 0.0, (), noise_scale=bad)
 
 
 def test_run_decodes_each_document_profile_once_and_shares_the_world_across_workers(
