@@ -120,12 +120,15 @@ def _cmd_probe(args) -> int:
 def _run_and_summarize(cfg: RunConfig, policy: str = "max_visibility") -> int:
     record = run_optimization(cfg)
     best = record.finals[policy]
-    print(f"run complete: {record.run_dir}")
+    print(f"run {record.status}: {record.run_dir}")
     print(f"front size: {len(record.front)}  final HV: {record.trace.entries[-1][1]:.4f}")
     print(
         f"{policy}: visibility {best.objectives[0]:.2f}  quality {best.objectives[1]:.2f}"
     )
-    return EXIT_OK
+    failed = sum(m.failed for m in record.eval_metrics)
+    if failed:
+        print(f"{failed} of {len(record.eval_metrics)} evaluations failed", file=sys.stderr)
+    return EXIT_ENGINE if record.status == "failed" else EXIT_OK
 
 
 def _cmd_optimize(args) -> int:

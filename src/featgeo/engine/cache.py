@@ -27,6 +27,7 @@ class ResponseCache:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._records: dict[str, EngineResponse] = {}
+        self._dir_made = False
         if self.path.exists():
             self._load()
 
@@ -65,7 +66,9 @@ class ResponseCache:
             if digest in self._records:
                 return
             self._records[digest] = response
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if not self._dir_made:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._dir_made = True
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(
                     json.dumps(

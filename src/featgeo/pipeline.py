@@ -482,7 +482,8 @@ def run_optimization(
     """Execute the full loop: probe, seed, evolve, select, verify, persist, report.
 
     The report is built from the persisted run directory, exactly as
-    ``featgeo report`` rebuilds it later.
+    ``featgeo report`` rebuilds it later. The record's status follows its
+    failed evaluations (``RunRecord.settle_status``).
     """
     catalog = catalog_default()
     client = build_client(cfg, catalog)
@@ -516,6 +517,7 @@ def run_optimization(
         record.front = result.front
         record.trace = result.trace
         record.eval_metrics = tuple(evaluator.metrics)
+        record.settle_status()
         record.finals = {policy: select_final(result.front, policy) for policy in POLICIES}
         _verify_run(cfg, client, evaluator)
     except Exception as exc:

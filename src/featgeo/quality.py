@@ -7,6 +7,7 @@ group, and blend with a configurable weight alpha.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -45,7 +46,11 @@ class QualityDimensions:
         extra = sorted(set(scores) - set(ALL_DIMENSIONS))
         if extra:
             raise ValidationError(f"unknown quality dimensions: {', '.join(extra)}")
-        return cls(**{d: round_half_up(float(scores[d])) for d in ALL_DIMENSIONS})
+        values = {d: float(scores[d]) for d in ALL_DIMENSIONS}
+        for d, value in values.items():
+            if not math.isfinite(value):
+                raise ValidationError(f"dimension {d!r} must be a finite score, got {value!r}")
+        return cls(**{d: round_half_up(value) for d, value in values.items()})
 
     def content_scores(self) -> tuple[int, ...]:
         return tuple(getattr(self, d) for d in CONTENT_DIMENSIONS)

@@ -91,6 +91,17 @@ class RunRecord:
     status: str = "complete"
     error: str | None = None
 
+    def settle_status(self) -> None:
+        """Set the status of a run that ran to its end from its evaluations:
+        ``failed`` when more than half of them failed, ``degraded`` when any
+        did, ``complete`` when none did."""
+        failed = sum(m.failed for m in self.eval_metrics)
+        if 2 * failed > len(self.eval_metrics):
+            self.status = "failed"
+            self.error = f"{failed} of {len(self.eval_metrics)} evaluations failed"
+        else:
+            self.status = "degraded" if failed else "complete"
+
 
 def write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -197,10 +197,15 @@ def _dims_from_base(base) -> np.ndarray:
     return np.clip(np.floor(staggered + 0.5), 1, 5).astype(int)
 
 
-def _dims_of(base: float) -> QualityDimensions:
+def _dim_ints(base: float) -> tuple[int, ...]:
     """``_dims_from_base`` of one base in float arithmetic; clipping before the floor keeps the integers."""
     v = 3.0 + 2.0 * base
-    return QualityDimensions(*[math.floor(min(max(v + o + 0.5, 1.0), 5.0)) for o in _DIMENSION_OFFSETS])
+    return tuple([math.floor(min(max(v + o + 0.5, 1.0), 5.0)) for o in _DIMENSION_OFFSETS])
+
+
+def _dims_of(base: float) -> QualityDimensions:
+    """The seven quality dimensions of one quality base."""
+    return QualityDimensions(*_dim_ints(base))
 
 
 def sim_quality_dims(x: FeatureVector, w: SimWorld) -> QualityDimensions:
@@ -323,12 +328,24 @@ def brute_force_pareto(
 
 
 def direct_evaluator(w: SimWorld, quality_cfg: QualityConfig | None = None):
-    """Closed-form (visibility %, quality %) evaluator over the sim ground truth."""
+    """Closed-form (visibility %, quality %) evaluator over the sim ground truth.
+
+    Quality depends on x only through its seven integer dimensions. They
+    step up one at a time as the base grows (4 steps each, at staggered
+    offsets), so at most 29 distinct tuples exist. Each evaluator keeps its
+    own table from a tuple to its quality percent: every distinct tuple is
+    built and checked once, by ``aggregate_quality``, and then looked up.
+    """
     quality_cfg = quality_cfg or QualityConfig()
+    quality_of: dict[tuple[int, ...], float] = {}
 
     def evaluate(x: FeatureVector, key=None) -> tuple[float, float]:
         propensity, base = _propensity_and_base(x, w)
-        return 100.0 * propensity, aggregate_quality(_dims_of(base), quality_cfg).value
+        dims = _dim_ints(base)
+        quality = quality_of.get(dims)
+        if quality is None:
+            quality = quality_of[dims] = aggregate_quality(QualityDimensions(*dims), quality_cfg).value
+        return 100.0 * propensity, quality
 
     return evaluate
 

@@ -194,18 +194,37 @@ CLOSED_FORM_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(CLOSED_FORM_DIGESTS))
-def test_closed_form_evolve_determinism(seed):
+# The same digest at the two shapes the closed-form quality table serves:
+# (population, generations, GA seed, five active features as above or all 13).
+CLOSED_FORM_SHAPE_DIGESTS = {
+    (64, 40, 7000, False): "b4a27e9fd856d7f98f4f8236bba70c4021be478c4b616ee14104b8226bb30d9c",
+    (16, 12, 2024, True): "159328c906ffc134acdc3f33049e5416ca3a7b2487e9e38f26c3adfb3b169eb5",
+}
+
+
+def closed_form_digest(population, generations, seed, all_active=False):
     world = bundled_world()
-    frozen = {i: (f.lo + f.hi) / 2 for i, f in enumerate(CATALOG) if f.key not in ORACLE_ACTIVE_FEATURES}
-    cfg = GAConfig(population_size=16, generations=12, repeats_per_eval=1, seed=seed)
+    frozen = None if all_active else {
+        i: (f.lo + f.hi) / 2 for i, f in enumerate(CATALOG) if f.key not in ORACLE_ACTIVE_FEATURES
+    }
+    cfg = GAConfig(population_size=population, generations=generations, repeats_per_eval=1, seed=seed)
     result = evolve(cfg, direct_evaluator(world), list(world.config.competitor_vectors), CATALOG,
                     frozen_features=frozen)
     digest = hashlib.sha256()
     digest.update(repr([(ind.x.values, ind.objectives) for ind in result.front]).encode())
     digest.update(repr(result.trace.entries).encode())
     digest.update(repr(result.log).encode())
-    assert digest.hexdigest() == CLOSED_FORM_DIGESTS[seed]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(CLOSED_FORM_DIGESTS))
+def test_closed_form_evolve_determinism(seed):
+    assert closed_form_digest(16, 12, seed) == CLOSED_FORM_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("shape", sorted(CLOSED_FORM_SHAPE_DIGESTS))
+def test_closed_form_evolve_determinism_at_the_table_shapes(shape):
+    assert closed_form_digest(*shape) == CLOSED_FORM_SHAPE_DIGESTS[shape]
 
 
 def test_criterion_6_archive_hypervolume_monotone_over_seeds():
@@ -336,6 +355,7 @@ def test_criterion_9_simulate_seed_7_determinism(tmp_path):
     tree_a, tree_b = _tree(dir_a), _tree(dir_b)
     assert tree_a == tree_b
     assert json.loads(tree_a["manifest.json"])["artifacts"] == SEED_7_ARTIFACTS
+    assert json.loads(tree_a["manifest.json"])["status"] == "complete"
     assert {name: hashlib.sha256(tree_a[name]).hexdigest() for name in SEED_7_REPORT} == SEED_7_REPORT
 
     # concurrency must not perturb the result

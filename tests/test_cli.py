@@ -4,10 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from featgeo.cli import EXIT_INTEGRITY, EXIT_OK, EXIT_VALIDATION, run_cli
+from featgeo.cli import EXIT_ENGINE, EXIT_INTEGRITY, EXIT_OK, EXIT_VALIDATION, run_cli
 from featgeo.bundled import default_sim_config_path
 from featgeo.engine.live import ENV_CACHE_DIR
+from featgeo.engine.types import Role
+from featgeo.errors import EngineError
 from featgeo.pipeline import CandidateEvaluator
+from featgeo.sim import SimBackend
 
 
 @pytest.fixture()
@@ -301,6 +304,29 @@ def test_simulate_exits_with_validation_status_when_the_evaluator_returns_nan(
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert "non-finite objectives" in manifest["error"]
+
+
+@pytest.mark.parametrize("failing, status, code", [
+    (("rep1",), "degraded", EXIT_OK),
+    (("rep0", "rep1"), "failed", EXIT_ENGINE),
+])
+def test_simulate_prints_the_run_status_and_exits_by_it(tmp_path, small_config, monkeypatch, capsys,
+                                                          failing, status, code):
+    complete = SimBackend.complete
+
+    def failing_answers(self, request):
+        if request.role is Role.ANSWER_GEN and request.payload["salt"] in failing:
+            raise EngineError("answer backend down")
+        return complete(self, request)
+
+    monkeypatch.setattr(SimBackend, "complete", failing_answers)
+    out_dir = tmp_path / "run"
+    assert run_cli(["simulate", "--config", str(small_config), "--output-dir", str(out_dir)]) == code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == f"run {status}: {out_dir}"
+    assert "evaluations failed" in captured.err
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == status
+    assert run_cli(["report", str(out_dir), "--overwrite"]) == EXIT_OK
 
 
 def test_evolve_abort_from_an_internal_bug_propagates_as_itself(tmp_path, small_config, monkeypatch):

@@ -7,6 +7,7 @@ import socket
 import sys
 import threading
 import urllib.error
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +101,25 @@ def test_cache_persist_and_replay(tmp_path):
     # append-only: second put for the same digest does not duplicate
     cache.put("abc", Role.PAGE_GEN, response)
     assert len(path.read_text().splitlines()) == 1
+
+
+def test_cache_makes_its_missing_directory_once(tmp_path, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+
+    def counted_mkdir(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted_mkdir)
+    path = tmp_path / "new" / "cache.jsonl"
+    cache = ResponseCache(path)
+    for i in range(5):
+        cache.put(f"d{i}", Role.ANSWER_GEN, EngineResponse(f"reply {i}", 10, 5, True, 0.5))
+    assert made == [path.parent]
+    assert [r.text for r in map(ResponseCache(path).get, [f"d{i}" for i in range(5)])] == [
+        f"reply {i}" for i in range(5)
+    ]
 
 
 def filled_cache(path, digests):
@@ -422,6 +442,20 @@ def test_judge_quality_parses_seven_scores():
 def test_judge_quality_retries_on_six_scores_then_errors():
     client, backend = make_client([judge_reply([4, 4, 4, 4, 4, 4])])
     with pytest.raises(EngineError):
+        client.judge_quality("answer", "query")
+    assert len(backend.requests) == client.retry_limit
+
+
+def test_judge_quality_retries_a_non_finite_score_and_uses_the_next_valid_reply():
+    client, backend = make_client([judge_reply(["inf", 4, 4, 4, 4, 4, 4]), judge_reply([2, 3, 4, 5, 1, 2, 3])])
+    dims = client.judge_quality("answer", "query")
+    assert dims.content_scores() + dims.appeal_scores() == (2, 3, 4, 5, 1, 2, 3)
+    assert len(backend.requests) == 2
+
+
+def test_judge_quality_errors_after_the_retry_limit_on_non_finite_scores():
+    client, backend = make_client([judge_reply([4, 4, "1e400", 4, 4, 4, 4])])
+    with pytest.raises(EngineError, match="quality judging failed after 3 attempts"):
         client.judge_quality("answer", "query")
     assert len(backend.requests) == client.retry_limit
 

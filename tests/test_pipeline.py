@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -389,6 +390,59 @@ def test_a_failing_answer_fails_only_its_unit(tmp_path, workers):
         assert backend.calls.count(Role.JUDGE) == 4 * cfg.query_count * cfg.quality.repeats
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_non_finite_judge_scores_fail_only_their_unit(tmp_path, workers):
+    cfg = small_sim_config(tmp_path, judge_target="answer")
+    world = SimWorld(cfg.sim, CATALOG)
+
+    def answer(req):  # marks the answers of repeat 2, which only slot 0 has
+        text = SimBackend(world).complete(req).text
+        return text + " Marked." if req.payload["salt"] == "rep2" else text
+
+    def judge(req):
+        scores = SimBackend(world).complete(req).text
+        return re.sub(r"fluency: \d+", "fluency: inf", scores) if "Marked." in req.payload["text"] else scores
+
+    units = batch_units(midpoint_vector(CATALOG), [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)])
+    healthy = make_evaluator(cfg, SimBackend(world)).evaluate_batch(units)
+    backend = RoleScriptBackend(world, {Role.ANSWER_GEN: answer, Role.JUDGE: judge})
+    evaluator = make_evaluator(cfg, backend)
+    with ThreadPoolExecutor(workers) as pool:
+        evaluator.query_map = pool.map
+        objectives = evaluator.evaluate_batch(units)
+    assert objectives == healthy[:2] + [(0.0, 0.0)] + healthy[3:]
+    assert [m.failed for m in evaluator.metrics] == [False, False, True, False, False]
+    # The failed unit's first judge call was sent retry_limit times, then it stopped.
+    assert backend.calls.count(Role.JUDGE) == 4 * cfg.query_count + evaluator.client.retry_limit
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("failing, status", [
+    ((), "complete"),
+    (("rep1",), "degraded"),  # exactly half of the units failed
+    (("rep0", "rep1"), "failed"),
+])
+def test_run_status_follows_the_failed_evaluations(tmp_path, monkeypatch, workers, failing, status):
+    cfg = small_sim_config(tmp_path, eval_workers=workers)
+    world = SimWorld(cfg.sim, CATALOG)
+
+    def answer(req):
+        if req.payload["salt"] in failing:
+            raise EngineError("answer backend down")
+        return SimBackend(world).complete(req).text
+
+    run_against(monkeypatch, RoleScriptBackend(world, {Role.ANSWER_GEN: answer}))
+    record = run_optimization(cfg)
+    failed = sum(m.failed for m in record.eval_metrics)
+    assert failed == len(failing) * len(record.eval_metrics) // cfg.ga.repeats_per_eval
+    assert record.status == status
+    manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
+    assert manifest["status"] == status
+    expected_error = f"{failed} of {len(record.eval_metrics)} evaluations failed" if status == "failed" else None
+    assert manifest["error"] == expected_error
+    assert (cfg.output_dir / "report").is_dir()
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_a_failed_first_page_fails_only_that_repeat(tmp_path, monkeypatch, workers):
     cfg = small_sim_config(tmp_path, eval_workers=workers)
@@ -404,7 +458,7 @@ def test_a_failed_first_page_fails_only_that_repeat(tmp_path, monkeypatch, worke
 
     run_against(monkeypatch, RoleScriptBackend(world, {Role.PAGE_GEN: first_page_fails}))
     record = run_optimization(cfg)
-    assert record.status == "complete"  # the page accounting of _verify_run holds
+    assert record.status == "degraded"  # the page accounting of _verify_run holds
     failed = [m for m in record.eval_metrics if m.failed]
     assert [(m.generation, m.repeat) for m in failed] == [(0, 0)]
     slot = failed[0].slot
@@ -644,7 +698,7 @@ def test_run_survives_transient_candidate_failures(tmp_path, monkeypatch):
 
     run_against(monkeypatch, FlakyBackend(world))
     record = run_optimization(cfg)
-    assert record.status == "complete"
+    assert record.status == "degraded"
     assert any(m.failed for m in record.eval_metrics)
 
 

@@ -91,6 +91,14 @@ def test_from_raw_rounds_half_up_then_validates():
         QualityDimensions.from_raw({name: 5.6 for name in ALL_DIMENSIONS})
 
 
+@pytest.mark.parametrize("score", [float("inf"), float("-inf"), 1e400, float("nan")])
+def test_from_raw_rejects_a_non_finite_score_naming_its_dimension(score):
+    scores = {name: 3.0 for name in ALL_DIMENSIONS}
+    scores["credibility"] = score
+    with pytest.raises(ValidationError, match="'credibility' must be a finite score"):
+        QualityDimensions.from_raw(scores)
+
+
 def test_from_raw_requires_all_seven():
     partial = {name: 3 for name in ALL_DIMENSIONS[:-1]}
     with pytest.raises(ValidationError, match="influence"):

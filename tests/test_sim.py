@@ -17,6 +17,7 @@ from featgeo.features import (
     clamp,
     render_guidelines,
 )
+from featgeo.optimizer import GAConfig, evolve
 from featgeo.pipeline import RunConfig, load_documents, run_optimization
 from featgeo.quality import ALL_DIMENSIONS, QualityConfig, aggregate_quality
 from featgeo.sim import (
@@ -323,6 +324,39 @@ def test_direct_evaluator_equals_its_public_parts_exactly():
     for x in randoms + corners:
         quality = aggregate_quality(sim_quality_dims(x, world), QualityConfig()).value
         assert evaluate(x) == (100 * sim_propensity(x, world), quality)
+
+
+def test_evaluators_of_two_alphas_keep_their_own_quality_tables():
+    world = bundled_world()
+    cfgs = (QualityConfig(alpha=0.5), QualityConfig(alpha=0.8))
+    evaluators = [direct_evaluator(world, cfg) for cfg in cfgs]
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        x = clamp(FeatureVector(tuple(rng.uniform(0, 3, size=13))), CATALOG)
+        for evaluate, cfg in zip(evaluators, cfgs):  # alternately, on the same vector
+            assert evaluate(x)[1] == aggregate_quality(sim_quality_dims(x, world), cfg).value
+
+
+def test_closed_form_evolve_builds_each_distinct_quality_once(monkeypatch):
+    world = bundled_world()
+    built = []
+    aggregate = sim_module.aggregate_quality
+
+    def counted(dims, cfg):
+        built.append(dims)
+        return aggregate(dims, cfg)
+
+    monkeypatch.setattr(sim_module, "aggregate_quality", counted)  # the name perfbench hooks
+    evaluate, seen = direct_evaluator(world), set()
+
+    def recording(x, key):
+        seen.add(sim_quality_dims(x, world))
+        return evaluate(x, key)
+
+    cfg = GAConfig(population_size=16, generations=12, repeats_per_eval=1, seed=2024)
+    result = evolve(cfg, recording, list(world.config.competitor_vectors), CATALOG)
+    assert result.evaluations == 16 * 13
+    assert len(built) == len(set(built)) == len(seen)  # one build per distinct tuple, no more
 
 
 def test_scalar_quantization_matches_the_vectorized_one():
