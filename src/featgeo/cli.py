@@ -150,10 +150,12 @@ def _cmd_ablate(args) -> int:
     _check_run_dir(Path(cfg.output_dir), args.overwrite)
     # run_ablation rejects an unknown key, listing the known ones, before it runs anything.
     results = run_ablation_sweep(cfg) if args.all else [run_ablation(cfg, args.feature)]
-    print(f"{'feature':<28}{'base vis':>10}{'ablated':>10}{'delta':>10}")
+    print(f"{'feature':<28}{'base vis':>10}{'ablated':>10}{'delta':>10}  runs")
     for r in results:
-        print(f"{r.feature_key:<28}{r.baseline_vis:>10.2f}{r.ablated_vis:>10.2f}{r.delta:>+10.2f}")
-    return EXIT_OK
+        print(f"{r.feature_key:<28}{r.baseline_vis:>10.2f}{r.ablated_vis:>10.2f}{r.delta:>+10.2f}"
+              f"  {r.baseline_status}/{r.ablated_status}")
+    failed = any("failed" in (r.baseline_status, r.ablated_status) for r in results)
+    return EXIT_ENGINE if failed else EXIT_OK
 
 
 def _cmd_score(args) -> int:

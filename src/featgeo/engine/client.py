@@ -40,6 +40,10 @@ DEFAULT_RETRY_LIMIT = 3
 DEFAULT_MAX_ANSWER_DOCS = 6
 DEFAULT_THEME_DOC_COUNT = 5
 BRIEF_WORD_LIMIT = 200
+REASK_LINE = (
+    "Your previous {what} reply could not be parsed. This is attempt {attempt} of {limit}: "
+    "reply in exactly the format asked for above."
+)
 
 
 class EngineBackend(Protocol):
@@ -168,11 +172,17 @@ class EngineClient:
     ) -> T:
         """Complete until ``parse`` accepts a reply (it raises ValidationError or
         ValueError on one it rejects), at most ``retry_limit`` times. Attempt 0
-        sends ``salt``; attempt n sends ``{retry_prefix}attempt{n}``."""
+        sends ``salt`` and ``prompt``; attempt n sends ``{retry_prefix}attempt{n}``
+        and ``prompt`` plus a line that re-asks, so a live engine, which sees no
+        salt, is not sent the request that failed again."""
         reply = ""
         for attempt in range(self.retry_limit):
-            attempt_salt = f"{retry_prefix}attempt{attempt}" if attempt else salt
-            reply = self._complete(role, prompt, payload, attempt_salt)
+            attempt_salt, attempt_prompt = salt, prompt
+            if attempt:
+                attempt_salt = f"{retry_prefix}attempt{attempt}"
+                reask = REASK_LINE.format(what=what, attempt=attempt + 1, limit=self.retry_limit)
+                attempt_prompt = f"{prompt}\n\n{reask}"
+            reply = self._complete(role, attempt_prompt, payload, attempt_salt)
             try:
                 return parse(reply)
             except (ValidationError, ValueError) as exc:

@@ -6,14 +6,16 @@ Built on ``urllib.request``, which honours the standard proxy environment
 variables (``https_proxy``, ``http_proxy``, ``no_proxy``).
 
 Transient failures (HTTP 429, HTTP 5xx, timeouts, refused or reset
-connections) are retried with exponential backoff and full jitter: attempt n
-waits a uniform draw from [0, min(cap, base * 2**(n-1))], or the server's
-delta-seconds ``Retry-After`` up to the cap. Every retry resends the same
-request. Any other failure raises at once.
+connections, reply bodies cut short) are retried with exponential backoff and
+full jitter: attempt n waits a uniform draw from
+[0, min(cap, base * 2**(n-1))], or the server's delta-seconds ``Retry-After``
+up to the cap. Every retry resends the same request. Any other failure raises
+at once.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import random
@@ -138,9 +140,9 @@ class ChatCompletionBackend:
                 if not isinstance(exc.reason, OSError):
                     raise EngineError(f"engine HTTP request failed: {exc}") from exc
                 cause = exc
-            except (TimeoutError, ConnectionError) as exc:
+            except (TimeoutError, ConnectionError, http.client.IncompleteRead) as exc:
                 # socket.timeout is TimeoutError; http.client.RemoteDisconnected
-                # is a ConnectionResetError.
+                # is a ConnectionResetError; IncompleteRead is a body cut short.
                 cause = exc
             if attempt == MAX_ATTEMPTS:
                 raise EngineError(

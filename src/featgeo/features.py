@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub, truediv
+from operator import le, sub, truediv
 from typing import Mapping
 
 from .errors import ValidationError
@@ -237,11 +237,12 @@ def catalog_default() -> FeatureCatalog:
 def clamp(v: FeatureVector, c: FeatureCatalog) -> FeatureVector:
     """Project every value into its feature's [lo, hi] range. Idempotent: a
     vector already in range comes back as the same object."""
+    if all(map(le, c.lows, v.values)) and all(map(le, v.values, c.highs)):
+        return v  # no NaN or inf passes both comparisons
     if not all(map(math.isfinite, v.values)):
         value, feat = next((value, feat) for value, feat in zip(v.values, c) if not math.isfinite(value))
         raise ValidationError(f"non-finite value for feature {feat.key!r}: {value!r}")
-    clamped = tuple(map(min, map(max, v.values, c.lows), c.highs))
-    return v if clamped == v.values else FeatureVector(clamped)
+    return FeatureVector(tuple(map(min, map(max, v.values, c.lows), c.highs)))
 
 
 def tier_of(value: float) -> str:

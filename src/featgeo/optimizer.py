@@ -225,6 +225,11 @@ def _apply_frozen(values: list[float], frozen: Mapping[int, float] | None) -> li
     return values
 
 
+def _free(frozen: Mapping[int, float] | None) -> Sequence[int]:
+    """Feature indices that variation may change, ascending (the order of their draws)."""
+    return [i for i in range(13) if i not in frozen] if frozen else range(13)
+
+
 def seed_population(
     exemplar_vectors: Sequence[FeatureVector],
     cfg: GAConfig,
@@ -260,10 +265,9 @@ def uniform_crossover(
     if rng.random() >= cfg.crossover_prob:
         return a, b
     left, right = list(a.values), list(b.values)
-    for i in range(13):
-        if frozen and i in frozen:
-            continue
-        if rng.random() < 0.5:
+    free = _free(frozen)
+    for i, flip in zip(free, rng.random(len(free)).tolist()):
+        if flip < 0.5:
             left[i], right[i] = right[i], left[i]
     return FeatureVector(tuple(left)), FeatureVector(tuple(right))
 
@@ -274,11 +278,10 @@ def gaussian_mutate(
 ) -> FeatureVector:
     """Independent per-feature Gaussian perturbation on the raw scale, then clamp."""
     values = list(x.values)
-    for i in range(13):
-        if frozen and i in frozen:
-            continue
+    for i in _free(frozen):
         if rng.random() < cfg.mutation_prob:
-            values[i] += rng.normal(0.0, cfg.mutation_sigma)
+            # The double rng.normal(0.0, sigma) returns, without its per-call argument checks.
+            values[i] += cfg.mutation_sigma * rng.standard_normal()
     values = _apply_frozen(values, frozen)
     return clamp(FeatureVector(tuple(values)), catalog)
 
@@ -295,10 +298,10 @@ def _better(a: Individual, b: Individual) -> Individual:
 
 
 def _tournament(pop: Sequence[Individual], cfg: GAConfig, rng: np.random.Generator) -> Individual:
-    picks = rng.choice(len(pop), size=min(cfg.tournament_size, len(pop)), replace=False)
-    best = pop[int(picks[0])]
+    picks = rng.choice(len(pop), size=min(cfg.tournament_size, len(pop)), replace=False).tolist()
+    best = pop[picks[0]]
     for idx in picks[1:]:
-        best = _better(best, pop[int(idx)])
+        best = _better(best, pop[idx])
     return best
 
 

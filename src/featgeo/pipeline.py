@@ -235,6 +235,8 @@ class AblationResult:
     delta: float
     baseline_quality: float
     ablated_quality: float
+    baseline_status: str  # RunRecord.status of each run: complete, degraded or failed
+    ablated_status: str
 
     def __post_init__(self):
         if abs(self.delta - (self.baseline_vis - self.ablated_vis)) > 1e-9:
@@ -570,6 +572,8 @@ def run_ablation(
         delta=base_best.objectives[0] - abl_best.objectives[0],
         baseline_quality=base_best.objectives[1],
         ablated_quality=abl_best.objectives[1],
+        baseline_status=baseline.status,
+        ablated_status=ablated.status,
     )
 
 

@@ -208,24 +208,8 @@ def write_run_record(record: RunRecord, run_dir: Path) -> Path:
     }
     write_json(run_dir / FINALS_FILE, finals)
 
-    write_jsonl(
-        run_dir / METRICS_FILE,
-        (
-            {
-                "generation": m.generation,
-                "slot": m.slot,
-                "repeat": m.repeat,
-                "visibility": m.visibility,
-                "quality": m.quality,
-                "word": m.word,
-                "pos": m.pos,
-                "per_query_vis": list(m.per_query_vis),
-                "judge_scores": [list(d) for d in m.judge_scores],
-                "failed": m.failed,
-            }
-            for m in record.eval_metrics
-        ),
-    )
+    # A row's keys are EvalMetric's fields in declaration order; json writes tuples as lists.
+    write_jsonl(run_dir / METRICS_FILE, map(vars, record.eval_metrics))
 
     write_json(run_dir / COST_FILE, record.ledger.to_dict())
 

@@ -109,6 +109,23 @@ def test_ablate_single_feature_prints_delta(tmp_path, small_config, capsys):
     assert (tmp_path / "out" / "ablate_statistics_level" / "manifest.json").exists()
 
 
+def test_ablate_marks_failed_runs_and_exits_with_engine_status(tmp_path, small_config, monkeypatch, capsys):
+    complete = SimBackend.complete
+
+    def failing_answers(self, request):
+        if request.role is Role.ANSWER_GEN and request.payload["salt"] != "probe":
+            raise EngineError("answer backend down")
+        return complete(self, request)
+
+    monkeypatch.setattr(SimBackend, "complete", failing_answers)
+    code = run_cli(["ablate", "--config", str(small_config), "--feature", "statistics_level",
+                    "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_ENGINE
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[-1] == "runs"
+    assert row.split()[0] == "statistics_level" and row.split()[-1] == "failed/failed"
+
+
 def test_probe_writes_probe_file(tmp_path, small_config, capsys):
     out_dir = tmp_path / "probe_out"
     assert run_cli(["probe", "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_OK

@@ -607,6 +607,30 @@ def test_live_backend_retries_transient_faults(fault):
     assert len(opener.sent) == 2 and len(sleeps) == 1 and backend.transport_retries == 1
 
 
+def test_live_backend_resends_after_a_reply_body_cut_short():
+    class TruncatedReply(Reply):
+        def read(self, *args):
+            raise http.client.IncompleteRead(b'{"choices": [', 40)
+
+    backend, opener, sleeps = live_backend(TruncatedReply(HELLO), Reply(HELLO))
+    assert backend.complete(build_request(Role.ANSWER_GEN, "prompt")).text == "hello"
+    assert len(opener.sent) == 2 and len(sleeps) == 1 and backend.transport_retries == 1
+
+
+def test_parse_retries_re_ask_so_each_live_body_differs():
+    garbled = {"choices": [{"message": {"content": "no scores here"}}]}
+    backend, opener, _ = live_backend(Reply(garbled), Reply(garbled), Reply(garbled))
+    client = EngineClient(backend, CATALOG)
+    with pytest.raises(EngineError, match="quality judging failed after 3 attempts"):
+        client.judge_quality("answer", "query", salt="rep0")
+    prompts = [call["json"]["messages"][0]["content"] for call in opener.sent]
+    assert len(prompts) == 3 and len(set(prompts)) == 3
+    assert all(p.startswith(prompts[0]) for p in prompts)
+    assert "quality judging" in prompts[1] and "attempt 2 of 3" in prompts[1]
+    assert "attempt 3 of 3" in prompts[2]
+    assert backend.transport_retries == 0
+
+
 @pytest.mark.parametrize("retry_after, slept", [("7", 7.0), ("3600", live.BACKOFF_CAP_S)])
 def test_live_backend_waits_what_retry_after_says_up_to_the_cap(retry_after, slept):
     backend, _, sleeps = live_backend(http_error(429, retry_after), Reply(HELLO))

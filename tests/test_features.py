@@ -78,9 +78,11 @@ def test_clamp_projects_lower_bound_of_tiered_feature():
 
 def test_clamp_leaves_in_range_vector_unchanged():
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        v = random_vector(rng)
-        assert clamp(v, CATALOG) == v
+    vectors = [random_vector(rng) for _ in range(50)]
+    vectors += [FeatureVector(CATALOG.lows), FeatureVector(CATALOG.highs)]
+    vectors.append(FeatureVector(tuple(-0.0 if f.lo == 0.0 else f.lo for f in CATALOG)))
+    for v in vectors:
+        assert clamp(v, CATALOG) is v
 
 
 def test_clamp_is_idempotent_on_wild_vectors():
@@ -88,13 +90,19 @@ def test_clamp_is_idempotent_on_wild_vectors():
     for _ in range(200):
         v = FeatureVector(tuple(rng.uniform(-5, 8, size=13)))
         once = clamp(v, CATALOG)
+        assert once.values == tuple(min(max(x, f.lo), f.hi) for x, f in zip(v.values, CATALOG))
         assert clamp(once, CATALOG) == once
 
 
 def test_clamp_rejects_non_finite_and_names_the_feature():
-    v = midpoint_vector(CATALOG).replace(CATALOG.index_of("quotation_level"), float("nan"))
-    with pytest.raises(ValidationError, match="quotation_level"):
-        clamp(v, CATALOG)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        # The first non-finite feature is named, past an out-of-range one and before another NaN.
+        v = (midpoint_vector(CATALOG)
+             .replace(CATALOG.index_of("statistics_level"), 9.0)
+             .replace(CATALOG.index_of("quotation_level"), bad)
+             .replace(CATALOG.index_of("fluency_level"), float("nan")))
+        with pytest.raises(ValidationError, match="'quotation_level'"):
+            clamp(v, CATALOG)
 
 
 def test_tier_boundaries_split_range_in_three_equal_bands():

@@ -228,6 +228,60 @@ def test_mutation_respects_frozen_features():
         assert y[4] == 0.0
 
 
+def reference_crossover(a, b, cfg, rng, frozen=None):
+    """The per-index loop of scalar draws that uniform_crossover must match draw for draw."""
+    if rng.random() >= cfg.crossover_prob:
+        return a, b
+    left, right = list(a.values), list(b.values)
+    for i in range(13):
+        if frozen and i in frozen:
+            continue
+        if rng.random() < 0.5:
+            left[i], right[i] = right[i], left[i]
+    return FeatureVector(tuple(left)), FeatureVector(tuple(right))
+
+
+def reference_mutate(x, cfg, rng, frozen=None):
+    """The per-index loop with rng.normal that gaussian_mutate must match bit for bit."""
+    values = list(x.values)
+    for i in range(13):
+        if frozen and i in frozen:
+            continue
+        if rng.random() < cfg.mutation_prob:
+            values[i] += rng.normal(0.0, cfg.mutation_sigma)
+    for i, value in (frozen or {}).items():
+        values[i] = value
+    return FeatureVector(tuple(min(max(v, f.lo), f.hi) for v, f in zip(values, CATALOG)))
+
+
+@pytest.mark.parametrize("frozen", [None, {}, {4: 0.0, 11: 1.0}, dict(enumerate(CATALOG.lows))])
+def test_variation_matches_the_scalar_loop_draw_for_draw(frozen):
+    source = np.random.default_rng(10)
+    vectors = [FeatureVector(tuple(source.uniform(f.lo - 0.5, f.hi + 0.5) for f in CATALOG)) for _ in range(40)]
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    cfg = cfg_with(mutation_prob=0.5, crossover_prob=0.9)
+    for a, b in zip(vectors, vectors[1:]):
+        assert uniform_crossover(a, b, cfg, rng, frozen) == reference_crossover(a, b, cfg, ref, frozen)
+        assert gaussian_mutate(a, cfg, CATALOG, rng, frozen) == reference_mutate(a, cfg, ref, frozen)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2005])
+@pytest.mark.parametrize("sigma", [0.2, 0.05, 1.7])
+def test_scaled_standard_normal_equals_normal_bit_for_bit(seed, sigma):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2000):
+        assert (sigma * a.standard_normal()).hex() == b.normal(0.0, sigma).hex()
+
+
+@pytest.mark.parametrize("k", [0, 1, 12, 13])
+def test_a_vector_of_uniform_draws_equals_as_many_scalar_draws(k):
+    a, b = np.random.default_rng(k), np.random.default_rng(k)
+    for _ in range(200):
+        assert a.random(k).tolist() == [b.random() for _ in range(k)]
+    assert a.random() == b.random()
+
+
 # -- hypervolume -------------------------------------------------------------------------
 
 
