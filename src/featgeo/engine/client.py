@@ -37,8 +37,6 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
 DEFAULT_RETRY_LIMIT = 3
-DEFAULT_MAX_ANSWER_DOCS = 6
-DEFAULT_THEME_DOC_COUNT = 5
 BRIEF_WORD_LIMIT = 200
 REASK_LINE = (
     "Your previous {what} reply could not be parsed. This is attempt {attempt} of {limit}: "
@@ -108,8 +106,6 @@ class EngineClient:
         ledger: CostLedger | None = None,
         salt: str = "",
         retry_limit: int = DEFAULT_RETRY_LIMIT,
-        max_answer_docs: int = DEFAULT_MAX_ANSWER_DOCS,
-        theme_doc_count: int = DEFAULT_THEME_DOC_COUNT,
     ):
         self.backend = backend
         self.catalog = catalog
@@ -117,8 +113,6 @@ class EngineClient:
         self.ledger = ledger if ledger is not None else CostLedger()
         self.salt = salt
         self.retry_limit = retry_limit
-        self.max_answer_docs = max_answer_docs
-        self.theme_doc_count = theme_doc_count
         self.stage = Stage.FEATURE_EXTRACTION
         self._key_locks: dict[str, threading.Lock] = {}  # one per cache key asked for
         self._key_locks_lock = threading.Lock()
@@ -168,18 +162,18 @@ class EngineClient:
 
     def _complete_parsed(
         self, what: str, role: Role, prompt: str, payload: dict, parse: Callable[[str], T],
-        *, salt: str = "", retry_prefix: str = "",
+        *, salt: str = "",
     ) -> T:
         """Complete until ``parse`` accepts a reply (it raises ValidationError or
         ValueError on one it rejects), at most ``retry_limit`` times. Attempt 0
-        sends ``salt`` and ``prompt``; attempt n sends ``{retry_prefix}attempt{n}``
-        and ``prompt`` plus a line that re-asks, so a live engine, which sees no
-        salt, is not sent the request that failed again."""
+        sends ``salt`` and ``prompt``; attempt n sends ``{salt}|attempt{n}`` (just
+        ``attempt{n}`` without a salt) and ``prompt`` plus a line that re-asks, so
+        a live engine, which sees no salt, is not sent the request that failed again."""
         reply = ""
         for attempt in range(self.retry_limit):
             attempt_salt, attempt_prompt = salt, prompt
             if attempt:
-                attempt_salt = f"{retry_prefix}attempt{attempt}"
+                attempt_salt = f"{salt}|attempt{attempt}" if salt else f"attempt{attempt}"
                 reask = REASK_LINE.format(what=what, attempt=attempt + 1, limit=self.retry_limit)
                 attempt_prompt = f"{prompt}\n\n{reask}"
             reply = self._complete(role, attempt_prompt, payload, attempt_salt)
@@ -223,10 +217,6 @@ class EngineClient:
 
     def extract_theme(self, docs: Sequence[SourceDocument], topic: str) -> TopicBrief:
         """Derive an ad-strategy brief from the competitor document set."""
-        if len(docs) != self.theme_doc_count:
-            raise ValidationError(
-                f"theme extraction expects exactly {self.theme_doc_count} documents, got {len(docs)}"
-            )
         prompt = render_prompt(
             Role.THEME_EXTRACT, doc_count=str(len(docs)), docs_text=format_source_documents(docs)
         )
@@ -238,17 +228,16 @@ class EngineClient:
             logger.warning("ad strategy brief exceeds %d words (soft limit)", BRIEF_WORD_LIMIT)
         return TopicBrief(topic=topic, strategy_text=strategy)
 
-    def extract_features(self, page: SourceDocument, catalog: FeatureCatalog | None = None) -> FeatureVector:
+    def extract_features(self, page: SourceDocument) -> FeatureVector:
         """Rate a page along the 13 catalog features; replies are clamped into range."""
-        catalog = catalog or self.catalog
         prompt = render_prompt(
             Role.FEATURE_EXTRACT,
-            feature_definitions=format_feature_definitions(catalog),
+            feature_definitions=format_feature_definitions(self.catalog),
             page_text=page.text,
         )
         return self._complete_parsed(
             "feature extraction", Role.FEATURE_EXTRACT, prompt, {"doc": page},
-            lambda reply: vector_from_mapping(_parse_numbers(reply, catalog.keys()), catalog, lenient=True),
+            lambda reply: vector_from_mapping(_parse_numbers(reply, self.catalog.keys()), self.catalog),
         )
 
     def generate_page(self, brief: TopicBrief, guidelines: GuidelineBlock, salt: str = "") -> str:
@@ -260,17 +249,15 @@ class EngineClient:
         )
         return self._complete_parsed(
             "page generation", Role.PAGE_GEN, prompt, {"brief": brief, "guidelines": guidelines},
-            _non_empty, salt=salt, retry_prefix=f"{salt}|" if salt else "",
+            _non_empty, salt=salt,
         )
 
     def answer_query(self, query: str, docs: Sequence[SourceDocument], salt: str = "") -> str:
         """Synthesize a cited answer for a query over the given sources."""
         if not query.strip():
             raise ValidationError("query must be non-empty")
-        if not 1 <= len(docs) <= self.max_answer_docs:
-            raise ValidationError(
-                f"answer generation expects 1..{self.max_answer_docs} documents, got {len(docs)}"
-            )
+        if not docs:
+            raise ValidationError("answer generation needs at least one document")
         ids = [d.id for d in docs]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"document ids must be unique, got {ids}")
@@ -289,5 +276,5 @@ class EngineClient:
         return self._complete_parsed(
             "quality judging", Role.JUDGE, prompt, {"text": answer_or_page, "query": query},
             lambda reply: QualityDimensions.from_raw(_parse_numbers(reply, ALL_DIMENSIONS)),
-            salt=salt, retry_prefix=f"{salt}|",
+            salt=salt,
         )

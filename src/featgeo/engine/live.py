@@ -6,11 +6,11 @@ Built on ``urllib.request``, which honours the standard proxy environment
 variables (``https_proxy``, ``http_proxy``, ``no_proxy``).
 
 Transient failures (HTTP 429, HTTP 5xx, timeouts, refused or reset
-connections, reply bodies cut short) are retried with exponential backoff and
-full jitter: attempt n waits a uniform draw from
-[0, min(cap, base * 2**(n-1))], or the server's delta-seconds ``Retry-After``
-up to the cap. Every retry resends the same request. Any other failure raises
-at once.
+connections, reply bodies cut short, garbled or overlong status and header
+lines) are retried with exponential backoff and full jitter: attempt n waits a
+uniform draw from [0, min(cap, base * 2**(n-1))], or the server's delta-seconds
+``Retry-After`` up to the cap. Every retry resends the same request. Any other
+failure raises at once.
 """
 
 from __future__ import annotations
@@ -26,14 +26,19 @@ import urllib.request
 from typing import Any, Callable, Mapping
 
 from ..errors import EngineError, ValidationError
-from .types import EngineRequest, EngineResponse, estimate_tokens
+from .types import EngineRequest, EngineResponse, Role, estimate_tokens
 
 ENV_BASE_URL = "FEATGEO_ENGINE_BASE_URL"
 ENV_MODEL = "FEATGEO_ENGINE_MODEL"
 ENV_API_KEY = "FEATGEO_ENGINE_API_KEY"
 ENV_CACHE_DIR = "FEATGEO_CACHE_DIR"
 
-_TEMPERATURES = {"deterministic": 0.0, "balanced": 0.4, "creative": 0.8}
+# Sampling temperature per role: creative for writing, none for extraction and judging.
+_TEMPERATURES = {
+    Role.QUERY_GEN: 0.8, Role.PAGE_GEN: 0.8,
+    Role.THEME_EXTRACT: 0.4, Role.ANSWER_GEN: 0.4,
+    Role.FEATURE_EXTRACT: 0.0, Role.JUDGE: 0.0,
+}
 
 MAX_ATTEMPTS = 5  # sends per request, the first one included
 BACKOFF_BASE_S = 0.5
@@ -90,7 +95,7 @@ class ChatCompletionBackend:
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": _TEMPERATURES.get(request.temperature_tag, 0.4),
+            "temperature": _TEMPERATURES[request.role],
         }
         http_request = urllib.request.Request(
             f"{self.base_url}/chat/completions",
@@ -140,9 +145,13 @@ class ChatCompletionBackend:
                 if not isinstance(exc.reason, OSError):
                     raise EngineError(f"engine HTTP request failed: {exc}") from exc
                 cause = exc
-            except (TimeoutError, ConnectionError, http.client.IncompleteRead) as exc:
+            except (
+                TimeoutError, ConnectionError,
+                http.client.IncompleteRead, http.client.BadStatusLine, http.client.LineTooLong,
+            ) as exc:
                 # socket.timeout is TimeoutError; http.client.RemoteDisconnected
-                # is a ConnectionResetError; IncompleteRead is a body cut short.
+                # is a ConnectionResetError; IncompleteRead is a body cut short;
+                # BadStatusLine and LineTooLong are a garbled reply head.
                 cause = exc
             if attempt == MAX_ATTEMPTS:
                 raise EngineError(

@@ -29,17 +29,6 @@ class Stage(str, Enum):
     GA_OPTIMIZATION = "GA Optimization"
 
 
-# Sampling posture per role; the live transport maps tags to temperatures.
-TEMPERATURE_TAGS: dict[Role, str] = {
-    Role.QUERY_GEN: "creative",
-    Role.THEME_EXTRACT: "balanced",
-    Role.FEATURE_EXTRACT: "deterministic",
-    Role.PAGE_GEN: "creative",
-    Role.ANSWER_GEN: "balanced",
-    Role.JUDGE: "deterministic",
-}
-
-
 def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -66,7 +55,6 @@ class EngineRequest:
 
     role: Role
     prompt: str
-    temperature_tag: str
     cache_key: str
     payload: Mapping[str, Any] | None = field(default=None, compare=False, repr=False)
 
@@ -79,7 +67,7 @@ def build_request(
     role: Role, prompt: str, salt: str = "", payload: Mapping[str, Any] | None = None
 ) -> EngineRequest:
     cache_key = text_digest(f"{role.value}\x1f{salt}\x1f{prompt}")
-    return EngineRequest(role, prompt, TEMPERATURE_TAGS[role], cache_key, payload)
+    return EngineRequest(role, prompt, cache_key, payload)
 
 
 @dataclass(frozen=True)
@@ -114,8 +102,7 @@ class EngineResponse:
 
 ORIGIN_RETRIEVED = "retrieved"
 ORIGIN_ADVERTISER = "advertiser"
-ORIGIN_GENERATED = "generated"
-_ORIGINS = (ORIGIN_RETRIEVED, ORIGIN_ADVERTISER, ORIGIN_GENERATED)
+_ORIGINS = (ORIGIN_RETRIEVED, ORIGIN_ADVERTISER)
 
 
 @dataclass(frozen=True)

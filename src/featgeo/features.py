@@ -285,14 +285,11 @@ def render_guidelines(v: FeatureVector, c: FeatureCatalog) -> GuidelineBlock:
     return GuidelineBlock(tuple(lines), tuple(layers))
 
 
-def vector_from_mapping(
-    record: Mapping[str, float], c: FeatureCatalog, lenient: bool = False
-) -> FeatureVector:
+def vector_from_mapping(record: Mapping[str, float], c: FeatureCatalog) -> FeatureVector:
     """Build a vector from a key-value record over exactly the 13 catalog keys.
 
-    Out-of-range values raise unless ``lenient``, in which case they are
-    clamped into range by :func:`clamp` and listed in one WARNING log line.
-    Missing or unknown keys always raise.
+    Out-of-range values are clamped into range by :func:`clamp` and listed in
+    one WARNING log line. Missing or unknown keys and non-finite values raise.
     """
     known = set(c.keys())
     got = set(record)
@@ -316,8 +313,6 @@ def vector_from_mapping(
             violations.append(f"{feat.key}={value!r} outside [{feat.lo}, {feat.hi}]")
         values.append(value)
     if violations:
-        if not lenient:
-            raise ValidationError("out-of-range feature values: " + "; ".join(violations))
         logger.warning("clamped out-of-range feature values: %s", "; ".join(violations))
     return clamp(FeatureVector(tuple(values)), c)
 
@@ -327,7 +322,7 @@ def encode_vector(v: FeatureVector, c: FeatureCatalog) -> str:
     return json.dumps({feat.key: value for feat, value in zip(c, v.values)})
 
 
-def decode_vector(text: str, c: FeatureCatalog, lenient: bool = False) -> FeatureVector:
+def decode_vector(text: str, c: FeatureCatalog) -> FeatureVector:
     """Parse a key-value JSON record back into a vector; inverse of encode_vector."""
     try:
         record = json.loads(text)
@@ -335,7 +330,7 @@ def decode_vector(text: str, c: FeatureCatalog, lenient: bool = False) -> Featur
         raise ValidationError(f"vector record is not valid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise ValidationError("vector record must be a JSON object")
-    return vector_from_mapping(record, c, lenient=lenient)
+    return vector_from_mapping(record, c)
 
 
 def normalized_values(v: FeatureVector, c: FeatureCatalog) -> tuple[float, ...]:

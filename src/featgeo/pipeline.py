@@ -52,7 +52,7 @@ from .optimizer import (
     evolve,
     select_final,
 )
-from .quality import QualityConfig, aggregate_quality, average_quality
+from .quality import QualityConfig, aggregate_quality
 from .records import EvalMetric, ProbeResult, RunRecord
 from .sim import SimBackend, SimConfig, SimWorld
 
@@ -232,15 +232,14 @@ class AblationResult:
     feature_key: str
     baseline_vis: float
     ablated_vis: float
-    delta: float
     baseline_quality: float
     ablated_quality: float
     baseline_status: str  # RunRecord.status of each run: complete, degraded or failed
     ablated_status: str
 
-    def __post_init__(self):
-        if abs(self.delta - (self.baseline_vis - self.ablated_vis)) > 1e-9:
-            raise ValidationError("ablation delta must equal baseline minus ablated visibility")
+    @property
+    def delta(self) -> float:
+        return self.baseline_vis - self.ablated_vis
 
 
 def load_documents(paths: Sequence[Path]) -> list[SourceDocument]:
@@ -271,20 +270,14 @@ def build_client(cfg: RunConfig, catalog: FeatureCatalog) -> EngineClient:
         cache=cache,
         ledger=CostLedger(),
         salt=cfg.salt,
-        theme_doc_count=len(cfg.competitor_docs),
-        max_answer_docs=len(cfg.competitor_docs) + 1,
     )
 
 
-def probe_topic(
-    cfg: RunConfig, client: EngineClient, docs: Sequence[SourceDocument] | None = None
-) -> ProbeResult:
+def probe_topic(cfg: RunConfig, client: EngineClient, docs: Sequence[SourceDocument]) -> ProbeResult:
     """Probe the topic: queries, per-source citation frequencies, exemplar vectors.
 
     All costs book to the feature-extraction stage.
     """
-    if docs is None:
-        docs = load_documents(cfg.competitor_docs)
     client.set_stage(Stage.FEATURE_EXTRACTION)
     brief = client.extract_theme(docs, cfg.topic)
     queries = client.generate_queries(brief, cfg.query_count)
@@ -445,7 +438,7 @@ class CandidateEvaluator:
         ]
         scores = [aggregate_quality(d, self.cfg.quality) for d in dims]
         raw = tuple(tuple(d.content_scores() + d.appeal_scores()) for d in dims)
-        return average_quality(scores).value, raw
+        return sum(scores) / len(scores), raw
 
 
 def _to_json(value: Any) -> Any:
@@ -569,7 +562,6 @@ def run_ablation(
         feature_key=feature_key,
         baseline_vis=base_best.objectives[0],
         ablated_vis=abl_best.objectives[0],
-        delta=base_best.objectives[0] - abl_best.objectives[0],
         baseline_quality=base_best.objectives[1],
         ablated_quality=abl_best.objectives[1],
         baseline_status=baseline.status,

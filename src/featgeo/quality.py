@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import ValidationError
 from .features import round_half_up
@@ -73,46 +73,12 @@ class QualityConfig:
             raise ValidationError(f"repeats must be >= 1, got {self.repeats}")
 
 
-@dataclass(frozen=True)
-class QualityScore:
-    """Blended quality percent plus its content/appeal parts."""
-
-    value: float
-    content_part: float
-    appeal_part: float
-    alpha: float
-
-    def __post_init__(self):
-        expected = self.alpha * self.content_part + (1.0 - self.alpha) * self.appeal_part
-        if abs(self.value - expected) > 1e-9:
-            raise ValidationError(
-                f"quality value {self.value} inconsistent with parts (expected {expected})"
-            )
-
-
 def _normalize(score: int) -> float:
     return (score - 1) / 4.0
 
 
-def aggregate_quality(d: QualityDimensions, cfg: QualityConfig) -> QualityScore:
+def aggregate_quality(d: QualityDimensions, cfg: QualityConfig) -> float:
     """Blend normalized content and appeal means into a percent score."""
     content_part = 100.0 * sum(_normalize(s) for s in d.content_scores()) / len(CONTENT_DIMENSIONS)
     appeal_part = 100.0 * sum(_normalize(s) for s in d.appeal_scores()) / len(APPEAL_DIMENSIONS)
-    value = cfg.alpha * content_part + (1.0 - cfg.alpha) * appeal_part
-    return QualityScore(value, content_part, appeal_part, cfg.alpha)
-
-
-def average_quality(scores: Sequence[QualityScore]) -> QualityScore:
-    """Arithmetic mean of quality scores sharing the same alpha."""
-    if not scores:
-        raise ValidationError("cannot average an empty list of quality scores")
-    alpha = scores[0].alpha
-    if any(s.alpha != alpha for s in scores):
-        raise ValidationError("cannot average quality scores computed under different alphas")
-    n = len(scores)
-    return QualityScore(
-        value=sum(s.value for s in scores) / n,
-        content_part=sum(s.content_part for s in scores) / n,
-        appeal_part=sum(s.appeal_part for s in scores) / n,
-        alpha=alpha,
-    )
+    return cfg.alpha * content_part + (1.0 - cfg.alpha) * appeal_part

@@ -174,8 +174,12 @@ def write_run_record(record: RunRecord, run_dir: Path) -> Path:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
+    written = RECORD_FILES
     if record.probe is not None:
         write_json(run_dir / PROBE_FILE, probe_to_dict(record.probe, catalog))
+    else:  # a run that failed before its probe leaves no earlier run's probe behind
+        (run_dir / PROBE_FILE).unlink(missing_ok=True)
+        written = tuple(name for name in RECORD_FILES if name != PROBE_FILE)
 
     write_jsonl(
         run_dir / GENERATIONS_FILE,
@@ -213,7 +217,7 @@ def write_run_record(record: RunRecord, run_dir: Path) -> Path:
 
     write_json(run_dir / COST_FILE, record.ledger.to_dict())
 
-    artifacts = {name: file_digest(run_dir / name) for name in RECORD_FILES if (run_dir / name).exists()}
+    artifacts = {name: file_digest(run_dir / name) for name in written}
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "status": record.status,

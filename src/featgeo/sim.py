@@ -164,7 +164,7 @@ def extract_profile(text: str, catalog: FeatureCatalog) -> FeatureVector | None:
     for line in text.splitlines():
         stripped = line.strip()
         if stripped.startswith(PROFILE_MARKER):
-            return decode_vector(stripped[len(PROFILE_MARKER):].strip(), catalog, lenient=True)
+            return decode_vector(stripped[len(PROFILE_MARKER):].strip(), catalog)
     return None
 
 
@@ -203,14 +203,9 @@ def _dim_ints(base: float) -> tuple[int, ...]:
     return tuple([math.floor(min(max(v + o + 0.5, 1.0), 5.0)) for o in _DIMENSION_OFFSETS])
 
 
-def _dims_of(base: float) -> QualityDimensions:
-    """The seven quality dimensions of one quality base."""
-    return QualityDimensions(*_dim_ints(base))
-
-
 def sim_quality_dims(x: FeatureVector, w: SimWorld) -> QualityDimensions:
     """Deterministic judge ground truth for a page with latent vector x."""
-    return _dims_of(_propensity_and_base(x, w)[1])
+    return QualityDimensions(*_dim_ints(_propensity_and_base(x, w)[1]))
 
 
 def _docs_digest(docs: Sequence[SourceDocument]) -> str:
@@ -334,7 +329,8 @@ def direct_evaluator(w: SimWorld, quality_cfg: QualityConfig | None = None):
     step up one at a time as the base grows (4 steps each, at staggered
     offsets), so at most 29 distinct tuples exist. Each evaluator keeps its
     own table from a tuple to its quality percent: every distinct tuple is
-    built and checked once, by ``aggregate_quality``, and then looked up.
+    checked by ``QualityDimensions`` and blended by ``aggregate_quality``
+    once, and then looked up.
     """
     quality_cfg = quality_cfg or QualityConfig()
     quality_of: dict[tuple[int, ...], float] = {}
@@ -344,7 +340,7 @@ def direct_evaluator(w: SimWorld, quality_cfg: QualityConfig | None = None):
         dims = _dim_ints(base)
         quality = quality_of.get(dims)
         if quality is None:
-            quality = quality_of[dims] = aggregate_quality(QualityDimensions(*dims), quality_cfg).value
+            quality = quality_of[dims] = aggregate_quality(QualityDimensions(*dims), quality_cfg)
         return 100.0 * propensity, quality
 
     return evaluate

@@ -77,14 +77,15 @@ def test_criterion_2_quality_aggregation_exactness():
     score = aggregate_quality(
         QualityDimensions(3, 4, 4, 5, 2, 3, 4), QualityConfig(alpha=0.5)
     )
-    assert abs(score.value - 62.5) <= 1e-9
+    assert abs(score - 62.5) <= 1e-9
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         dims = QualityDimensions(*(int(s) for s in rng.integers(1, 6, size=7)))
-        appeal_only = aggregate_quality(dims, QualityConfig(alpha=0.0))
-        content_only = aggregate_quality(dims, QualityConfig(alpha=1.0))
-        assert appeal_only.value == appeal_only.appeal_part
-        assert content_only.value == content_only.content_part
+        # Group means in percent by hand: 100 * mean((s - 1) / 4) over each group.
+        appeal_mean = 25.0 * (sum(dims.appeal_scores()) - 3) / 3
+        content_mean = 25.0 * (sum(dims.content_scores()) - 4) / 4
+        assert aggregate_quality(dims, QualityConfig(alpha=0.0)) == appeal_mean
+        assert aggregate_quality(dims, QualityConfig(alpha=1.0)) == content_mean
     ok(2, "hand case 62.5 exact to 1e-9; alpha edge identities on 1000 random sets")
 
 

@@ -204,24 +204,22 @@ def test_decode_rejects_unknown_key():
         vector_from_mapping(record, CATALOG)
 
 
-def test_decode_reports_out_of_range_then_clamps_only_when_lenient():
+def test_decode_clamps_out_of_range_values():
     record = {f.key: (f.lo + f.hi) / 2 for f in CATALOG}
     record["statistics_level"] = 5.0
-    with pytest.raises(ValidationError, match="statistics_level"):
-        vector_from_mapping(record, CATALOG)
-    v = vector_from_mapping(record, CATALOG, lenient=True)
+    v = vector_from_mapping(record, CATALOG)
     assert v[CATALOG.index_of("statistics_level")] == 3.0
 
 
-def test_lenient_decode_logs_one_warning_naming_every_clamped_value(caplog):
+def test_decode_logs_one_warning_naming_every_clamped_value(caplog):
     record = {f.key: (f.lo + f.hi) / 2 for f in CATALOG}
     with caplog.at_level(logging.WARNING, logger="featgeo.features"):
-        vector_from_mapping(record, CATALOG, lenient=True)
+        vector_from_mapping(record, CATALOG)
     assert caplog.records == []
     record["statistics_level"] = 5.0
     record["has_intro_summary"] = -1.0
     with caplog.at_level(logging.WARNING, logger="featgeo.features"):
-        vector_from_mapping(record, CATALOG, lenient=True)
+        vector_from_mapping(record, CATALOG)
     [entry] = caplog.records
     assert entry.levelno == logging.WARNING
     assert "statistics_level=5.0" in entry.getMessage()

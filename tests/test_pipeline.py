@@ -13,6 +13,7 @@ import pytest
 
 from conftest import midpoint_vector
 import featgeo.pipeline as pipeline_module
+import featgeo.records as records
 from featgeo.bundled import default_sim_config_path
 from featgeo.engine.cache import ResponseCache
 from featgeo.engine.client import EngineClient
@@ -249,14 +250,12 @@ def run_against(monkeypatch, backend):
     """Make run_optimization build its client around ``backend``."""
     monkeypatch.setattr(
         pipeline_module, "build_client",
-        lambda c, cat: EngineClient(backend, cat, max_answer_docs=len(c.competitor_docs) + 1,
-                                    theme_doc_count=len(c.competitor_docs)),
+        lambda c, cat: EngineClient(backend, cat),
     )
 
 
 def make_evaluator(cfg, backend):
-    client = EngineClient(backend, CATALOG, max_answer_docs=len(cfg.competitor_docs) + 1,
-                          theme_doc_count=len(cfg.competitor_docs))
+    client = EngineClient(backend, CATALOG)
     docs = load_documents(cfg.competitor_docs)
     return CandidateEvaluator(cfg, client, manual_probe(), docs, CATALOG)
 
@@ -351,8 +350,7 @@ def test_regenerate_flag_realizes_each_repeat(tmp_path):
 def test_regenerated_pages_are_not_replayed_from_the_cache(tmp_path):
     cfg = small_sim_config(tmp_path, regenerate_page_per_repeat=True)
     client = EngineClient(SimBackend(SimWorld(cfg.sim, CATALOG)), CATALOG,
-                          cache=ResponseCache(tmp_path / "responses.jsonl"),
-                          max_answer_docs=len(cfg.competitor_docs) + 1)
+                          cache=ResponseCache(tmp_path / "responses.jsonl"))
     evaluator = CandidateEvaluator(cfg, client, manual_probe(), load_documents(cfg.competitor_docs), CATALOG)
     evaluator.evaluate_batch([(midpoint_vector(CATALOG), (0, 0, rep)) for rep in range(3)])
     assert client.ledger.role_calls(Role.PAGE_GEN) == 3  # live calls
@@ -476,8 +474,7 @@ def test_identical_requests_in_flight_make_one_call(tmp_path):
             return super().complete(request)
 
     cache = ResponseCache(tmp_path / "responses.jsonl")
-    client = EngineClient(SlowPages(world), CATALOG, cache=cache,
-                          max_answer_docs=len(cfg.competitor_docs) + 1)
+    client = EngineClient(SlowPages(world), CATALOG, cache=cache)
     docs = load_documents(cfg.competitor_docs)
     with ThreadPoolExecutor(2) as pool:
         evaluator = CandidateEvaluator(cfg, client, manual_probe(), docs, CATALOG, pool.map)
@@ -734,6 +731,21 @@ def test_failed_run_persists_partial_record(tmp_path):
     manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"]
+
+
+def test_failed_rerun_lists_only_its_own_files(tmp_path):
+    cfg = small_sim_config(tmp_path)
+    assert run_optimization(cfg).status == "complete"
+    assert (cfg.output_dir / records.PROBE_FILE).exists()
+    cfg.competitor_docs[-1].write_text("")  # the rerun fails before it probes
+    with pytest.raises(ValidationError):
+        run_optimization(cfg)
+    manifest = json.loads((cfg.output_dir / records.MANIFEST_FILE).read_text())
+    assert manifest["status"] == "failed"
+    assert not (cfg.output_dir / records.PROBE_FILE).exists()
+    assert list(manifest["artifacts"]) == [n for n in records.RECORD_FILES if n != records.PROBE_FILE]
+    for name, digest in manifest["artifacts"].items():
+        assert records.file_digest(cfg.output_dir / name) == digest, name
 
 
 # -- ablation -------------------------------------------------------------------------

@@ -6,9 +6,7 @@ from featgeo.quality import (
     ALL_DIMENSIONS,
     QualityConfig,
     QualityDimensions,
-    QualityScore,
     aggregate_quality,
-    average_quality,
 )
 
 
@@ -16,33 +14,41 @@ def dims(content, appeal):
     return QualityDimensions(*content, *appeal)
 
 
+def content_mean(d):
+    """Content group mean in percent, by hand: 100 * mean((s - 1) / 4) over four scores."""
+    return 25.0 * (sum(d.content_scores()) - 4) / 4
+
+
+def appeal_mean(d):
+    """Appeal group mean in percent, by hand: 100 * mean((s - 1) / 4) over three scores."""
+    return 25.0 * (sum(d.appeal_scores()) - 3) / 3
+
+
 def random_dims(rng):
     return QualityDimensions(*(int(s) for s in rng.integers(1, 6, size=7)))
 
 
 def test_hand_derived_blend():
-    score = aggregate_quality(dims((3, 4, 4, 5), (2, 3, 4)), QualityConfig(alpha=0.5))
-    assert score.content_part == pytest.approx(75.0, abs=1e-9)
-    assert score.appeal_part == pytest.approx(50.0, abs=1e-9)
-    assert score.value == pytest.approx(62.5, abs=1e-9)
+    d = dims((3, 4, 4, 5), (2, 3, 4))
+    assert content_mean(d) == aggregate_quality(d, QualityConfig(alpha=1.0)) == 75.0
+    assert appeal_mean(d) == aggregate_quality(d, QualityConfig(alpha=0.0)) == 50.0
+    assert aggregate_quality(d, QualityConfig(alpha=0.5)) == pytest.approx(62.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.9, 1.0])
 def test_extremes_for_any_alpha(alpha):
     top = aggregate_quality(dims((5, 5, 5, 5), (5, 5, 5)), QualityConfig(alpha=alpha))
     bottom = aggregate_quality(dims((1, 1, 1, 1), (1, 1, 1)), QualityConfig(alpha=alpha))
-    assert top.value == pytest.approx(100.0, abs=1e-9)
-    assert bottom.value == pytest.approx(0.0, abs=1e-9)
+    assert top == pytest.approx(100.0, abs=1e-9)
+    assert bottom == pytest.approx(0.0, abs=1e-9)
 
 
 def test_alpha_edge_identities():
     rng = np.random.default_rng(10)
     for _ in range(200):
         d = random_dims(rng)
-        content_only = aggregate_quality(d, QualityConfig(alpha=1.0))
-        appeal_only = aggregate_quality(d, QualityConfig(alpha=0.0))
-        assert content_only.value == pytest.approx(content_only.content_part, abs=1e-12)
-        assert appeal_only.value == pytest.approx(appeal_only.appeal_part, abs=1e-12)
+        assert aggregate_quality(d, QualityConfig(alpha=1.0)) == content_mean(d)
+        assert aggregate_quality(d, QualityConfig(alpha=0.0)) == appeal_mean(d)
 
 
 def test_monotone_in_every_dimension():
@@ -50,7 +56,7 @@ def test_monotone_in_every_dimension():
     cfg = QualityConfig(alpha=0.4)
     for _ in range(100):
         base = random_dims(rng)
-        value = aggregate_quality(base, cfg).value
+        value = aggregate_quality(base, cfg)
         for name in ALL_DIMENSIONS:
             score = getattr(base, name)
             if score == 5:
@@ -58,7 +64,7 @@ def test_monotone_in_every_dimension():
             bumped = QualityDimensions(
                 **{n: getattr(base, n) + (1 if n == name else 0) for n in ALL_DIMENSIONS}
             )
-            assert aggregate_quality(bumped, cfg).value >= value
+            assert aggregate_quality(bumped, cfg) >= value
 
 
 def test_aggregation_commutes_with_averaging():
@@ -66,7 +72,7 @@ def test_aggregation_commutes_with_averaging():
     cfg = QualityConfig(alpha=0.3)
     for _ in range(50):
         batch = [random_dims(rng) for _ in range(5)]
-        mean_of_values = np.mean([aggregate_quality(d, cfg).value for d in batch])
+        mean_of_values = np.mean([aggregate_quality(d, cfg) for d in batch])
         mean_content = np.mean([np.mean([(s - 1) / 4 for s in d.content_scores()]) for d in batch])
         mean_appeal = np.mean([np.mean([(s - 1) / 4 for s in d.appeal_scores()]) for d in batch])
         direct = 100 * (cfg.alpha * mean_content + (1 - cfg.alpha) * mean_appeal)
@@ -107,30 +113,6 @@ def test_from_raw_requires_all_seven():
     extra["novelty"] = 3
     with pytest.raises(ValidationError, match="novelty"):
         QualityDimensions.from_raw(extra)
-
-
-def test_quality_score_consistency_enforced():
-    with pytest.raises(ValidationError):
-        QualityScore(value=10.0, content_part=80.0, appeal_part=40.0, alpha=0.5)
-
-
-def test_average_quality_mean_and_identity():
-    a = QualityScore(60.0, 60.0, 60.0, 0.5)
-    b = QualityScore(70.0, 80.0, 60.0, 0.5)
-    avg = average_quality([a, b])
-    assert avg.value == pytest.approx(65.0, abs=1e-12)
-    assert avg.content_part == pytest.approx(70.0, abs=1e-12)
-    assert average_quality([a]) == a
-    assert average_quality([b] * 5) == b
-
-
-def test_average_quality_rejects_empty_and_mixed_alpha():
-    with pytest.raises(ValidationError):
-        average_quality([])
-    a = QualityScore(60.0, 60.0, 60.0, 0.5)
-    c = QualityScore(60.0, 60.0, 60.0, 0.4)
-    with pytest.raises(ValidationError):
-        average_quality([a, c])
 
 
 def test_quality_config_validation():

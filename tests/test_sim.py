@@ -19,7 +19,7 @@ from featgeo.features import (
 )
 from featgeo.optimizer import GAConfig, evolve
 from featgeo.pipeline import RunConfig, load_documents, run_optimization
-from featgeo.quality import ALL_DIMENSIONS, QualityConfig, aggregate_quality
+from featgeo.quality import ALL_DIMENSIONS, QualityConfig, QualityDimensions, aggregate_quality
 from featgeo.sim import (
     SimBackend,
     SimConfig,
@@ -322,7 +322,7 @@ def test_direct_evaluator_equals_its_public_parts_exactly():
         for mask in range(2 ** 13)
     ]
     for x in randoms + corners:
-        quality = aggregate_quality(sim_quality_dims(x, world), QualityConfig()).value
+        quality = aggregate_quality(sim_quality_dims(x, world), QualityConfig())
         assert evaluate(x) == (100 * sim_propensity(x, world), quality)
 
 
@@ -334,7 +334,7 @@ def test_evaluators_of_two_alphas_keep_their_own_quality_tables():
     for _ in range(200):
         x = clamp(FeatureVector(tuple(rng.uniform(0, 3, size=13))), CATALOG)
         for evaluate, cfg in zip(evaluators, cfgs):  # alternately, on the same vector
-            assert evaluate(x)[1] == aggregate_quality(sim_quality_dims(x, world), cfg).value
+            assert evaluate(x)[1] == aggregate_quality(sim_quality_dims(x, world), cfg)
 
 
 def test_closed_form_evolve_builds_each_distinct_quality_once(monkeypatch):
@@ -366,7 +366,7 @@ def test_scalar_quantization_matches_the_vectorized_one():
     bases = steps + [np.nextafter(b, d) for b in steps for d in (-np.inf, np.inf)]
     bases += [-1e300, 1e300] + list(np.random.default_rng(4).uniform(-3.0, 3.0, size=500))
     for base in bases:
-        dims = sim_module._dims_of(float(base))
+        dims = QualityDimensions(*sim_module._dim_ints(float(base)))
         assert tuple(getattr(dims, name) for name in ALL_DIMENSIONS) == tuple(
             int(s) for s in sim_module._dims_from_base(base)
         ), base
