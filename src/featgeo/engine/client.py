@@ -150,12 +150,11 @@ class EngineClient:
         return response.text
 
     def _call(self, request: EngineRequest) -> EngineResponse:
-        """One backend call, booked in the ledger; any backend failure raises EngineError."""
+        """One backend call, booked in the ledger. An OSError becomes an EngineError; any
+        other exception but an EngineError is a fault of the program and propagates as itself."""
         try:
             response = self.backend.complete(request)
-        except EngineError:
-            raise
-        except Exception as exc:
+        except OSError as exc:
             raise EngineError(f"{request.role.value} backend call failed: {exc}") from exc
         self.ledger.record_call(self.stage, request.role, response)
         return response
@@ -186,44 +185,33 @@ class EngineClient:
     # -- roles -------------------------------------------------------------
 
     def generate_queries(self, topic: TopicBrief, m: int) -> list[str]:
-        """Produce exactly m distinct non-empty query strings for a topic."""
+        """Produce exactly m distinct non-empty query strings for a topic; a
+        re-ask adds to the distinct queries that earlier replies gave."""
         if m < 1:
             raise ValidationError(f"query count must be >= 1, got {m}")
-        prompt = render_prompt(
-            Role.QUERY_GEN, topic=topic.topic, strategy_text=topic.strategy_text, m=str(m)
-        )
-        collected: list[str] = []
-        seen: set[str] = set()
-        for attempt in range(self.retry_limit):
-            salt = f"attempt{attempt}" if attempt else ""
-            reply = self._complete(
-                Role.QUERY_GEN, prompt, {"topic": topic, "m": m, "attempt": attempt}, salt
-            )
+        prompt = render_prompt(Role.QUERY_GEN, topic=topic.topic, strategy_text=topic.strategy_text, m=str(m))
+        collected: dict[str, None] = {}  # distinct queries in the order they came
+
+        def parse(reply: str) -> list[str]:
             for line in reply.splitlines():
                 query = line.strip().lstrip("-*0123456789. ").strip()
-                if query and query not in seen:
-                    seen.add(query)
-                    collected.append(query)
-            if len(collected) >= m:
-                return collected[:m]
-            logger.warning(
-                "query generation attempt %d yielded %d/%d distinct queries; retrying",
-                attempt + 1, len(collected), m,
-            )
-        raise EngineError(
-            f"could not obtain {m} distinct queries after {self.retry_limit} attempts "
-            f"(got {len(collected)})"
-        )
+                if query:
+                    collected.setdefault(query)
+            if len(collected) < m:
+                raise ValidationError(f"{len(collected)} of {m} distinct queries so far")
+            return list(collected)[:m]
+
+        return self._complete_parsed("query generation", Role.QUERY_GEN, prompt, {"topic": topic, "m": m}, parse)
 
     def extract_theme(self, docs: Sequence[SourceDocument], topic: str) -> TopicBrief:
         """Derive an ad-strategy brief from the competitor document set."""
         prompt = render_prompt(
             Role.THEME_EXTRACT, doc_count=str(len(docs)), docs_text=format_source_documents(docs)
         )
-        reply = self._complete(Role.THEME_EXTRACT, prompt, {"docs": list(docs), "topic": topic}, "")
-        strategy = reply.strip()
-        if not strategy:
-            raise EngineError("theme extraction returned an empty brief", raw_reply=reply)
+        strategy = self._complete_parsed(
+            "theme extraction", Role.THEME_EXTRACT, prompt, {"docs": list(docs), "topic": topic},
+            lambda reply: _non_empty(reply).strip(),
+        )
         if len(strategy.split()) > BRIEF_WORD_LIMIT:
             logger.warning("ad strategy brief exceeds %d words (soft limit)", BRIEF_WORD_LIMIT)
         return TopicBrief(topic=topic, strategy_text=strategy)

@@ -29,7 +29,6 @@ from .engine.live import ChatCompletionBackend, ENV_CACHE_DIR
 from .engine.types import (
     ORIGIN_ADVERTISER,
     ORIGIN_RETRIEVED,
-    Role,
     SourceDocument,
     Stage,
 )
@@ -310,8 +309,9 @@ class CandidateEvaluator:
     then every unit, whose answers and then judge calls run one after another.
     The builtin ``map`` runs a step inline, a pool's ``map`` runs it
     concurrently; either way results are assembled in key order. Repeats
-    re-answer with fresh salts. An engine failure fails only its unit, which
-    makes no further calls and scores the penalty objectives (0, 0).
+    re-answer with fresh salts. A failed page fails every unit it serves; any
+    other engine failure fails only its unit, which makes no further calls.
+    A failed unit scores the penalty objectives (0, 0).
     """
 
     def __init__(
@@ -354,37 +354,28 @@ class CandidateEvaluator:
         return objectives
 
     def _realize(self, units: Sequence[EvalUnit]) -> list[str | EngineError]:
-        """Page per unit, or the EngineError that failed it; the units of one slot
-        share a page unless pages regenerate per repeat.
+        """Page per unit, or the EngineError that failed it. The units of one
+        slot share one page request unless pages regenerate per repeat; a page
+        that fails fails every unit it serves."""
+        regenerate = self.cfg.regenerate_page_per_repeat
+        keys = [i if regenerate else key[:2] for i, (_, key) in enumerate(units)]
+        first_units: dict[Any, EvalUnit] = {}
+        for key, unit in zip(keys, units):
+            first_units.setdefault(key, unit)
 
-        A shared page is asked for once per repeat it serves, in repeat order,
-        until one request succeeds: exactly the repeats before it fail.
-        """
-        groups: dict[Any, list[int]] = {}
-        for i, (_, (generation, slot, _)) in enumerate(units):
-            groups.setdefault(i if self.cfg.regenerate_page_per_repeat else (generation, slot), []).append(i)
-
-        def realize(group: list[int]) -> list[str | EngineError]:
-            x, (_, _, repeat) = units[group[0]]
+        def realize(unit: EvalUnit) -> str | EngineError:
+            x, (_, _, repeat) = unit
             guidelines = render_guidelines(clamp(x, self.catalog), self.catalog)
             # A page of its own per repeat needs its own request, or a cache replays the first.
-            salt = f"rep{repeat}" if self.cfg.regenerate_page_per_repeat else ""
-            outcomes: list[str | EngineError] = []
-            while len(outcomes) < len(group):
-                try:
-                    page = self.client.generate_page(self.probe.brief, guidelines, salt=salt)
-                except EngineError as exc:
-                    outcomes.append(exc)
-                    continue
-                outcomes += [page] * (len(group) - len(outcomes))
-            return outcomes
+            salt = f"rep{repeat}" if regenerate else ""
+            try:
+                return self.client.generate_page(self.probe.brief, guidelines, salt=salt)
+            except EngineError as exc:
+                return exc
 
-        pages: dict[int, str | EngineError] = {}
-        for group, outcomes in zip(groups.values(), self.query_map(realize, groups.values())):
-            if not isinstance(outcomes[-1], EngineError):
-                self.realizations += 1
-            pages.update(zip(group, outcomes))
-        return [pages[i] for i in range(len(units))]
+        pages = dict(zip(first_units, self.query_map(realize, first_units.values())))
+        self.realizations += len(pages)
+        return [pages[key] for key in keys]
 
     def _score_unit(self, page: str | EngineError, unit: EvalUnit) -> EvalMetric | EngineError:
         """One unit's metric, or the EngineError of its failed page or first failed call."""
@@ -514,7 +505,7 @@ def run_optimization(
         record.eval_metrics = tuple(evaluator.metrics)
         record.settle_status()
         record.finals = {policy: select_final(result.front, policy) for policy in POLICIES}
-        _verify_run(cfg, client, evaluator)
+        _verify_run(cfg, evaluator)
     except Exception as exc:
         if isinstance(exc, OptimizerAbort):
             record.log = exc.partial_log
@@ -522,20 +513,21 @@ def run_optimization(
         record.status = "failed"
         record.error = str(exc)
         records.write_run_record(record, run_dir)
+        for name in report.REPORT_FILES:  # no earlier run's report stays beside this record
+            (run_dir / report.REPORT_DIR_NAME / name).unlink(missing_ok=True)
         raise
     records.write_run_record(record, run_dir)
     report.export_report(report.load_report_data(run_dir), run_dir / report.REPORT_DIR_NAME)
     return record
 
 
-def _verify_run(cfg: RunConfig, client: EngineClient, evaluator: CandidateEvaluator) -> None:
+def _verify_run(cfg: RunConfig, evaluator: CandidateEvaluator) -> None:
     per_candidate = cfg.ga.repeats_per_eval if cfg.regenerate_page_per_repeat else 1
     expected = cfg.ga.population_size * (cfg.ga.generations + 1) * per_candidate
-    booked = client.ledger.role_requests(Role.PAGE_GEN)
-    if evaluator.realizations != expected or booked != expected:
+    if evaluator.realizations != expected:
         raise IntegrityError(
-            f"page generation accounting mismatch: expected {expected} realizations, "
-            f"evaluator saw {evaluator.realizations}, ledger booked {booked}"
+            f"page generation accounting mismatch: expected {expected} page requests, "
+            f"evaluator asked for {evaluator.realizations}"
         )
 
 

@@ -420,8 +420,8 @@ class SimBackend:
     def _queries(self, request: EngineRequest) -> str:
         brief = request.payload["topic"]
         m = int(request.payload["m"])
-        attempt = int(request.payload.get("attempt", 0))
-        rng = _stream(self.world, "queries", brief.topic, brief.strategy_text, str(attempt))
+        # One stream per brief ("0" keeps pinned runs' queries); a reply always holds m distinct queries.
+        rng = _stream(self.world, "queries", brief.topic, brief.strategy_text, "0")
         combos = [
             (pattern, aspect) for pattern in _QUERY_PATTERNS for aspect in _QUERY_ASPECTS
         ]

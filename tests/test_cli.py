@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -355,6 +356,36 @@ def test_evolve_abort_from_an_internal_bug_propagates_as_itself(tmp_path, small_
         run_cli(["simulate", "--config", str(small_config), "--output-dir", str(tmp_path / "run")])
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["status"] == "failed"
+
+
+def test_a_page_that_fails_for_a_whole_slot_degrades_the_run(tmp_path, small_config, monkeypatch, capsys):
+    complete, first = SimBackend.complete, {}
+
+    def first_page_always_fails(self, request):
+        if request.role is Role.PAGE_GEN and first.setdefault("prompt", request.prompt) == request.prompt:
+            raise EngineError("page backend down")
+        return complete(self, request)
+
+    monkeypatch.setattr(SimBackend, "complete", first_page_always_fails)
+    out_dir = tmp_path / "run"
+    assert run_cli(["simulate", "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == f"run degraded: {out_dir}"
+    metrics = [json.loads(line) for line in (out_dir / "eval_metrics.jsonl").read_text().splitlines()]
+    assert [(m["slot"], m["repeat"]) for m in metrics if m["failed"] and m["generation"] == 0] == [(0, 0), (0, 1)]
+
+
+def test_a_failed_rerun_leaves_no_report_of_the_earlier_run(tmp_path, capsys):
+    topic = tmp_path / "sim_topic"
+    shutil.copytree(default_sim_config_path().parent, topic)
+    out_dir = tmp_path / "run"
+    args = ["simulate", "--config", str(topic / "config.json"), "--seed", "7", "--output-dir", str(out_dir)]
+    assert run_cli(args) == EXIT_OK
+    assert (out_dir / "report" / "solution_comparison.txt").exists()
+    (topic / "docs" / "competitor5.txt").write_text("")
+    assert run_cli(args + ["--overwrite"]) == EXIT_VALIDATION
+    assert not (out_dir / "report" / "solution_comparison.txt").exists()
+    assert tree(out_dir / "report") == {}
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "failed"
 
 
 def test_report_on_non_run_dir_fails(tmp_path, capsys):

@@ -351,6 +351,15 @@ def test_extract_theme_contract():
     assert brief.strategy_text == "A concise strategy brief."
 
 
+def test_an_empty_theme_reply_is_asked_for_again():
+    client, backend = make_client(["  ", "A concise strategy brief."])
+    brief = client.extract_theme(docs(5), "fitness")
+    assert brief.strategy_text == "A concise strategy brief."
+    assert len(backend.requests) == 2
+    assert "theme extraction" in backend.requests[1].prompt
+    assert backend.requests[1].prompt.startswith(backend.requests[0].prompt)
+
+
 def test_theme_prompt_states_the_real_document_count():
     client, backend = make_client(["A concise strategy brief."])
     client.extract_theme(docs(3), "fitness")
@@ -462,13 +471,13 @@ def test_judge_quality_rounds_fractional_scores():
     assert (dims.fluency, dims.usefulness, dims.credibility) == (5, 3, 3)
 
 
-def test_backend_exception_wrapped_as_engine_error():
-    class Exploding:
+def test_backend_connection_error_is_an_engine_error():
+    class Refusing:
         def complete(self, request):
-            raise RuntimeError("socket closed")
+            raise ConnectionError("connection refused")
 
-    client = EngineClient(Exploding(), CATALOG)
-    with pytest.raises(EngineError, match="socket closed"):
+    client = EngineClient(Refusing(), CATALOG)
+    with pytest.raises(EngineError, match="connection refused"):
         client.answer_query("q", docs(2))
 
 
@@ -632,6 +641,21 @@ def test_parse_retries_re_ask_so_each_live_body_differs():
     assert len(prompts) == 3 and len(set(prompts)) == 3
     assert all(p.startswith(prompts[0]) for p in prompts)
     assert "quality judging" in prompts[1] and "attempt 2 of 3" in prompts[1]
+    assert "attempt 3 of 3" in prompts[2]
+    assert backend.transport_retries == 0
+
+
+def test_query_re_asks_send_distinct_live_bodies():
+    short = {"choices": [{"message": {"content": "only one query"}}]}
+    backend, opener, _ = live_backend(Reply(short), Reply(short), Reply(short))
+    client = EngineClient(backend, CATALOG)
+    with pytest.raises(EngineError, match="query generation failed after 3 attempts"):
+        client.generate_queries(BRIEF, 3)
+    bodies = [call["request"].data for call in opener.sent]
+    assert len(bodies) == 3 and len(set(bodies)) == 3
+    prompts = [call["json"]["messages"][0]["content"] for call in opener.sent]
+    assert all(p.startswith(prompts[0]) for p in prompts)
+    assert "query generation" in prompts[1] and "attempt 2 of 3" in prompts[1]
     assert "attempt 3 of 3" in prompts[2]
     assert backend.transport_retries == 0
 

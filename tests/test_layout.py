@@ -53,8 +53,8 @@ def test_record_report_and_ledger_modules_do_not_import_the_pipeline():
 
 
 
-def _call_sites(path: Path, name: str) -> list[str]:
-    """The innermost enclosing function (or <module>) of every call to ``name`` in one file."""
+def _sites(path: Path, matches) -> list[str]:
+    """The innermost enclosing function (or <module>) of every node ``matches`` accepts in one file."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     owner = {}
     for func in ast.walk(tree):  # breadth first, so inner functions overwrite outer ones
@@ -63,15 +63,35 @@ def _call_sites(path: Path, name: str) -> list[str]:
     return [
         f"{path.relative_to(PACKAGE_DIR)}:{owner.get(node, '<module>')}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        if matches(node)
     ]
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name and attribute name mentioned inside ``node``."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+
+
+def _call_sites(path: Path, name: str) -> list[str]:
+    """The innermost enclosing function (or <module>) of every call to ``name`` in one file."""
+    return _sites(path, lambda node: isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_thread_pool_is_built_at_one_site_inside_run_optimization():
     sites = [site for path in sorted(PACKAGE_DIR.rglob("*.py"))
              for site in _call_sites(path, "ThreadPoolExecutor")]
     assert sites == ["pipeline.py:run_optimization"], sites
+
+
+def test_replies_are_re_asked_by_one_loop_over_the_retry_limit():
+    def bounded_by_retry_limit(node):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            return "retry_limit" in _names(node.iter)
+        return isinstance(node, ast.While) and "retry_limit" in _names(node.test)
+
+    sites = [site for path in sorted(PACKAGE_DIR.rglob("*.py")) for site in _sites(path, bounded_by_retry_limit)]
+    assert sites == ["engine/client.py:_complete_parsed"], sites
 
 
 def test_dominance_is_decided_by_one_sweep():

@@ -441,8 +441,12 @@ def test_run_status_follows_the_failed_evaluations(tmp_path, monkeypatch, worker
     assert (cfg.output_dir / "report").is_dir()
 
 
+def pages_asked(cfg):
+    return cfg.ga.population_size * (cfg.ga.generations + 1)
+
+
 @pytest.mark.parametrize("workers", [1, 3])
-def test_a_failed_first_page_fails_only_that_repeat(tmp_path, monkeypatch, workers):
+def test_a_failed_page_fails_exactly_the_units_of_its_slot(tmp_path, monkeypatch, workers):
     cfg = small_sim_config(tmp_path, eval_workers=workers)
     world = SimWorld(cfg.sim, CATALOG)
     lock, pages = threading.Lock(), {"n": 0}
@@ -454,13 +458,49 @@ def test_a_failed_first_page_fails_only_that_repeat(tmp_path, monkeypatch, worke
                 raise EngineError("page backend down")
         return SimBackend(world).complete(req).text
 
-    run_against(monkeypatch, RoleScriptBackend(world, {Role.PAGE_GEN: first_page_fails}))
+    backend = RoleScriptBackend(world, {Role.PAGE_GEN: first_page_fails})
+    run_against(monkeypatch, backend)
     record = run_optimization(cfg)
-    assert record.status == "degraded"  # the page accounting of _verify_run holds
+    assert record.status == "degraded"
     failed = [m for m in record.eval_metrics if m.failed]
-    assert [(m.generation, m.repeat) for m in failed] == [(0, 0)]
     slot = failed[0].slot
-    assert [m.failed for m in record.eval_metrics if (m.generation, m.slot) == (0, slot)] == [True, False]
+    assert [(m.generation, m.slot, m.repeat) for m in failed] == [
+        (0, slot, repeat) for repeat in range(cfg.ga.repeats_per_eval)
+    ]
+    assert backend.calls.count(Role.PAGE_GEN) == pages_asked(cfg)  # the failed page is not asked for again
+
+
+def test_a_page_re_asked_after_an_empty_reply_completes_the_run(tmp_path, monkeypatch):
+    cfg = small_sim_config(tmp_path)
+    world = SimWorld(cfg.sim, CATALOG)
+    pages = {"n": 0}
+
+    def first_page_empty(req):
+        pages["n"] += 1
+        return "" if pages["n"] == 1 else SimBackend(world).complete(req).text
+
+    backend = RoleScriptBackend(world, {Role.PAGE_GEN: first_page_empty})
+    run_against(monkeypatch, backend)
+    record = run_optimization(cfg)
+    assert record.status == "complete"
+    assert not any(m.failed for m in record.eval_metrics)
+    assert backend.calls.count(Role.PAGE_GEN) == pages_asked(cfg) + 1
+
+
+@pytest.mark.parametrize("fault", [RuntimeError("socket closed"), KeyError("docs")])
+def test_a_program_fault_in_the_backend_aborts_the_run(tmp_path, monkeypatch, fault):
+    cfg = small_sim_config(tmp_path)
+    world = SimWorld(cfg.sim, CATALOG)
+
+    def broken_judge(req):
+        raise fault
+
+    run_against(monkeypatch, RoleScriptBackend(world, {Role.JUDGE: broken_judge}))
+    with pytest.raises(OptimizerAbort) as err:
+        run_optimization(cfg)
+    assert err.value.cause is fault
+    manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
 
 
 def test_identical_requests_in_flight_make_one_call(tmp_path):
