@@ -36,7 +36,6 @@ logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
-DEFAULT_RETRY_LIMIT = 3
 BRIEF_WORD_LIMIT = 200
 REASK_LINE = (
     "Your previous {what} reply could not be parsed. This is attempt {attempt} of {limit}: "
@@ -97,22 +96,21 @@ def _non_empty(reply: str) -> str:
 class EngineClient:
     """Gateway for the six LLM roles, with caching, retries, and cost accounting."""
 
+    retry_limit = 3  # requests per parsed reply, the first one included
+
     def __init__(
         self,
         backend: EngineBackend,
         catalog: FeatureCatalog,
         *,
         cache: ResponseCache | None = None,
-        ledger: CostLedger | None = None,
         salt: str = "",
-        retry_limit: int = DEFAULT_RETRY_LIMIT,
     ):
         self.backend = backend
         self.catalog = catalog
         self.cache = cache
-        self.ledger = ledger if ledger is not None else CostLedger()
+        self.ledger = CostLedger()
         self.salt = salt
-        self.retry_limit = retry_limit
         self.stage = Stage.FEATURE_EXTRACTION
         self._key_locks: dict[str, threading.Lock] = {}  # one per cache key asked for
         self._key_locks_lock = threading.Lock()
@@ -252,8 +250,9 @@ class EngineClient:
         prompt = render_prompt(
             Role.ANSWER_GEN, query=query, source_text=format_source_documents(docs)
         )
-        return self._complete(
-            Role.ANSWER_GEN, prompt, {"query": query, "docs": list(docs), "salt": salt}, salt
+        return self._complete_parsed(
+            "answer generation", Role.ANSWER_GEN, prompt, {"query": query, "docs": list(docs), "salt": salt},
+            _non_empty, salt=salt,
         )
 
     def judge_quality(self, answer_or_page: str, query: str, salt: str = "") -> QualityDimensions:

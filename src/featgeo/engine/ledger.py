@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..errors import IntegrityError
 from .types import EngineResponse, Role, Stage
@@ -83,20 +83,13 @@ class CallStats:
 Entries = Mapping[tuple[Stage, Role], CallStats]
 
 
-def _sum(entries: Entries, keep: Callable[[Stage, Role], bool] = lambda s, r: True) -> CallStats:
+def _sum(entries: Entries, stage: Stage | None = None) -> CallStats:
+    """The entries summed, or those of one stage."""
     out = CallStats()
-    for (stage, role), stats in entries.items():
-        if keep(stage, role):
+    for (entry_stage, _), stats in entries.items():
+        if stage is None or entry_stage == stage:
             out.add(stats)
     return out
-
-
-def _stage_sum(entries: Entries, stage: Stage) -> CallStats:
-    return _sum(entries, lambda s, _: s == stage)
-
-
-def _role_sum(entries: Entries, role: Role, stage: Stage | None) -> CallStats:
-    return _sum(entries, lambda s, r: r == role and (stage is None or s == stage))
 
 
 class CostLedger:
@@ -124,20 +117,6 @@ class CostLedger:
         with self._lock:
             return {key: replace(stats) for key, stats in self._entries.items()}
 
-    def stage_stats(self, stage: Stage) -> CallStats:
-        return _stage_sum(self._snapshot(), stage)
-
-    def totals(self) -> CallStats:
-        return _sum(self._snapshot())
-
-    def role_requests(self, role: Role, stage: Stage | None = None) -> int:
-        """Live calls plus cache hits for a role, optionally within one stage."""
-        stats = _role_sum(self._snapshot(), role, stage)
-        return stats.api_calls + stats.cache_hits
-
-    def role_calls(self, role: Role, stage: Stage | None = None) -> int:
-        return _role_sum(self._snapshot(), role, stage).api_calls
-
     def report(self) -> str:
         """Format the stage table (time, calls, prompt/completion tokens) plus totals."""
         entries = self._snapshot()
@@ -153,7 +132,7 @@ class CostLedger:
 
         return format_table(
             ("Pipeline Stage", "Time (s)", "API Calls", "Prompt Tok.", "Compl. Tok."),
-            [row(stage.value, _stage_sum(entries, stage)) for stage in STAGES],
+            [row(stage.value, _sum(entries, stage)) for stage in STAGES],
             row("Total", _sum(entries)),
         )
 
@@ -166,7 +145,7 @@ class CostLedger:
                     entries.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
                 )
             },
-            "stages": {stage.value: _stage_sum(entries, stage).to_dict() for stage in STAGES},
+            "stages": {stage.value: _sum(entries, stage).to_dict() for stage in STAGES},
             "totals": _sum(entries).to_dict(),
         }
 
@@ -182,7 +161,7 @@ class CostLedger:
             stage_name, role_name = key.split("/", 1)
             ledger._entries[(Stage(stage_name), Role(role_name))] = CallStats.from_dict(stats)
         blocks = [
-            (f"stage {stage.value!r}", data["stages"][stage.value], _stage_sum(ledger._entries, stage))
+            (f"stage {stage.value!r}", data["stages"][stage.value], _sum(ledger._entries, stage))
             for stage in STAGES
         ]
         blocks.append(("totals", data["totals"], _sum(ledger._entries)))

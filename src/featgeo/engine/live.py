@@ -22,6 +22,7 @@ import random
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from typing import Any, Callable, Mapping
 
@@ -67,6 +68,17 @@ class ChatCompletionBackend:
     ):
         if not base_url or not model:
             raise ValidationError("live engine backend requires a base URL and model id")
+        try:
+            url = urllib.parse.urlsplit(base_url)
+            url.port  # raises ValueError on a port that is no number or out of range
+        except ValueError as exc:
+            raise ValidationError(f"base URL {base_url!r} is malformed: {exc}") from exc
+        if url.scheme not in ("http", "https") or not url.hostname or any(
+            c.isspace() or not c.isprintable() for c in base_url
+        ):
+            raise ValidationError(
+                f"base URL {base_url!r} must be http(s) with a host and no whitespace or control character"
+            )
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key
@@ -86,7 +98,10 @@ class ChatCompletionBackend:
             raise ValidationError(
                 f"live backend needs {ENV_BASE_URL} and {ENV_MODEL} set in the environment"
             )
-        return cls(base_url, model, api_key=os.environ.get(ENV_API_KEY, ""))
+        try:
+            return cls(base_url, model, api_key=os.environ.get(ENV_API_KEY, ""))
+        except ValidationError as exc:
+            raise ValidationError(f"{ENV_BASE_URL}: {exc}") from exc
 
     def complete(self, request: EngineRequest) -> EngineResponse:
         headers = {"Content-Type": "application/json"}

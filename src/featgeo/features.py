@@ -28,6 +28,7 @@ LAYERS = (LAYER_STRUCTURE, LAYER_CONTENT, LAYER_LANGUAGE)
 KIND_BOOLEAN = "boolean"
 KIND_TIERED = "tiered"
 KIND_DENSITY = "density"
+KIND_RANGES = {KIND_BOOLEAN: (0.0, 1.0), KIND_TIERED: (1.0, 3.0), KIND_DENSITY: (0.0, 3.0)}
 
 TIER_NAMES = ("low", "medium", "high")
 # Equal-width bands over [1, 3].
@@ -50,41 +51,26 @@ def round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class FeatureDefinition:
-    """One catalog entry: identity, layer, bounds, and rendering material."""
+    """One catalog entry: identity, layer, kind (which fixes the bounds), and rendering material."""
 
     key: str
     layer: str
-    lo: float
-    hi: float
     kind: str
     tier_directives: tuple[str, str, str] | None = None
     density_label: str | None = None
 
-    def __post_init__(self):
-        if self.layer not in LAYERS:
-            raise ValidationError(f"unknown layer {self.layer!r} for feature {self.key!r}")
-        # Each kind pins its exact bounds, so no other bound check is needed.
-        bounds = (self.lo, self.hi)
-        if self.kind == KIND_BOOLEAN:
-            if bounds != (0.0, 1.0):
-                raise ValidationError(f"boolean feature {self.key!r} must span [0, 1]")
-        elif self.kind == KIND_TIERED:
-            if bounds != (1.0, 3.0):
-                raise ValidationError(f"tiered feature {self.key!r} must span [1, 3]")
-            if self.tier_directives is None or len(self.tier_directives) != 3:
-                raise ValidationError(f"tiered feature {self.key!r} needs 3 tier directives")
-        elif self.kind == KIND_DENSITY:
-            if bounds != (0.0, 3.0):
-                raise ValidationError(f"density feature {self.key!r} must span [0, 3]")
-            if not self.density_label:
-                raise ValidationError(f"density feature {self.key!r} needs a density label")
-        else:
-            raise ValidationError(f"unknown feature kind {self.kind!r}")
+    @property
+    def lo(self) -> float:
+        return KIND_RANGES[self.kind][0]
+
+    @property
+    def hi(self) -> float:
+        return KIND_RANGES[self.kind][1]
 
 
 @dataclass(frozen=True)
 class FeatureCatalog:
-    """Ordered, immutable collection of exactly 13 feature definitions.
+    """Ordered, immutable collection of the 13 feature definitions.
 
     The bounds are derived once, as the per-feature tuples ``lows``, ``highs``
     and ``widths``, for the per-candidate paths (clamp, normalized_values).
@@ -93,17 +79,6 @@ class FeatureCatalog:
     features: tuple[FeatureDefinition, ...]
 
     def __post_init__(self):
-        if len(self.features) != 13:
-            raise ValidationError(f"catalog must hold exactly 13 features, got {len(self.features)}")
-        keys = [f.key for f in self.features]
-        if len(set(keys)) != len(keys):
-            raise ValidationError("catalog feature keys must be unique")
-        layer_counts = {layer: 0 for layer in LAYERS}
-        for f in self.features:
-            layer_counts[f.layer] += 1
-        expected = {LAYER_STRUCTURE: 4, LAYER_CONTENT: 5, LAYER_LANGUAGE: 4}
-        if layer_counts != expected:
-            raise ValidationError(f"catalog layer counts {layer_counts} != {expected}")
         object.__setattr__(self, "lows", tuple(f.lo for f in self.features))
         object.__setattr__(self, "highs", tuple(f.hi for f in self.features))
         object.__setattr__(self, "widths", tuple(f.hi - f.lo for f in self.features))
@@ -122,9 +97,6 @@ class FeatureCatalog:
             if f.key == key:
                 return i
         raise ValidationError(f"unknown feature key {key!r}; known keys: {', '.join(self.keys())}")
-
-    def definition(self, key: str) -> FeatureDefinition:
-        return self.features[self.index_of(key)]
 
     def midpoint_values(self) -> tuple[float, ...]:
         return tuple((f.lo + f.hi) / 2.0 for f in self.features)
@@ -174,11 +146,11 @@ class GuidelineBlock:
 
 
 def _tiered(key: str, layer: str, low: str, medium: str, high: str) -> FeatureDefinition:
-    return FeatureDefinition(key, layer, 1.0, 3.0, KIND_TIERED, tier_directives=(low, medium, high))
+    return FeatureDefinition(key, layer, KIND_TIERED, tier_directives=(low, medium, high))
 
 
 def _density(key: str, layer: str, label: str) -> FeatureDefinition:
-    return FeatureDefinition(key, layer, 0.0, 3.0, KIND_DENSITY, density_label=label)
+    return FeatureDefinition(key, layer, KIND_DENSITY, density_label=label)
 
 
 @lru_cache(maxsize=1)
@@ -189,7 +161,7 @@ def catalog_default() -> FeatureCatalog:
     9-12 Language. All serialized artifacts use this order.
     """
     return FeatureCatalog((
-        FeatureDefinition("has_intro_summary", LAYER_STRUCTURE, 0.0, 1.0, KIND_BOOLEAN),
+        FeatureDefinition("has_intro_summary", LAYER_STRUCTURE, KIND_BOOLEAN),
         _tiered(
             "headings_level", LAYER_STRUCTURE,
             "Use minimal headings: a single title and at most one subheading.",

@@ -38,11 +38,6 @@ class Individual:
     crowding: float = 0.0
     key: tuple[int, int] | None = None  # (generation, slot) of realization
 
-    def dominates(self, other: "Individual") -> bool:
-        """At least as good in both objectives and strictly better in one (the sort's test oracle)."""
-        a, b = self.objectives, other.objectives
-        return a[0] >= b[0] and a[1] >= b[1] and (a[0] > b[0] or a[1] > b[1])
-
 
 @dataclass(frozen=True)
 class GAConfig:

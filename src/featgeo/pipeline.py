@@ -24,7 +24,6 @@ from . import records, report
 from .citations import citation_frequency, parse_citations, select_exemplars, visibility_scores
 from .engine.cache import ResponseCache
 from .engine.client import EngineClient
-from .engine.ledger import CostLedger
 from .engine.live import ChatCompletionBackend, ENV_CACHE_DIR
 from .engine.types import (
     ORIGIN_ADVERTISER,
@@ -263,13 +262,7 @@ def build_client(cfg: RunConfig, catalog: FeatureCatalog) -> EngineClient:
     if cache_path is None and os.environ.get(ENV_CACHE_DIR):
         cache_path = Path(os.environ[ENV_CACHE_DIR]) / "responses.jsonl"
     cache = ResponseCache(cache_path) if cache_path else None
-    return EngineClient(
-        backend,
-        catalog,
-        cache=cache,
-        ledger=CostLedger(),
-        salt=cfg.salt,
-    )
+    return EngineClient(backend, catalog, cache=cache, salt=cfg.salt)
 
 
 def probe_topic(cfg: RunConfig, client: EngineClient, docs: Sequence[SourceDocument]) -> ProbeResult:

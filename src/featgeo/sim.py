@@ -154,10 +154,6 @@ class SimWorld:
             f"document {doc.id} has no embedded feature profile and no configured latent vector"
         )
 
-    def latent_for(self, doc: SourceDocument) -> FeatureVector:
-        """Recover a document's latent vector from its embedded record or its id."""
-        return self.source_state(doc)[0]
-
 
 def extract_profile(text: str, catalog: FeatureCatalog) -> FeatureVector | None:
     """Parse the first embedded feature record line out of a page, if any."""
@@ -173,8 +169,8 @@ def _logistic(z):
 
 
 def _propensity_and_base(x: FeatureVector, w: SimWorld) -> tuple[float, float]:
-    """Citation propensity and continuous quality base of x, from one normalization.
-    The dot products stay numpy's: a Python sum adds in another order."""
+    """Citation propensity and continuous quality base (linear score minus the propensity
+    coupling) of x, from one normalization. The dot products stay numpy's: a Python sum adds in another order."""
     x_norm = np.asarray(normalized_values(x, w.catalog))
     propensity = float(_logistic(x_norm @ w._vis_weights + w.config.visibility_bias))
     return propensity, float(x_norm @ w._qual_weights - w.config.tradeoff_strength * propensity)
@@ -183,11 +179,6 @@ def _propensity_and_base(x: FeatureVector, w: SimWorld) -> tuple[float, float]:
 def sim_propensity(x: FeatureVector, w: SimWorld) -> float:
     """Citation propensity in (0, 1): logistic of a linear score over range-normalized features."""
     return _propensity_and_base(x, w)[0]
-
-
-def sim_quality_base(x: FeatureVector, w: SimWorld) -> float:
-    """Continuous quality term before quantization: linear score minus the propensity coupling."""
-    return _propensity_and_base(x, w)[1]
 
 
 def _dims_from_base(base) -> np.ndarray:
@@ -448,7 +439,7 @@ class SimBackend:
 
     def _features(self, request: EngineRequest) -> str:
         doc = request.payload["doc"]
-        latent = self.world.latent_for(doc)
+        latent, _ = self.world.source_state(doc)
         return "\n".join(f"{feat.key}: {value!r}" for feat, value in zip(self.catalog, latent.values))
 
     def _page(self, request: EngineRequest) -> str:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import load_example_solutions, midpoint_vector
+from conftest import ledger_requests, ledger_sum, load_example_solutions, midpoint_vector
 from featgeo.bundled import default_sim_config_path
 from featgeo.citations import parse_citations, visibility_scores
 from featgeo.cli import EXIT_OK, run_cli
@@ -376,7 +376,7 @@ def test_criterion_10_ledger_integrity(tmp_path):
     record = run_optimization(cfg)
     CostLedger.from_dict(json.loads((tmp_path / "run" / "cost.json").read_text()))
     n, g = cfg.ga.population_size, cfg.ga.generations
-    page_requests = record.ledger.role_requests(Role.PAGE_GEN)
+    page_requests = ledger_requests(record.ledger, Role.PAGE_GEN)
     assert page_requests == n * g + n, page_requests
 
     table = (tmp_path / "run" / "report" / "cost_table.txt").read_text()
@@ -388,7 +388,7 @@ def test_criterion_10_ledger_integrity(tmp_path):
     text = "\n".join(lines)
     for stage in ("Feature Extraction", "Initial Population", "GA Optimization", "Total"):
         assert stage in text
-    totals = record.ledger.totals()
+    totals = ledger_sum(record.ledger)
     assert f"{totals.api_calls:,}" in text
     ok(10, f"stage sums equal totals; page generations {page_requests} == "
            f"{n}*{g}+{n}; report carries the three-stage table plus totals")
@@ -414,7 +414,7 @@ def test_criterion_11_recorded_extreme_solutions_replay():
     block = render_guidelines(best_vis.x, CATALOG)
     fluency = CATALOG.index_of("fluency_level")
     statistics = CATALOG.index_of("statistics_level")
-    assert block.lines[fluency] == CATALOG.definition("fluency_level").tier_directives[1]
+    assert block.lines[fluency] == CATALOG.features[CATALOG.index_of("fluency_level")].tier_directives[1]
     assert "54%" in block.lines[statistics]
     ok(11, "max-visibility picks (23.7, 87.8), max-quality picks (8.4, 92.7); "
            "rendering yields the medium fluency directive and a 54% statistics density")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -7,7 +8,8 @@ import pytest
 
 from featgeo.cli import EXIT_ENGINE, EXIT_INTEGRITY, EXIT_OK, EXIT_VALIDATION, run_cli
 from featgeo.bundled import default_sim_config_path
-from featgeo.engine.live import ENV_CACHE_DIR
+from featgeo.engine.client import EngineClient
+from featgeo.engine.live import ENV_BASE_URL, ENV_CACHE_DIR, ENV_MODEL, ChatCompletionBackend
 from featgeo.engine.types import Role
 from featgeo.errors import EngineError
 from featgeo.pipeline import CandidateEvaluator
@@ -372,6 +374,48 @@ def test_a_page_that_fails_for_a_whole_slot_degrades_the_run(tmp_path, small_con
     assert capsys.readouterr().out.splitlines()[0] == f"run degraded: {out_dir}"
     metrics = [json.loads(line) for line in (out_dir / "eval_metrics.jsonl").read_text().splitlines()]
     assert [(m["slot"], m["repeat"]) for m in metrics if m["failed"] and m["generation"] == 0] == [(0, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("empty_replies, status, failed", [
+    (1, "complete", 0),  # the empty answer is asked for again
+    (EngineClient.retry_limit, "degraded", 1),  # every reply to one unit's first answer is empty
+])
+def test_an_empty_answer_is_asked_for_again_and_never_aborts_the_run(
+    tmp_path, small_config, monkeypatch, capsys, empty_replies, status, failed
+):
+    small_config.write_text(json.dumps({**json.loads(small_config.read_text()), "judge_target": "answer"}))
+    complete, left = SimBackend.complete, {"empty": empty_replies}
+
+    def first_evaluation_answers_empty(self, request):
+        response = complete(self, request)
+        if request.role is Role.ANSWER_GEN and request.payload["salt"] != "probe" and left["empty"]:
+            left["empty"] -= 1
+            return dataclasses.replace(response, text=" \n")
+        return response
+
+    monkeypatch.setattr(SimBackend, "complete", first_evaluation_answers_empty)
+    out_dir = tmp_path / "run"
+    assert run_cli(["simulate", "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == f"run {status}: {out_dir}"
+    metrics = [json.loads(line) for line in (out_dir / "eval_metrics.jsonl").read_text().splitlines()]
+    assert [(m["generation"], m["slot"], m["repeat"]) for m in metrics if m["failed"]] == [(0, 0, 0)] * failed
+    assert left["empty"] == 0
+
+
+@pytest.mark.parametrize("base_url", ["http://127.0.0.1:9/v 1", "ftp//nohost"])
+def test_a_malformed_live_base_url_exits_with_validation_status_before_any_request(
+    tmp_path, small_config, monkeypatch, capsys, base_url
+):
+    def no_request(self, request):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr(ChatCompletionBackend, "complete", no_request)
+    monkeypatch.setenv(ENV_BASE_URL, base_url)
+    monkeypatch.setenv(ENV_MODEL, "model-x")
+    args = ["probe", "--config", str(small_config), "--backend", "live", "--output-dir", str(tmp_path / "probe")]
+    assert run_cli(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ENV_BASE_URL}: base URL {base_url!r}") and "Traceback" not in err
 
 
 def test_a_failed_rerun_leaves_no_report_of_the_earlier_run(tmp_path, capsys):

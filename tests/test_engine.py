@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import midpoint_vector
+from conftest import ledger_requests, ledger_sum, midpoint_vector
 from featgeo.engine.cache import ResponseCache
 from featgeo.engine.client import EngineClient, format_feature_definitions
 from featgeo.engine.ledger import CostLedger
@@ -160,8 +160,8 @@ def test_client_cache_prevents_second_live_call(tmp_path):
     second = client.generate_page(BRIEF, GUIDELINES)
     assert first == second
     assert len(backend.requests) == 1
-    assert client.ledger.role_requests(Role.PAGE_GEN) == 2
-    assert client.ledger.role_calls(Role.PAGE_GEN) == 1
+    assert ledger_requests(client.ledger, Role.PAGE_GEN) == 2
+    assert ledger_sum(client.ledger, role=Role.PAGE_GEN).api_calls == 1
 
 
 def test_salt_forces_resampling(tmp_path):
@@ -202,6 +202,14 @@ def test_live_backend_identity_is_its_url_and_model():
     assert a.identity != ChatCompletionBackend("http://other/v1", "model-x").identity
 
 
+@pytest.mark.parametrize("base_url", [
+    "http://engine/v 1", "ftp//nohost", "ftp://engine/v1", "http:///v1", "http://engine:x/", "http://engine/\x07",
+])
+def test_live_backend_refuses_a_malformed_base_url(base_url):
+    with pytest.raises(ValidationError, match="base URL"):
+        ChatCompletionBackend(base_url, "model-x")
+
+
 def test_cache_key_is_deterministic():
     r1 = build_request(Role.JUDGE, "prompt text", salt="s")
     r2 = build_request(Role.JUDGE, "prompt text", salt="s")
@@ -222,7 +230,7 @@ def test_ledger_totals_follow_stage_sums():
     ledger.record_call(Stage.INITIAL_POPULATION, Role.PAGE_GEN, response_with(100, 20))
     ledger.record_call(Stage.GA_OPTIMIZATION, Role.ANSWER_GEN, response_with(50, 5))
     ledger.record_call(Stage.GA_OPTIMIZATION, Role.JUDGE, response_with(40, 4))
-    totals = ledger.totals()
+    totals = ledger_sum(ledger)
     assert totals.api_calls == 4
     assert totals.prompt_tokens == 200
     assert totals.completion_tokens == 31
@@ -302,7 +310,7 @@ def test_ledger_concurrent_increments_sum_exactly():
         t.start()
     for t in threads:
         t.join()
-    totals = ledger.totals()
+    totals = ledger_sum(ledger)
     assert totals.api_calls == n_threads * per_thread
     assert totals.prompt_tokens == 3 * n_threads * per_thread
     CostLedger.from_dict(ledger.to_dict())
@@ -312,9 +320,9 @@ def test_every_call_books_exactly_one_stage(tmp_path):
     client, _ = make_client(["reply text here"])
     client.set_stage(Stage.INITIAL_POPULATION)
     client.generate_page(BRIEF, GUIDELINES)
-    assert client.ledger.stage_stats(Stage.INITIAL_POPULATION).api_calls == 1
-    assert client.ledger.stage_stats(Stage.GA_OPTIMIZATION).api_calls == 0
-    assert client.ledger.stage_stats(Stage.FEATURE_EXTRACTION).api_calls == 0
+    assert ledger_sum(client.ledger, Stage.INITIAL_POPULATION).api_calls == 1
+    assert ledger_sum(client.ledger, Stage.GA_OPTIMIZATION).api_calls == 0
+    assert ledger_sum(client.ledger, Stage.FEATURE_EXTRACTION).api_calls == 0
 
 
 # -- role operations and retries ---------------------------------------------------
@@ -686,7 +694,7 @@ def test_transport_retries_stay_out_of_the_ledger():
     client = EngineClient(backend, CATALOG)
     client.answer_query("q", docs(2))
     assert backend.transport_retries == 1
-    assert client.ledger.role_calls(Role.ANSWER_GEN) == 1
+    assert ledger_sum(client.ledger, role=Role.ANSWER_GEN).api_calls == 1
 
 
 def test_transport_retry_count_loses_no_update_across_threads():

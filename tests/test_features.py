@@ -60,8 +60,12 @@ def test_catalog_has_thirteen_features_in_documented_layers():
     ],
 )
 def test_catalog_ranges_and_kinds(key, lo, hi, kind):
-    feat = CATALOG.definition(key)
+    feat = CATALOG.features[CATALOG.index_of(key)]
     assert (feat.lo, feat.hi, feat.kind) == (lo, hi, kind)
+    if kind == "tiered":
+        assert len(set(feat.tier_directives)) == 3 and all(feat.tier_directives)
+    if kind == "density":
+        assert feat.density_label
 
 
 def test_clamp_projects_upper_bound():
@@ -135,7 +139,7 @@ def test_render_medium_fluency_directive():
     idx = CATALOG.index_of("fluency_level")
     v = midpoint_vector(CATALOG).replace(idx, 2.17)
     block = render_guidelines(clamp(v, CATALOG), CATALOG)
-    assert block.lines[idx] == CATALOG.definition("fluency_level").tier_directives[1]
+    assert block.lines[idx] == CATALOG.features[CATALOG.index_of("fluency_level")].tier_directives[1]
 
 
 def test_render_statistics_density_percentage():

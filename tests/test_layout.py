@@ -1,10 +1,12 @@
-"""Source-layout guards: imports live at module top, and the record modules stay below the pipeline."""
+"""Source-layout guards: imports live at module top, the record modules stay below the pipeline,
+and every public name has a caller outside the tests."""
 
 import ast
 import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import featgeo
@@ -111,3 +113,35 @@ def test_benchmark_hooks_resolve_against_the_package(monkeypatch):
             instrument.recording_optimizer(instrument.OptimizerLog()):
         assert featgeo.sim.clamp is not clamp
     assert featgeo.sim.clamp is clamp and featgeo.features.clamp is clamp
+
+
+def _mentions(node: ast.AST) -> list[str]:
+    """Every name, attribute, import alias and string constant inside ``node``."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.alias):
+            out += [*n.name.split("."), n.asname]
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.append(n.value)
+    return out
+
+
+def test_every_public_definition_is_named_outside_its_own_body():
+    """A public function, method or class that only the tests call belongs in the tests."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted([*PACKAGE_DIR.rglob("*.py"), *perfbench.glob("*.py")])}
+    mentions = Counter(name for tree in trees.values() for name in _mentions(tree))
+    unused = [
+        f"{path.relative_to(PACKAGE_DIR)}:{node.name}"
+        for path, tree in trees.items() if path.is_relative_to(PACKAGE_DIR)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and mentions[node.name] == _mentions(node).count(node.name)
+    ]
+    assert not unused, f"public names no program code uses: {unused}"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import load_example_solutions, midpoint_vector
+from conftest import dominates, load_example_solutions, midpoint_vector
 from featgeo.errors import ValidationError
 from featgeo.features import FeatureVector, catalog_default, vector_from_mapping
 from featgeo.optimizer import (
@@ -35,7 +35,7 @@ def brute_force_fronts(pop):
     while remaining:
         layer = [
             a for a in remaining
-            if not any(b.dominates(a) for b in remaining if b is not a)
+            if not any(dominates(b, a) for b in remaining if b is not a)
         ]
         fronts.append({id(a) for a in layer})
         remaining = [a for a in remaining if id(a) not in fronts[-1]]

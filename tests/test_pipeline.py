@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import midpoint_vector
+from conftest import dominates, ledger_requests, ledger_sum, midpoint_vector
 import featgeo.pipeline as pipeline_module
 import featgeo.records as records
 from featgeo.bundled import default_sim_config_path
@@ -353,8 +353,8 @@ def test_regenerated_pages_are_not_replayed_from_the_cache(tmp_path):
                           cache=ResponseCache(tmp_path / "responses.jsonl"))
     evaluator = CandidateEvaluator(cfg, client, manual_probe(), load_documents(cfg.competitor_docs), CATALOG)
     evaluator.evaluate_batch([(midpoint_vector(CATALOG), (0, 0, rep)) for rep in range(3)])
-    assert client.ledger.role_calls(Role.PAGE_GEN) == 3  # live calls
-    assert client.ledger.role_requests(Role.PAGE_GEN) == 3  # live calls plus cache hits
+    assert ledger_sum(client.ledger, role=Role.PAGE_GEN).api_calls == 3  # live calls
+    assert ledger_requests(client.ledger, Role.PAGE_GEN) == 3  # live calls plus cache hits
 
 
 def batch_units(x, slots_repeats):
@@ -521,8 +521,8 @@ def test_identical_requests_in_flight_make_one_call(tmp_path):
         # Two clones in one generation send the same page request.
         first, second = evaluator.evaluate_batch(batch_units(midpoint_vector(CATALOG), [(0, 0), (1, 0)]))
     assert first == second
-    assert client.ledger.role_calls(Role.PAGE_GEN) == 1
-    assert client.ledger.role_requests(Role.PAGE_GEN) == 2  # one live call, one cache hit
+    assert ledger_sum(client.ledger, role=Role.PAGE_GEN).api_calls == 1
+    assert ledger_requests(client.ledger, Role.PAGE_GEN) == 2  # one live call, one cache hit
     records = [json.loads(line) for line in cache.path.read_text().splitlines()]
     assert [r["role"] for r in records].count(Role.PAGE_GEN.value) == 1
 
@@ -626,16 +626,16 @@ def test_run_ledger_accounting(tmp_path):
     n, g = cfg.ga.population_size, cfg.ga.generations
     m = cfg.query_count
     reps = cfg.ga.repeats_per_eval
-    assert record.ledger.role_requests(Role.PAGE_GEN) == n * (g + 1)
+    assert ledger_requests(record.ledger, Role.PAGE_GEN) == n * (g + 1)
     # stage split: N realizations at initialization, N per generation afterwards
-    assert record.ledger.role_requests(Role.PAGE_GEN, Stage.INITIAL_POPULATION) == n
-    assert record.ledger.role_requests(Role.PAGE_GEN, Stage.GA_OPTIMIZATION) == n * g
-    assert record.ledger.role_requests(Role.PAGE_GEN, Stage.FEATURE_EXTRACTION) == 0
+    assert ledger_requests(record.ledger, Role.PAGE_GEN, Stage.INITIAL_POPULATION) == n
+    assert ledger_requests(record.ledger, Role.PAGE_GEN, Stage.GA_OPTIMIZATION) == n * g
+    assert ledger_requests(record.ledger, Role.PAGE_GEN, Stage.FEATURE_EXTRACTION) == 0
     # answers: probe M, then M per (candidate, repeat)
-    assert record.ledger.role_requests(Role.ANSWER_GEN, Stage.FEATURE_EXTRACTION) == m
-    assert record.ledger.role_requests(Role.ANSWER_GEN, Stage.GA_OPTIMIZATION) == n * g * reps * m
-    assert record.ledger.role_requests(Role.ANSWER_GEN) == m + n * (g + 1) * reps * m
-    totals = record.ledger.totals()
+    assert ledger_requests(record.ledger, Role.ANSWER_GEN, Stage.FEATURE_EXTRACTION) == m
+    assert ledger_requests(record.ledger, Role.ANSWER_GEN, Stage.GA_OPTIMIZATION) == n * g * reps * m
+    assert ledger_requests(record.ledger, Role.ANSWER_GEN) == m + n * (g + 1) * reps * m
+    totals = ledger_sum(record.ledger)
     assert totals.api_calls > 0
     assert totals.prompt_tokens > 0
 
@@ -704,8 +704,8 @@ def test_run_front_members_are_mutually_nondominated(tmp_path):
     members = list(record.front)
     for i, a in enumerate(members):
         for b in members[i + 1:]:
-            assert not a.dominates(b)
-            assert not b.dominates(a)
+            assert not dominates(a, b)
+            assert not dominates(b, a)
 
 
 def test_run_eq3_estimator_bookkeeping(tmp_path):

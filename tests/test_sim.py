@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import midpoint_vector
+from conftest import ledger_sum, midpoint_vector
 import featgeo.sim as sim_module
 from featgeo.bundled import default_sim_config_path
 from featgeo.citations import parse_citations
@@ -30,7 +30,6 @@ from featgeo.sim import (
     reconstruct_from_guidelines,
     sim_answer,
     sim_propensity,
-    sim_quality_base,
     sim_quality_dims,
 )
 
@@ -107,7 +106,7 @@ def test_quality_base_strictly_decreasing_in_propensity():
     idx = CATALOG.index_of("statistics_level")
     points = [midpoint_vector(CATALOG).replace(idx, x) for x in np.linspace(0, 3, 9)]
     props = [sim_propensity(p, world) for p in points]
-    bases = [sim_quality_base(p, world) for p in points]
+    bases = [sim_module._propensity_and_base(p, world)[1] for p in points]
     assert all(b > a for a, b in zip(props, props[1:]))
     assert all(b < a for a, b in zip(bases, bases[1:]))
 
@@ -117,7 +116,7 @@ def test_equal_scores_give_equal_dimensions():
     world = make_world(vis_weights=weights_on("statistics_level", 1.0))
     a = midpoint_vector(CATALOG).replace(CATALOG.index_of("fluency_level"), 1.2)
     b = midpoint_vector(CATALOG).replace(CATALOG.index_of("headings_level"), 2.9)
-    assert sim_quality_base(a, world) == sim_quality_base(b, world)
+    assert sim_module._propensity_and_base(a, world)[1] == sim_module._propensity_and_base(b, world)[1]
     assert sim_quality_dims(a, world) == sim_quality_dims(b, world)
 
 
@@ -166,8 +165,8 @@ def test_answer_sentence_count_seeded_from_query():
 def test_dominant_propensity_takes_nearly_all_citations():
     world = make_world(vis_weights=weights_on("has_intro_summary", 8.0), bias=-4.0)
     docs = [doc_with_intro(1, 1.0), doc_with_intro(2, 0.0), doc_with_intro(3, 0.0)]
-    assert sim_propensity(world.latent_for(docs[0]), world) > 0.98
-    assert sim_propensity(world.latent_for(docs[1]), world) < 0.02
+    assert sim_propensity(world.source_state(docs[0])[0], world) > 0.98
+    assert sim_propensity(world.source_state(docs[1])[0], world) < 0.02
     total = winner = 0
     salt = 0
     while total < 1000:
@@ -241,10 +240,10 @@ def test_latent_fallback_uses_competitor_vectors():
     competitor = midpoint_vector(CATALOG)
     world = make_world(competitors=[competitor])
     plain = SourceDocument(id=1, text="no profile here")
-    assert world.latent_for(plain) == competitor
+    assert world.source_state(plain)[0] == competitor
     unknown = SourceDocument(id=2, text="no profile here")
     with pytest.raises(ValidationError):
-        world.latent_for(unknown)
+        world.source_state(unknown)
 
 
 # -- brute-force oracle ------------------------------------------------------------
@@ -276,7 +275,8 @@ def test_front_members_are_grid_points_and_undominated():
     # independent pairwise-dominance recheck over the very values the sweep saw
     from featgeo.sim import _evaluate_grid
     from itertools import product
-    axes = {key: np.linspace(CATALOG.definition(key).lo, CATALOG.definition(key).hi, 3)
+    axes = {key: np.linspace(CATALOG.features[CATALOG.index_of(key)].lo,
+                             CATALOG.features[CATALOG.index_of(key)].hi, 3)
             for key in active}
     rows = []
     for combo in product(*(axes[k] for k in active)):
@@ -444,7 +444,7 @@ def test_backend_theme_is_short_and_cache_stable(tmp_path):
     brief2 = client.extract_theme(docs, "meal planning")
     assert brief1 == brief2
     assert len(brief1.strategy_text.split()) < 200
-    assert client.ledger.role_calls(Role.THEME_EXTRACT) == 1  # second was a cache hit
+    assert ledger_sum(client.ledger, role=Role.THEME_EXTRACT).api_calls == 1  # second was a cache hit
 
 
 def test_backend_identity_follows_the_sim_config():
