@@ -146,15 +146,11 @@ def visibility_scores(p: CitationParse) -> VisibilityScores:
 
 
 def citation_frequency(parses: Sequence[CitationParse]) -> CitationFrequencyTable:
-    """Count, per source, in how many answers it was cited at least once."""
-    if not parses:
-        return CitationFrequencyTable({}, 0, 0)
-    num_sources = parses[0].num_sources
-    for p in parses:
-        if p.num_sources != num_sources:
-            raise ValidationError(
-                f"mismatched num_sources across parses: {p.num_sources} != {num_sources}"
-            )
+    """Count, per source, in how many answers it was cited at least once.
+
+    The parses share one source count: they answer queries over one document set.
+    """
+    num_sources = parses[0].num_sources if parses else 0
     frequencies = {s: 0 for s in range(1, num_sources + 1)}
     for p in parses:
         for s in p.cited_anywhere():
@@ -167,8 +163,6 @@ def select_exemplars(t: CitationFrequencyTable, k: int) -> list[int]:
 
     Sources never cited are excluded, so fewer than k ids may come back.
     """
-    if k < 1:
-        raise ValidationError(f"exemplar count must be >= 1, got {k}")
     cited = [(s, f) for s, f in t.frequencies.items() if f >= 1]
     cited.sort(key=lambda item: (-item[1], item[0]))
     return [s for s, _ in cited[:k]]

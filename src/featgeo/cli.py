@@ -160,9 +160,10 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_score(args) -> int:
     path = Path(args.answer)
-    if not path.exists():
-        raise ValidationError(f"answer file not found: {path}")
-    answer = path.read_text(encoding="utf-8")
+    try:
+        answer = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read answer file {path}: {exc}") from exc
     parse = parse_citations(answer, args.sources)
     scores = visibility_scores(parse)
     print(f"{len(parse.sentences)} sentences, {args.sources} sources, "

@@ -17,7 +17,7 @@ from ..errors import EngineError, ValidationError
 from ..features import (
     KIND_BOOLEAN, KIND_TIERED, FeatureCatalog, FeatureVector, GuidelineBlock, vector_from_mapping,
 )
-from ..quality import ALL_DIMENSIONS, QualityDimensions
+from ..quality import ALL_DIMENSIONS, parse_dimensions
 from .cache import ResponseCache
 from .ledger import CostLedger
 from .templates import render_prompt, templates_digest
@@ -185,8 +185,6 @@ class EngineClient:
     def generate_queries(self, topic: TopicBrief, m: int) -> list[str]:
         """Produce exactly m distinct non-empty query strings for a topic; a
         re-ask adds to the distinct queries that earlier replies gave."""
-        if m < 1:
-            raise ValidationError(f"query count must be >= 1, got {m}")
         prompt = render_prompt(Role.QUERY_GEN, topic=topic.topic, strategy_text=topic.strategy_text, m=str(m))
         collected: dict[str, None] = {}  # distinct queries in the order they came
 
@@ -228,8 +226,6 @@ class EngineClient:
 
     def generate_page(self, brief: TopicBrief, guidelines: GuidelineBlock, salt: str = "") -> str:
         """Realize a feature configuration (as rendered guidelines) into page text; a salt asks for a fresh one."""
-        if not guidelines.lines:
-            raise ValidationError("guidelines must contain at least one line")
         prompt = render_prompt(
             Role.PAGE_GEN, ad_theme=brief.strategy_text, guidelines=guidelines.as_text()
         )
@@ -240,13 +236,6 @@ class EngineClient:
 
     def answer_query(self, query: str, docs: Sequence[SourceDocument], salt: str = "") -> str:
         """Synthesize a cited answer for a query over the given sources."""
-        if not query.strip():
-            raise ValidationError("query must be non-empty")
-        if not docs:
-            raise ValidationError("answer generation needs at least one document")
-        ids = [d.id for d in docs]
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"document ids must be unique, got {ids}")
         prompt = render_prompt(
             Role.ANSWER_GEN, query=query, source_text=format_source_documents(docs)
         )
@@ -255,13 +244,11 @@ class EngineClient:
             _non_empty, salt=salt,
         )
 
-    def judge_quality(self, answer_or_page: str, query: str, salt: str = "") -> QualityDimensions:
-        """Score a text on the seven quality dimensions (integers 1..5)."""
-        if not answer_or_page.strip() or not query.strip():
-            raise ValidationError("judge inputs must be non-empty")
+    def judge_quality(self, answer_or_page: str, query: str, salt: str = "") -> tuple[int, ...]:
+        """Score a text on the seven quality dimensions (integers 1..5, ``ALL_DIMENSIONS`` order)."""
         prompt = render_prompt(Role.JUDGE, query=query, answer_text=answer_or_page)
         return self._complete_parsed(
             "quality judging", Role.JUDGE, prompt, {"text": answer_or_page, "query": query},
-            lambda reply: QualityDimensions.from_raw(_parse_numbers(reply, ALL_DIMENSIONS)),
+            lambda reply: parse_dimensions(_parse_numbers(reply, ALL_DIMENSIONS)),
             salt=salt,
         )

@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping
 
-from ..errors import ValidationError
-
 
 class Role(str, Enum):
     """The six engine roles the pipeline relies on."""
@@ -58,10 +56,6 @@ class EngineRequest:
     cache_key: str
     payload: Mapping[str, Any] | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if not self.prompt:
-            raise ValidationError("engine request prompt must be non-empty")
-
 
 def build_request(
     role: Role, prompt: str, salt: str = "", payload: Mapping[str, Any] | None = None
@@ -100,26 +94,12 @@ class EngineResponse:
         )
 
 
-ORIGIN_RETRIEVED = "retrieved"
-ORIGIN_ADVERTISER = "advertiser"
-_ORIGINS = (ORIGIN_RETRIEVED, ORIGIN_ADVERTISER)
-
-
 @dataclass(frozen=True)
 class SourceDocument:
     """One candidate source page, identified by its 1-based index."""
 
     id: int
     text: str
-    origin: str = ORIGIN_RETRIEVED
-
-    def __post_init__(self):
-        if self.id < 1:
-            raise ValidationError(f"document id must be >= 1, got {self.id}")
-        if not self.text or not self.text.strip():
-            raise ValidationError(f"document {self.id} has empty text")
-        if self.origin not in _ORIGINS:
-            raise ValidationError(f"unknown document origin {self.origin!r}")
 
 
 @dataclass(frozen=True)
@@ -128,9 +108,3 @@ class TopicBrief:
 
     topic: str
     strategy_text: str
-
-    def __post_init__(self):
-        if not self.topic or not self.topic.strip():
-            raise ValidationError("topic label must be non-empty")
-        if not self.strategy_text or not self.strategy_text.strip():
-            raise ValidationError("strategy text must be non-empty")

@@ -129,12 +129,6 @@ class GuidelineBlock:
     lines: tuple[str, ...]
     layers: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.lines) != len(self.layers):
-            raise ValidationError("guideline lines and layers must align")
-        if any(not line for line in self.lines):
-            raise ValidationError("guideline lines must be non-empty")
-
     def as_text(self) -> str:
         """Group lines under their layer headers for prompt embedding."""
         out: list[str] = []

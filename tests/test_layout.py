@@ -1,5 +1,5 @@
 """Source-layout guards: imports live at module top, the record modules stay below the pipeline,
-and every public name has a caller outside the tests."""
+every public name has a caller outside the tests, and inputs are checked only where they enter."""
 
 import ast
 import importlib
@@ -145,3 +145,57 @@ def test_every_public_definition_is_named_outside_its_own_body():
         and mentions[node.name] == _mentions(node).count(node.name)
     ]
     assert not unused, f"public names no program code uses: {unused}"
+
+
+# Where a value enters the program, by kind of input. Everything past these
+# functions is a value the program built itself, and is not checked again.
+INPUT_BOUNDARIES = {
+    # the config file
+    "pipeline.py:RunConfig.__post_init__", "pipeline.py:RunConfig.from_file", "pipeline.py:_read_section",
+    "pipeline.py:_expect", "pipeline.py:_vector", "optimizer.py:GAConfig.__post_init__",
+    "quality.py:QualityConfig.__post_init__", "sim.py:SimConfig.__post_init__", "features.py:FeatureVector.__post_init__",
+    # competitor documents, and the sim config's document-to-vector match
+    "pipeline.py:_doc_paths", "pipeline.py:load_documents", "sim.py:SimWorld.source_state",
+    # engine replies, parsed by the client's callbacks
+    "engine/client.py:_non_empty", "engine/client.py:EngineClient.generate_queries.parse",
+    "quality.py:parse_dimensions", "features.py:vector_from_mapping", "features.py:decode_vector",
+    # the prompt template files, the response cache file and the run directory
+    "engine/templates.py:render_prompt", "engine/cache.py:ResponseCache._load", "report.py:_read",
+    # CLI arguments and the environment
+    "cli.py:_check_run_dir", "cli.py:_cmd_simulate", "cli.py:_cmd_score", "cli.py:_cmd_report",
+    "features.py:FeatureCatalog.index_of",
+    "engine/live.py:ChatCompletionBackend.__init__", "engine/live.py:ChatCompletionBackend.from_env",
+    # README's Python API
+    "citations.py:parse_citations", "features.py:clamp", "optimizer.py:_evaluate_generation",
+    "optimizer.py:seed_population", "optimizer.py:select_final", "optimizer.py:HypervolumeTrace.__post_init__",
+    "optimizer.py:ParetoFront.__post_init__", "sim.py:brute_force_pareto",
+}
+
+
+def _raisers(path: Path, names: set[str]) -> set[str]:
+    """Class-qualified functions (``Class.method.inner``) in one file that raise one of ``names``."""
+    found = set()
+
+    def visit(node: ast.AST, qualname: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, qualname + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", None) in names:
+                    found.add(f"{path.relative_to(PACKAGE_DIR).as_posix()}:{'.'.join(qualname) or '<module>'}")
+            visit(child, qualname)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), ())
+    return found
+
+
+def test_validation_errors_are_raised_only_at_boundaries():
+    """An input is checked once, where it enters; a new check of a value the program built fails here."""
+    raisers = set().union(*(_raisers(path, {"ValidationError", "BudgetError"})
+                            for path in sorted(PACKAGE_DIR.rglob("*.py"))))
+    assert raisers == INPUT_BOUNDARIES, (
+        f"raise outside the input boundaries: {sorted(raisers - INPUT_BOUNDARIES)}; "
+        f"boundaries that no longer raise: {sorted(INPUT_BOUNDARIES - raisers)}"
+    )

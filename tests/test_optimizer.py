@@ -96,11 +96,6 @@ def test_sort_partitions_population():
     assert {id(i) for i in seen} == {id(i) for i in pop}
 
 
-def test_sort_rejects_unevaluated():
-    with pytest.raises(ValidationError):
-        non_dominated_sort([Individual(x=midpoint_vector(CATALOG))])
-
-
 # -- crowding distance ---------------------------------------------------------------
 
 
@@ -123,11 +118,6 @@ def test_crowding_zero_width_objective_contributes_nothing():
     front = [ind(0, 50), ind(50, 50), ind(100, 50)]
     distances = crowding_distance(front)
     assert distances[1] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_crowding_rejects_empty_front():
-    with pytest.raises(ValidationError):
-        crowding_distance([])
 
 
 # -- variation -------------------------------------------------------------------------

@@ -380,7 +380,7 @@ def test_a_failing_answer_fails_only_its_unit(tmp_path, workers):
     with ThreadPoolExecutor(workers) as pool:
         evaluator.query_map = pool.map
         objectives = evaluator.evaluate_batch(units)
-    assert objectives == healthy[:2] + [(0.0, 0.0)] + healthy[3:]
+    assert objectives == healthy[:2] + [None] + healthy[3:]
     assert [m.failed for m in evaluator.metrics] == [False, False, True, False, False]
     assert [(m.slot, m.repeat) for m in evaluator.metrics] == [key[1:] for _, key in units]
     if workers == 1:  # the failed unit makes no further call: not its second answer, no judge call
@@ -408,10 +408,35 @@ def test_non_finite_judge_scores_fail_only_their_unit(tmp_path, workers):
     with ThreadPoolExecutor(workers) as pool:
         evaluator.query_map = pool.map
         objectives = evaluator.evaluate_batch(units)
-    assert objectives == healthy[:2] + [(0.0, 0.0)] + healthy[3:]
+    assert objectives == healthy[:2] + [None] + healthy[3:]
     assert [m.failed for m in evaluator.metrics] == [False, False, True, False, False]
     # The failed unit's first judge call was sent retry_limit times, then it stopped.
     assert backend.calls.count(Role.JUDGE) == 4 * cfg.query_count + evaluator.client.retry_limit
+
+
+def test_a_failed_repeat_leaves_its_candidate_the_mean_of_the_other_repeats(tmp_path, monkeypatch):
+    cfg = small_sim_config(tmp_path, ga=GAConfig(population_size=4, generations=1, repeats_per_eval=5, seed=3))
+    world = SimWorld(cfg.sim, CATALOG)
+    rep3_answers = []
+
+    def first_rep3_answer_fails(req):  # at one worker, the first rep3 answer is slot 0's
+        if req.payload["salt"] == "rep3":
+            rep3_answers.append(req)
+            if len(rep3_answers) == 1:
+                raise EngineError("answer backend down")
+        return SimBackend(world).complete(req).text
+
+    run_against(monkeypatch, RoleScriptBackend(world, {Role.ANSWER_GEN: first_rep3_answer_fails}))
+    assert run_optimization(cfg).status == "degraded"
+    rows = [json.loads(line) for line in (cfg.output_dir / "eval_metrics.jsonl").read_text().splitlines()]
+    assert [(r["generation"], r["slot"], r["repeat"]) for r in rows if r["failed"]] == [(0, 0, 3)]
+    scored = [r for r in rows if (r["generation"], r["slot"]) == (0, 0) and not r["failed"]]
+    assert len(scored) == 4
+    logged = [json.loads(line) for line in (cfg.output_dir / "generations.jsonl").read_text().splitlines()]
+    slot0 = next(r for r in logged if (r["generation"], r["slot"]) == (0, 0))
+    expected = tuple(sum(r[name] for r in scored) / 4 for name in ("visibility", "quality"))
+    assert expected[1] > 0.0  # a (0, 0) penalty averaged in would show
+    assert (slot0["visibility"], slot0["quality"]) == expected
 
 
 @pytest.mark.parametrize("workers", [1, 4])
@@ -532,7 +557,7 @@ def test_advertiser_position_first_keeps_last_id(tmp_path):
     world = SimWorld(cfg.sim, CATALOG)
     evaluator = make_evaluator(cfg, SimBackend(world))
     docs = evaluator._candidate_docs("page text\n")
-    assert docs[0].origin == "advertiser"
+    assert docs[0].text == "page text\n"
     assert docs[0].id == 6
     assert [d.id for d in docs[1:]] == [1, 2, 3, 4, 5]
 

@@ -5,27 +5,27 @@ from featgeo.errors import ValidationError
 from featgeo.quality import (
     ALL_DIMENSIONS,
     QualityConfig,
-    QualityDimensions,
     aggregate_quality,
+    parse_dimensions,
 )
 
 
 def dims(content, appeal):
-    return QualityDimensions(*content, *appeal)
+    return (*content, *appeal)
 
 
 def content_mean(d):
     """Content group mean in percent, by hand: 100 * mean((s - 1) / 4) over four scores."""
-    return 25.0 * (sum(d.content_scores()) - 4) / 4
+    return 25.0 * (sum(d[:4]) - 4) / 4
 
 
 def appeal_mean(d):
     """Appeal group mean in percent, by hand: 100 * mean((s - 1) / 4) over three scores."""
-    return 25.0 * (sum(d.appeal_scores()) - 3) / 3
+    return 25.0 * (sum(d[4:]) - 3) / 3
 
 
 def random_dims(rng):
-    return QualityDimensions(*(int(s) for s in rng.integers(1, 6, size=7)))
+    return tuple(int(s) for s in rng.integers(1, 6, size=7))
 
 
 def test_hand_derived_blend():
@@ -57,13 +57,10 @@ def test_monotone_in_every_dimension():
     for _ in range(100):
         base = random_dims(rng)
         value = aggregate_quality(base, cfg)
-        for name in ALL_DIMENSIONS:
-            score = getattr(base, name)
+        for i, score in enumerate(base):
             if score == 5:
                 continue
-            bumped = QualityDimensions(
-                **{n: getattr(base, n) + (1 if n == name else 0) for n in ALL_DIMENSIONS}
-            )
+            bumped = tuple(s + (1 if j == i else 0) for j, s in enumerate(base))
             assert aggregate_quality(bumped, cfg) >= value
 
 
@@ -73,28 +70,28 @@ def test_aggregation_commutes_with_averaging():
     for _ in range(50):
         batch = [random_dims(rng) for _ in range(5)]
         mean_of_values = np.mean([aggregate_quality(d, cfg) for d in batch])
-        mean_content = np.mean([np.mean([(s - 1) / 4 for s in d.content_scores()]) for d in batch])
-        mean_appeal = np.mean([np.mean([(s - 1) / 4 for s in d.appeal_scores()]) for d in batch])
+        mean_content = np.mean([np.mean([(s - 1) / 4 for s in d[:4]]) for d in batch])
+        mean_appeal = np.mean([np.mean([(s - 1) / 4 for s in d[4:]]) for d in batch])
         direct = 100 * (cfg.alpha * mean_content + (1 - cfg.alpha) * mean_appeal)
         assert mean_of_values == pytest.approx(direct, abs=1e-9)
 
 
 def test_rejects_out_of_range_scores():
     with pytest.raises(ValidationError):
-        dims((0, 3, 3, 3), (3, 3, 3))
+        parse_dimensions(dict(zip(ALL_DIMENSIONS, dims((0, 3, 3, 3), (3, 3, 3)))))
     with pytest.raises(ValidationError):
-        dims((3, 3, 3, 3), (3, 3, 6))
+        parse_dimensions(dict(zip(ALL_DIMENSIONS, dims((3, 3, 3, 3), (3, 3, 6)))))
 
 
 def test_from_raw_rounds_half_up_then_validates():
-    d = QualityDimensions.from_raw(
+    d = parse_dimensions(
         {"fluency": 3.5, "usefulness": 2.4, "credibility": 4.5, "structure": 1.0,
          "uniqueness": 2.5, "attractiveness": 3.49, "influence": 5.0}
     )
-    assert (d.fluency, d.usefulness, d.credibility) == (4, 2, 5)
-    assert (d.uniqueness, d.attractiveness) == (3, 3)
+    assert d[:3] == (4, 2, 5)
+    assert d[4:6] == (3, 3)
     with pytest.raises(ValidationError):
-        QualityDimensions.from_raw({name: 5.6 for name in ALL_DIMENSIONS})
+        parse_dimensions({name: 5.6 for name in ALL_DIMENSIONS})
 
 
 @pytest.mark.parametrize("score", [float("inf"), float("-inf"), 1e400, float("nan")])
@@ -102,17 +99,17 @@ def test_from_raw_rejects_a_non_finite_score_naming_its_dimension(score):
     scores = {name: 3.0 for name in ALL_DIMENSIONS}
     scores["credibility"] = score
     with pytest.raises(ValidationError, match="'credibility' must be a finite score"):
-        QualityDimensions.from_raw(scores)
+        parse_dimensions(scores)
 
 
 def test_from_raw_requires_all_seven():
     partial = {name: 3 for name in ALL_DIMENSIONS[:-1]}
     with pytest.raises(ValidationError, match="influence"):
-        QualityDimensions.from_raw(partial)
+        parse_dimensions(partial)
     extra = {name: 3 for name in ALL_DIMENSIONS}
     extra["novelty"] = 3
     with pytest.raises(ValidationError, match="novelty"):
-        QualityDimensions.from_raw(extra)
+        parse_dimensions(extra)
 
 
 def test_quality_config_validation():

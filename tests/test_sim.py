@@ -19,7 +19,7 @@ from featgeo.features import (
 )
 from featgeo.optimizer import GAConfig, evolve
 from featgeo.pipeline import RunConfig, load_documents, run_optimization
-from featgeo.quality import ALL_DIMENSIONS, QualityConfig, QualityDimensions, aggregate_quality
+from featgeo.quality import QualityConfig, aggregate_quality
 from featgeo.sim import (
     SimBackend,
     SimConfig,
@@ -98,7 +98,7 @@ def test_propensity_deterministic_across_world_instances():
 def test_neutral_world_gives_mid_scale_dimensions():
     world = make_world()
     dims = sim_quality_dims(midpoint_vector(CATALOG), world)
-    assert all(getattr(dims, name) == 3 for name in ALL_DIMENSIONS)
+    assert dims == (3,) * 7
 
 
 def test_quality_base_strictly_decreasing_in_propensity():
@@ -126,7 +126,7 @@ def test_dims_always_in_range():
     for _ in range(50):
         v = clamp(FeatureVector(tuple(rng.uniform(0, 3, size=13))), CATALOG)
         dims = sim_quality_dims(v, world)
-        assert all(1 <= getattr(dims, name) <= 5 for name in ALL_DIMENSIONS)
+        assert all(1 <= score <= 5 for score in dims)
 
 
 # -- answers ---------------------------------------------------------------------
@@ -229,11 +229,6 @@ def test_answer_matches_the_rng_choice_reference(noise):
                 SourceDocument(id=i + 1, text=f"Competitor {i + 1}.") for i in range(n)]
         query, salt = f"query {case % 17}?", f"rep{case}"
         assert sim_answer(query, docs, world, salt=salt) == reference_sim_answer(query, docs, world, salt=salt)
-
-
-def test_answer_requires_documents():
-    with pytest.raises(ValidationError):
-        sim_answer("q", [], make_world())
 
 
 def test_latent_fallback_uses_competitor_vectors():
@@ -366,8 +361,7 @@ def test_scalar_quantization_matches_the_vectorized_one():
     bases = steps + [np.nextafter(b, d) for b in steps for d in (-np.inf, np.inf)]
     bases += [-1e300, 1e300] + list(np.random.default_rng(4).uniform(-3.0, 3.0, size=500))
     for base in bases:
-        dims = QualityDimensions(*sim_module._dim_ints(float(base)))
-        assert tuple(getattr(dims, name) for name in ALL_DIMENSIONS) == tuple(
+        assert sim_module._dim_ints(float(base)) == tuple(
             int(s) for s in sim_module._dims_from_base(base)
         ), base
 
@@ -403,18 +397,6 @@ def test_reconstruction_inverts_density_almost_exactly():
                 assert rebuilt[i] == (1.0 if v[i] >= 0.5 else 0.0)
             else:
                 assert rebuilt[i] in (4 / 3, 2.0, 8 / 3)
-
-
-def test_reconstruction_rejects_foreign_lines():
-    block = render_guidelines(midpoint_vector(CATALOG), CATALOG)
-    from featgeo.features import GuidelineBlock
-    tampered = GuidelineBlock(("something else",) + block.lines[1:], block.layers)
-    # boolean line falls back to 0; tamper a tiered line instead
-    tiered_idx = CATALOG.index_of("fluency_level")
-    lines = list(block.lines)
-    lines[tiered_idx] = "not a known directive"
-    with pytest.raises(ValidationError):
-        reconstruct_from_guidelines(GuidelineBlock(tuple(lines), block.layers), CATALOG)
 
 
 # -- backend roles ---------------------------------------------------------------
@@ -492,7 +474,7 @@ def test_backend_judge_fallback_is_deterministic_and_in_range():
     a = client.judge_quality(text, "q")
     b = client.judge_quality(text, "q")
     assert a == b
-    assert all(1 <= getattr(a, n) <= 5 for n in ALL_DIMENSIONS)
+    assert all(1 <= score <= 5 for score in a)
 
 
 def test_backend_wall_time_is_deterministic():
@@ -504,12 +486,6 @@ def test_backend_wall_time_is_deterministic():
     r2 = backend.complete(req)
     assert r1 == r2
     assert r1.elapsed_seconds > 0
-
-
-def test_backend_requires_payload():
-    backend = SimBackend(bundled_world())
-    with pytest.raises(ValidationError):
-        backend.complete(build_request(Role.ANSWER_GEN, "prompt only"))
 
 
 def test_sim_config_validation():
