@@ -68,15 +68,6 @@ class VisibilityScores:
         return self.word[i], self.pos[i], self.vis[i]
 
 
-@dataclass(frozen=True)
-class CitationFrequencyTable:
-    """How many probe answers cited each source (indicator counting)."""
-
-    frequencies: dict[int, int]
-    num_queries: int
-    num_sources: int
-
-
 def parse_citations(answer: str, num_sources: int) -> CitationParse:
     """Split an answer into sentences and attach bracketed citations.
 
@@ -145,8 +136,8 @@ def visibility_scores(p: CitationParse) -> VisibilityScores:
     return VisibilityScores(word_pct, pos_pct, vis_pct)
 
 
-def citation_frequency(parses: Sequence[CitationParse]) -> CitationFrequencyTable:
-    """Count, per source, in how many answers it was cited at least once.
+def citation_frequency(parses: Sequence[CitationParse]) -> dict[int, int]:
+    """Per source id, in how many answers it was cited at least once (indicator counting).
 
     The parses share one source count: they answer queries over one document set.
     """
@@ -155,14 +146,14 @@ def citation_frequency(parses: Sequence[CitationParse]) -> CitationFrequencyTabl
     for p in parses:
         for s in p.cited_anywhere():
             frequencies[s] += 1
-    return CitationFrequencyTable(frequencies, len(parses), num_sources)
+    return frequencies
 
 
-def select_exemplars(t: CitationFrequencyTable, k: int) -> list[int]:
+def select_exemplars(frequencies: dict[int, int], k: int) -> list[int]:
     """Top-k source ids by citation frequency; ties break toward smaller id.
 
     Sources never cited are excluded, so fewer than k ids may come back.
     """
-    cited = [(s, f) for s, f in t.frequencies.items() if f >= 1]
+    cited = [(s, f) for s, f in frequencies.items() if f >= 1]
     cited.sort(key=lambda item: (-item[1], item[0]))
     return [s for s, _ in cited[:k]]

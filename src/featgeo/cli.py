@@ -96,7 +96,13 @@ def _load_config(args) -> RunConfig:
 
 
 def _check_run_dir(run_dir: Path, overwrite: bool) -> None:
-    if run_dir.exists() and any(run_dir.iterdir()) and not overwrite:
+    """Create the run directory; an occupied one needs ``overwrite``."""
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        occupied = any(run_dir.iterdir())
+    except OSError as exc:
+        raise ValidationError(f"cannot use {run_dir} as a run directory: {exc}") from exc
+    if occupied and not overwrite:
         raise ValidationError(
             f"run directory {run_dir} already exists; pass --overwrite to write into it"
         )
@@ -120,7 +126,7 @@ def _cmd_probe(args) -> int:
 def _run_and_summarize(cfg: RunConfig, policy: str = "max_visibility") -> int:
     record = run_optimization(cfg)
     best = record.finals[policy]
-    print(f"run {record.status}: {record.run_dir}")
+    print(f"run {record.status}: {cfg.output_dir}")
     print(f"front size: {len(record.front)}  final HV: {record.trace.entries[-1][1]:.4f}")
     print(
         f"{policy}: visibility {best.objectives[0]:.2f}  quality {best.objectives[1]:.2f}"
@@ -211,7 +217,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except FeatGeoError as exc:
         # An abort inside evolve exits as the error that caused it.
-        cause = exc.cause if isinstance(exc, OptimizerAbort) else exc
+        cause = exc.__cause__ if isinstance(exc, OptimizerAbort) else exc
         if not isinstance(cause, FeatGeoError):
             raise cause
         code, label = next((c, l) for kinds, c, l in _EXIT_CODES if isinstance(cause, kinds))

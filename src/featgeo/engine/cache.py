@@ -11,6 +11,7 @@ without discarding the store.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import threading
@@ -69,13 +70,9 @@ class ResponseCache:
             if not self._dir_made:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._dir_made = True
+            record = {"digest": digest, "role": role.value, "response": dataclasses.asdict(response)}
             with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {"digest": digest, "role": role.value, "response": response.to_dict()}
-                    )
-                    + "\n"
-                )
+                fh.write(json.dumps(record) + "\n")
 
     def __len__(self) -> int:
         with self._lock:

@@ -166,7 +166,6 @@ class EngineClient:
         sends ``salt`` and ``prompt``; attempt n sends ``{salt}|attempt{n}`` (just
         ``attempt{n}`` without a salt) and ``prompt`` plus a line that re-asks, so
         a live engine, which sees no salt, is not sent the request that failed again."""
-        reply = ""
         for attempt in range(self.retry_limit):
             attempt_salt, attempt_prompt = salt, prompt
             if attempt:
@@ -178,7 +177,7 @@ class EngineClient:
                 return parse(reply)
             except (ValidationError, ValueError) as exc:
                 logger.warning("%s reply unparseable (attempt %d): %s", what, attempt + 1, exc)
-        raise EngineError(f"{what} failed after {self.retry_limit} attempts", raw_reply=reply)
+        raise EngineError(f"{what} failed after {self.retry_limit} attempts")
 
     # -- roles -------------------------------------------------------------
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import random
 import threading
@@ -127,14 +128,19 @@ class ChatCompletionBackend:
             raise EngineError(f"engine HTTP {status} body is not JSON: {exc}") from exc
         try:
             text = data["choices"][0]["message"]["content"]
+            if not isinstance(text, str):
+                raise TypeError(f"content is {type(text).__name__}, not a string")
         except (KeyError, IndexError, TypeError) as exc:
             raise EngineError(f"unexpected engine response shape: {data!r}") from exc
-        usage = data.get("usage") or {}
-        reported = "prompt_tokens" in usage and "completion_tokens" in usage
+        usage = data.get("usage")
+        usage = usage if isinstance(usage, dict) else {}
+        counts = [usage.get("prompt_tokens"), usage.get("completion_tokens")]
+        # A count that is missing, null or no finite number was not reported: both are then estimated.
+        reported = all(type(c) is int or (type(c) is float and math.isfinite(c)) for c in counts)
         return EngineResponse(
             text=text,
-            prompt_tokens=int(usage["prompt_tokens"]) if reported else estimate_tokens(request.prompt),
-            completion_tokens=int(usage["completion_tokens"]) if reported else estimate_tokens(text),
+            prompt_tokens=int(counts[0]) if reported else estimate_tokens(request.prompt),
+            completion_tokens=int(counts[1]) if reported else estimate_tokens(text),
             usage_estimated=not reported,
             elapsed_seconds=elapsed,
         )

@@ -74,15 +74,6 @@ class EngineResponse:
     usage_estimated: bool = False
     elapsed_seconds: float = 0.0
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "text": self.text,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "usage_estimated": self.usage_estimated,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineResponse":
         return cls(

@@ -10,14 +10,7 @@ class ValidationError(FeatGeoError):
 
 
 class EngineError(FeatGeoError):
-    """A generative-engine call failed or returned unusable output after retries.
-
-    Carries the last raw reply (if any) so callers can log what the engine said.
-    """
-
-    def __init__(self, message: str, raw_reply: str | None = None):
-        super().__init__(message)
-        self.raw_reply = raw_reply
+    """A generative-engine call failed or returned unusable output after retries."""
 
 
 class IntegrityError(FeatGeoError):

@@ -116,11 +116,6 @@ class FeatureVector:
     def __getitem__(self, i: int) -> float:
         return self.values[i]
 
-    def replace(self, index: int, value: float) -> "FeatureVector":
-        vals = list(self.values)
-        vals[index] = float(value)
-        return FeatureVector(tuple(vals))
-
 
 @dataclass(frozen=True)
 class GuidelineBlock:

@@ -130,13 +130,12 @@ class EvolveResult:
 
 
 class OptimizerAbort(FeatGeoError):
-    """Evaluator failure; carries whatever log/trace existed at abort time."""
+    """Evaluator failure, chained to it as ``__cause__``; carries whatever log/trace existed at abort time."""
 
-    def __init__(self, message: str, partial_log: tuple, partial_trace: tuple, cause: Exception):
+    def __init__(self, message: str, partial_log: tuple, partial_trace: tuple):
         super().__init__(message)
         self.partial_log = partial_log
         self.partial_trace = partial_trace
-        self.cause = cause
 
 
 # -- sorting and diversity ---------------------------------------------------
@@ -457,7 +456,7 @@ def evolve(
             log.extend(_log_population(population, generation))
     except Exception as exc:
         raise OptimizerAbort(
-            f"evaluator failed during evolution: {exc}", tuple(log), tuple(trace), exc
+            f"evaluator failed during evolution: {exc}", tuple(log), tuple(trace)
         ) from exc
 
     return EvolveResult(archive, HypervolumeTrace(tuple(trace)), tuple(log), evaluations)

@@ -225,8 +225,6 @@ class AblationResult:
     feature_key: str
     baseline_vis: float
     ablated_vis: float
-    baseline_quality: float
-    ablated_quality: float
     baseline_status: str  # RunRecord.status of each run: complete, degraded or failed
     ablated_status: str
 
@@ -272,16 +270,15 @@ def probe_topic(cfg: RunConfig, client: EngineClient, docs: Sequence[SourceDocum
     for query in queries:
         answer = client.answer_query(query, docs, salt="probe")
         parses.append(parse_citations(answer, len(docs)))
-    table = citation_frequency(parses)
-    exemplar_ids = select_exemplars(table, cfg.exemplar_count)
+    frequencies = citation_frequency(parses)
+    exemplar_ids = select_exemplars(frequencies, cfg.exemplar_count)
     if not exemplar_ids:
         logger.warning("no source was cited during probing; falling back to all documents")
         exemplar_ids = [d.id for d in docs[: cfg.exemplar_count]]
     vectors = tuple(client.extract_features(docs[i - 1]) for i in exemplar_ids)
     return ProbeResult(
         queries=tuple(queries),
-        frequencies=dict(table.frequencies),
-        num_queries=table.num_queries,
+        frequencies=frequencies,
         exemplar_ids=tuple(exemplar_ids),
         exemplar_vectors=vectors,
         brief=brief,
@@ -461,7 +458,7 @@ def run_optimization(
     catalog = catalog_default()
     client = build_client(cfg, catalog)
     run_dir = Path(run_dir) if run_dir is not None else Path(cfg.output_dir)
-    record = RunRecord(ledger=client.ledger, run_dir=run_dir)
+    record = RunRecord(ledger=client.ledger)
     try:
         docs = load_documents(cfg.competitor_docs)
         record.config_snapshot = _config_snapshot(cfg, docs)
@@ -517,8 +514,8 @@ def run_ablation(
 ) -> AblationResult:
     """Re-run the optimization with one feature clamped to its minimum (Fig.-style sweep unit).
 
-    The delta is the max-visibility solution's visibility drop; quality is
-    recorded for the same solutions.
+    The delta is the max-visibility solution's visibility drop. Each run's
+    ``final_solutions.json`` holds the quality of the same solutions.
     """
     catalog = catalog_default()
     index = catalog.index_of(feature_key)
@@ -535,8 +532,6 @@ def run_ablation(
         feature_key=feature_key,
         baseline_vis=base_best.objectives[0],
         ablated_vis=abl_best.objectives[0],
-        baseline_quality=base_best.objectives[1],
-        ablated_quality=abl_best.objectives[1],
         baseline_status=baseline.status,
         ablated_status=ablated.status,
     )

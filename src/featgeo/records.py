@@ -49,7 +49,6 @@ class ProbeResult:
 
     queries: tuple[str, ...]
     frequencies: dict[int, int]
-    num_queries: int
     exemplar_ids: tuple[int, ...]
     exemplar_vectors: tuple[FeatureVector, ...]
     brief: TopicBrief
@@ -80,7 +79,6 @@ class RunRecord:
     """Full provenance of one optimization run; fields fill in as the run proceeds."""
 
     ledger: CostLedger
-    run_dir: Path | None = None
     config_snapshot: dict[str, Any] = field(default_factory=dict)
     probe: ProbeResult | None = None
     log: tuple[GenerationRecord, ...] = ()
@@ -126,6 +124,11 @@ def feature_record(values: Iterable[float], catalog: FeatureCatalog) -> dict[str
     return {feat.key: float(v) for feat, v in zip(catalog, values)}
 
 
+def trace_csv(entries: Iterable[tuple[int, float]]) -> str:
+    """The text of ``hv_trace.csv``: one (generation, hypervolume) row per line."""
+    return "generation,hypervolume\n" + "".join(f"{g},{hv!r}\n" for g, hv in entries)
+
+
 def _crowding_out(value: float) -> float | None:
     return None if value == float("inf") else value
 
@@ -135,7 +138,7 @@ def probe_to_dict(probe: ProbeResult, catalog: FeatureCatalog) -> dict[str, Any]
         "brief": {"topic": probe.brief.topic, "strategy_text": probe.brief.strategy_text},
         "queries": list(probe.queries),
         "frequencies": {str(s): f for s, f in sorted(probe.frequencies.items())},
-        "num_queries": probe.num_queries,
+        "num_queries": len(probe.queries),
         "exemplar_ids": list(probe.exemplar_ids),
         "exemplar_vectors": [feature_record(v.values, catalog) for v in probe.exemplar_vectors],
     }
@@ -200,10 +203,7 @@ def write_run_record(record: RunRecord, run_dir: Path) -> Path:
     front = record.front if record.front is not None else ()
     write_jsonl(run_dir / FRONT_FILE, (_individual_to_dict(ind, catalog) for ind in front))
 
-    trace = record.trace.entries if record.trace is not None else ()
-    write_text(
-        run_dir / TRACE_FILE, "generation,hypervolume\n" + "".join(f"{g},{hv!r}\n" for g, hv in trace)
-    )
+    write_text(run_dir / TRACE_FILE, trace_csv(record.trace.entries if record.trace is not None else ()))
 
     aux = _aux_metrics(record)
     finals = {

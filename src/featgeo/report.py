@@ -18,7 +18,7 @@ from .engine.ledger import CostLedger, format_table
 from .errors import IntegrityError, ValidationError
 from .features import LAYERS, catalog_default
 from .records import COST_FILE, FINALS_FILE, FRONT_FILE, GENERATIONS_FILE, MANIFEST_FILE, TRACE_FILE
-from .records import file_digest, write_text
+from .records import file_digest, trace_csv, write_text
 
 REPORT_DIR_NAME = "report"
 
@@ -152,7 +152,7 @@ def export_report(data: ReportData, report_dir: str | Path) -> list[Path]:
         METRICS_TABLE: _metrics_table(data),
         SCATTER_FILE: "visibility,quality,on_front\n"
         + "".join(f"{v!r},{q!r},{flag}\n" for v, q, flag in data.scatter),
-        TRACE_COPY: "generation,hypervolume\n" + "".join(f"{g},{hv!r}\n" for g, hv in data.trace),
+        TRACE_COPY: trace_csv(data.trace),
         COMPARISON_FILE: _comparison_table(data),
         COST_TABLE: data.cost.report(),
     }

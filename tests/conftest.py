@@ -14,6 +14,13 @@ def midpoint_vector(c: FeatureCatalog) -> FeatureVector:
     return FeatureVector(c.midpoint_values())
 
 
+def with_value(v: FeatureVector, index: int, value: float) -> FeatureVector:
+    """``v`` with the feature at ``index`` set to ``value``."""
+    values = list(v.values)
+    values[index] = value
+    return FeatureVector(tuple(values))
+
+
 def load_example_solutions() -> dict:
     """Two labeled extreme trade-off solutions with their recorded objectives."""
     path = Path(__file__).parent / "example_solutions.json"

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ledger_requests, ledger_sum, load_example_solutions, midpoint_vector
+from conftest import ledger_requests, ledger_sum, load_example_solutions, midpoint_vector, with_value
 from featgeo.bundled import default_sim_config_path
 from featgeo.citations import parse_citations, visibility_scores
 from featgeo.cli import EXIT_OK, run_cli
@@ -272,7 +272,7 @@ def _ablation_config(tmp_path, stats_weight, seed):
     stats = CATALOG.index_of("statistics_level")
     weights = [0.3, 0.2, -0.3, 0.2, 0.0, 1.0, 0.6, -0.3, 0.1, 0.4, 0.2, 0.5, 0.2]
     weights[stats] = stats_weight
-    competitors = [midpoint_vector(CATALOG).replace(stats, 1.0) for _ in range(5)]
+    competitors = [with_value(midpoint_vector(CATALOG), stats, 1.0) for _ in range(5)]
     docs = []
     for i, v in enumerate(competitors):
         p = tmp_path / f"doc{i}.txt"

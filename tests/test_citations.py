@@ -334,15 +334,11 @@ def test_frequency_counts_answers_not_occurrences():
         parse_citations("F.", 3),
         parse_citations("G [1].", 3),
     ]
-    table = citation_frequency(parses)
-    assert table.num_queries == 5
-    assert table.frequencies == {1: 3, 2: 2, 3: 0}
+    assert citation_frequency(parses) == {1: 3, 2: 2, 3: 0}
 
 
 def test_frequency_empty_list():
-    table = citation_frequency([])
-    assert table.frequencies == {}
-    assert table.num_queries == 0
+    assert citation_frequency([]) == {}
 
 
 def test_frequency_matches_brute_force_indicator_sum():
@@ -359,24 +355,24 @@ def test_frequency_matches_brute_force_indicator_sum():
             parses.append(make_parse(specs, n_sources))
         if not parses:
             continue
-        table = citation_frequency(parses)
+        frequencies = citation_frequency(parses)
         for s in range(1, n_sources + 1):
             brute = sum(1 for p in parses if any(s in sent.cited for sent in p.sentences))
-            assert table.frequencies[s] == brute
+            assert frequencies[s] == brute
 
 
 def test_select_exemplars_tie_breaks_by_smaller_id():
-    table = citation_frequency(
+    frequencies = citation_frequency(
         [make_parse([(3, {1, 2})], 3), make_parse([(3, {1, 2})], 3),
          make_parse([(3, {1, 2, 3})], 3)]
     )
-    assert table.frequencies == {1: 3, 2: 3, 3: 1}
-    assert select_exemplars(table, 2) == [1, 2]
+    assert frequencies == {1: 3, 2: 3, 3: 1}
+    assert select_exemplars(frequencies, 2) == [1, 2]
 
 
 def test_select_exemplars_skips_uncited_sources():
-    table = citation_frequency([make_parse([(3, set())], 4)])
-    assert select_exemplars(table, 3) == []
+    frequencies = citation_frequency([make_parse([(3, set())], 4)])
+    assert select_exemplars(frequencies, 3) == []
 
 
 def test_select_exemplars_truncates_like_sorting_oracle():
@@ -384,8 +380,6 @@ def test_select_exemplars_truncates_like_sorting_oracle():
     for _ in range(50):
         n = int(rng.integers(1, 8))
         freqs = {s: int(rng.integers(0, 5)) for s in range(1, n + 1)}
-        from featgeo.citations import CitationFrequencyTable
-        table = CitationFrequencyTable(freqs, 10, n)
         k = int(rng.integers(1, 10))
         oracle = [s for s, f in sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0])) if f >= 1][:k]
-        assert select_exemplars(table, k) == oracle
+        assert select_exemplars(freqs, k) == oracle

@@ -428,6 +428,22 @@ def test_a_malformed_live_base_url_exits_with_validation_status_before_any_reque
     assert err.startswith(f"error: {ENV_BASE_URL}: base URL {base_url!r}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["ablate", "--feature", "statistics_level"]], ids=["simulate", "ablate"])
+@pytest.mark.parametrize("under", ["", "run"], ids=["a-file", "under-a-file"])
+def test_an_output_dir_at_or_under_a_file_exits_with_validation_status_before_any_request(
+    tmp_path, small_config, monkeypatch, capsys, command, under
+):
+    def no_request(self, request):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr(SimBackend, "complete", no_request)
+    (tmp_path / "file").write_text("not a directory\n")
+    out_dir = tmp_path / "file" / under
+    assert run_cli([*command, "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot use {out_dir} as a run directory") and "Traceback" not in err
+
+
 def test_a_failed_rerun_leaves_no_report_of_the_earlier_run(tmp_path, capsys):
     topic = tmp_path / "sim_topic"
     shutil.copytree(default_sim_config_path().parent, topic)

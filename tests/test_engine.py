@@ -383,11 +383,10 @@ def test_extract_features_clamps_out_of_range_reply():
     assert v[CATALOG.index_of("statistics_level")] == 3.0
 
 
-def test_extract_features_retries_then_errors_with_raw_reply():
+def test_extract_features_retries_then_errors():
     client, backend = make_client(["not a record at all"])
-    with pytest.raises(EngineError) as err:
+    with pytest.raises(EngineError):
         client.extract_features(docs(1)[0])
-    assert err.value.raw_reply == "not a record at all"
     assert len(backend.requests) == client.retry_limit
 
 
@@ -406,9 +405,8 @@ def test_parsed_roles_retry_with_the_salts_response_caches_are_keyed_on():
     with pytest.raises(EngineError, match="quality judging failed after 3 attempts"):
         client.judge_quality("answer", "query", salt="s")
     client.backend.replies = ["  "]
-    with pytest.raises(EngineError, match="page generation failed after 3 attempts") as err:
+    with pytest.raises(EngineError, match="page generation failed after 3 attempts"):
         client.generate_page(BRIEF, GUIDELINES)
-    assert err.value.raw_reply == "  "
     salts = ["", "attempt1", "attempt2", "s", "s|attempt1", "s|attempt2", "", "attempt1", "attempt2"]
     assert len(backend.requests) == len(salts)
     for request, salt in zip(backend.requests, salts):
@@ -559,6 +557,30 @@ def test_live_backend_estimates_missing_usage():
     assert resp.prompt_tokens == estimate_tokens("x" * 40) == 10
     assert resp.completion_tokens == 2
     assert "Authorization" not in opener.sent[0]["headers"]  # no key, no auth header
+
+
+@pytest.mark.parametrize("content", [None, 5, ["hello"]])
+@pytest.mark.parametrize("usage", [HELLO["usage"], None])
+def test_live_backend_rejects_content_that_is_no_string(content, usage):
+    reply = {"choices": [{"message": {"content": content}}], **({"usage": usage} if usage else {})}
+    backend, opener, sleeps = live_backend(Reply(reply), Reply(HELLO))
+    with pytest.raises(EngineError, match="unexpected engine response shape"):
+        backend.complete(build_request(Role.ANSWER_GEN, "prompt"))
+    assert len(opener.sent) == 1 and sleeps == []
+
+
+@pytest.mark.parametrize("usage", [
+    {"prompt_tokens": None, "completion_tokens": 7},
+    {"prompt_tokens": 12, "completion_tokens": "7"},
+    {"prompt_tokens": 12, "completion_tokens": True},
+    {"prompt_tokens": float("nan"), "completion_tokens": 7},
+    5,
+    ["prompt_tokens", "completion_tokens"],
+])
+def test_live_backend_estimates_usage_that_is_null_or_no_number(usage):
+    backend, _, _ = live_backend(Reply({"choices": [{"message": {"content": "abcdefgh"}}], "usage": usage}))
+    resp = backend.complete(build_request(Role.JUDGE, "x" * 40))
+    assert (resp.prompt_tokens, resp.completion_tokens, resp.usage_estimated) == (10, 2, True)
 
 
 @pytest.mark.parametrize("role, temperature", [

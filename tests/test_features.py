@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import load_example_solutions, midpoint_vector
+from conftest import load_example_solutions, midpoint_vector, with_value
 from featgeo.errors import ValidationError
 from featgeo.features import (
     BOOLEAN_THRESHOLD,
@@ -70,13 +70,13 @@ def test_catalog_ranges_and_kinds(key, lo, hi, kind):
 
 def test_clamp_projects_upper_bound():
     idx = CATALOG.index_of("statistics_level")
-    v = midpoint_vector(CATALOG).replace(idx, 3.4)
+    v = with_value(midpoint_vector(CATALOG), idx, 3.4)
     assert clamp(v, CATALOG)[idx] == 3.0
 
 
 def test_clamp_projects_lower_bound_of_tiered_feature():
     idx = CATALOG.index_of("fluency_level")
-    v = midpoint_vector(CATALOG).replace(idx, 0.6)
+    v = with_value(midpoint_vector(CATALOG), idx, 0.6)
     assert clamp(v, CATALOG)[idx] == 1.0
 
 
@@ -101,10 +101,9 @@ def test_clamp_is_idempotent_on_wild_vectors():
 def test_clamp_rejects_non_finite_and_names_the_feature():
     for bad in (float("nan"), float("inf"), float("-inf")):
         # The first non-finite feature is named, past an out-of-range one and before another NaN.
-        v = (midpoint_vector(CATALOG)
-             .replace(CATALOG.index_of("statistics_level"), 9.0)
-             .replace(CATALOG.index_of("quotation_level"), bad)
-             .replace(CATALOG.index_of("fluency_level"), float("nan")))
+        v = with_value(midpoint_vector(CATALOG), CATALOG.index_of("statistics_level"), 9.0)
+        v = with_value(v, CATALOG.index_of("quotation_level"), bad)
+        v = with_value(v, CATALOG.index_of("fluency_level"), float("nan"))
         with pytest.raises(ValidationError, match="'quotation_level'"):
             clamp(v, CATALOG)
 
@@ -137,25 +136,25 @@ def test_density_percent_endpoints_and_monotonicity():
 
 def test_render_medium_fluency_directive():
     idx = CATALOG.index_of("fluency_level")
-    v = midpoint_vector(CATALOG).replace(idx, 2.17)
+    v = with_value(midpoint_vector(CATALOG), idx, 2.17)
     block = render_guidelines(clamp(v, CATALOG), CATALOG)
     assert block.lines[idx] == CATALOG.features[CATALOG.index_of("fluency_level")].tier_directives[1]
 
 
 def test_render_statistics_density_percentage():
     idx = CATALOG.index_of("statistics_level")
-    v = midpoint_vector(CATALOG).replace(idx, 1.62)
+    v = with_value(midpoint_vector(CATALOG), idx, 1.62)
     block = render_guidelines(clamp(v, CATALOG), CATALOG)
     assert "54%" in block.lines[idx]
 
 
 def test_render_boolean_threshold():
     idx = CATALOG.index_of("has_intro_summary")
-    on = render_guidelines(midpoint_vector(CATALOG).replace(idx, 0.64), CATALOG)
-    off = render_guidelines(midpoint_vector(CATALOG).replace(idx, 0.49), CATALOG)
+    on = render_guidelines(with_value(midpoint_vector(CATALOG), idx, 0.64), CATALOG)
+    off = render_guidelines(with_value(midpoint_vector(CATALOG), idx, 0.49), CATALOG)
     assert on.lines[idx] == INTRO_INCLUDE_DIRECTIVE
     assert off.lines[idx] == INTRO_OMIT_DIRECTIVE
-    at = render_guidelines(midpoint_vector(CATALOG).replace(idx, BOOLEAN_THRESHOLD), CATALOG)
+    at = render_guidelines(with_value(midpoint_vector(CATALOG), idx, BOOLEAN_THRESHOLD), CATALOG)
     assert at.lines[idx] == INTRO_INCLUDE_DIRECTIVE
 
 

@@ -1,5 +1,6 @@
 """Source-layout guards: imports live at module top, the record modules stay below the pipeline,
-every public name has a caller outside the tests, and inputs are checked only where they enter."""
+every public name has a caller outside the tests, every stored value is read by program code, and
+inputs are checked only where they enter."""
 
 import ast
 import importlib
@@ -198,4 +199,56 @@ def test_validation_errors_are_raised_only_at_boundaries():
     assert raisers == INPUT_BOUNDARIES, (
         f"raise outside the input boundaries: {sorted(raisers - INPUT_BOUNDARIES)}; "
         f"boundaries that no longer raise: {sorted(INPUT_BOUNDARIES - raisers)}"
+    )
+
+
+# Stored values that no program code reads back by name, each with its reason.
+UNREAD_BY_NAME = {
+    # eval_metrics.jsonl rows are written with map(vars, ...), so every EvalMetric field is persisted.
+    "records.py:EvalMetric.per_query_vis", "records.py:EvalMetric.judge_scores",
+    # a counter README documents for operators of a live run.
+    "engine/live.py:ChatCompletionBackend.transport_retries",
+}
+
+
+def _stored_attributes(path: Path) -> list[tuple[str, str]]:
+    """(``file:Class.name``, name) of each dataclass field and each ``self.<name> = ...`` in an ``__init__``."""
+    stored = []
+    for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = []
+        if any("dataclass" in _names(d) for d in cls.decorator_list):
+            names += [stmt.target.id for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        for init in cls.body:
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                names += [node.attr for node in ast.walk(init)
+                          if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                          and getattr(node.value, "id", None) == "self"]
+        stored += [(f"{path.relative_to(PACKAGE_DIR).as_posix()}:{cls.name}.{name}", name) for name in names]
+    return stored
+
+
+def test_every_stored_attribute_is_read_by_program_code():
+    """A field or attribute that no program code reads is dead weight, and goes.
+
+    Reads are matched by name: a load of ``.<name>`` or the string ``"<name>"``
+    (for ``getattr``) anywhere in the package or in perfbench. So a field whose
+    name another class's read also matches is not caught: a former
+    ``CitationFrequencyTable.num_sources`` hid behind ``CitationParse.num_sources``.
+    """
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    read = set()
+    for path in [*PACKAGE_DIR.rglob("*.py"), *perfbench.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = {site for path in sorted(PACKAGE_DIR.rglob("*.py"))
+              for site, name in _stored_attributes(path) if name not in read}
+    assert unread == UNREAD_BY_NAME, (
+        f"stored but never read: {sorted(unread - UNREAD_BY_NAME)}; "
+        f"allowed but now read or gone: {sorted(UNREAD_BY_NAME - unread)}"
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dominates, load_example_solutions, midpoint_vector
+from conftest import dominates, load_example_solutions, midpoint_vector, with_value
 from featgeo.errors import ValidationError
 from featgeo.features import FeatureVector, catalog_default, vector_from_mapping
 from featgeo.optimizer import (
@@ -141,7 +141,7 @@ def test_seed_population_single_exemplar_no_mutation_copies():
 def test_seed_population_recombines_per_feature():
     rng = np.random.default_rng(1)
     a = midpoint_vector(CATALOG)
-    b = a.replace(3, 2.9)
+    b = with_value(a, 3, 2.9)
     pop = seed_population([a, b], cfg_with(mutation_prob=0.0, population_size=24), CATALOG, rng)
     assert pop[0].x == a and pop[1].x == b  # exemplars kept unperturbed
     for child in pop[2:]:
@@ -173,7 +173,7 @@ def test_crossover_identical_parents_fixed_point():
 def test_crossover_disabled_returns_parents():
     rng = np.random.default_rng(4)
     a = midpoint_vector(CATALOG)
-    b = a.replace(0, 1.0).replace(5, 2.5)
+    b = with_value(with_value(a, 0, 1.0), 5, 2.5)
     c, d = uniform_crossover(a, b, cfg_with(crossover_prob=0.0), rng)
     assert (c, d) == (a, b)
 
@@ -436,7 +436,7 @@ def test_evolve_rejects_non_finite_objectives_naming_generation_and_slot():
     cfg = cfg_with(population_size=4, generations=2, repeats_per_eval=2)
     with pytest.raises(OptimizerAbort) as err:
         evolve(cfg, evaluator, [midpoint_vector(CATALOG)], CATALOG)
-    assert isinstance(err.value.cause, ValidationError)
+    assert isinstance(err.value.__cause__, ValidationError)
     assert "non-finite objectives (nan, 1.0) at generation 1, slot 2" in str(err.value)
     assert len(err.value.partial_trace) == 1
 
@@ -488,7 +488,7 @@ def test_evolve_wraps_evaluator_failures_with_partial_state():
 
     with pytest.raises(OptimizerAbort) as err:
         evolve(cfg_with(population_size=8, generations=3), flaky, [midpoint_vector(CATALOG)], CATALOG)
-    assert isinstance(err.value.cause, RuntimeError)
+    assert isinstance(err.value.__cause__, RuntimeError)
     assert len(err.value.partial_trace) >= 1
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import dominates, ledger_requests, ledger_sum, midpoint_vector
+from conftest import dominates, ledger_requests, ledger_sum, midpoint_vector, with_value
 import featgeo.pipeline as pipeline_module
 import featgeo.records as records
 from featgeo.bundled import default_sim_config_path
@@ -189,7 +189,7 @@ def test_probe_counts_and_bounds(tmp_path):
     docs = load_documents(cfg.competitor_docs)
     probe = probe_topic(cfg, client, docs)
     assert len(probe.queries) == 5
-    assert probe.num_queries == 5
+    assert records.probe_to_dict(probe, CATALOG)["num_queries"] == 5
     assert all(0 <= f <= 5 for f in probe.frequencies.values())
     assert len(probe.exemplar_vectors) == len(probe.exemplar_ids) <= 3
     for v in probe.exemplar_vectors:
@@ -198,8 +198,8 @@ def test_probe_counts_and_bounds(tmp_path):
 
 
 def test_probe_exemplars_begin_with_dominant_document(tmp_path):
-    competitors = [midpoint_vector(CATALOG).replace(0, 0.0) for _ in range(5)]
-    competitors[1] = midpoint_vector(CATALOG).replace(0, 1.0)  # doc 2 dominates
+    competitors = [with_value(midpoint_vector(CATALOG), 0, 0.0) for _ in range(5)]
+    competitors[1] = with_value(midpoint_vector(CATALOG), 0, 1.0)  # doc 2 dominates
     cfg = small_sim_config(
         tmp_path,
         vis_weights=weights_on("has_intro_summary", 9.0),
@@ -239,7 +239,6 @@ def manual_probe(queries=("how to plan meals?", "what to cook weekly?")):
     return ProbeResult(
         queries=tuple(queries),
         frequencies={},
-        num_queries=len(queries),
         exemplar_ids=(1,),
         exemplar_vectors=(midpoint_vector(CATALOG),),
         brief=TopicBrief("meal planning", "Position PeakNest as the planning companion."),
@@ -261,7 +260,7 @@ def make_evaluator(cfg, backend):
 
 
 def test_evaluate_dominant_candidate_visibility_near_100(tmp_path):
-    competitors = [midpoint_vector(CATALOG).replace(0, 0.0) for _ in range(5)]
+    competitors = [with_value(midpoint_vector(CATALOG), 0, 0.0) for _ in range(5)]
     cfg = small_sim_config(
         tmp_path,
         vis_weights=weights_on("has_intro_summary", 9.0),
@@ -272,7 +271,7 @@ def test_evaluate_dominant_candidate_visibility_near_100(tmp_path):
     )
     world = SimWorld(cfg.sim, CATALOG)
     evaluator = make_evaluator(cfg, SimBackend(world))
-    candidate = midpoint_vector(CATALOG).replace(0, 1.0)
+    candidate = with_value(midpoint_vector(CATALOG), 0, 1.0)
     vis, qual = evaluator(candidate, (0, 0, 0))
     assert vis >= 97.0
 
@@ -523,7 +522,7 @@ def test_a_program_fault_in_the_backend_aborts_the_run(tmp_path, monkeypatch, fa
     run_against(monkeypatch, RoleScriptBackend(world, {Role.JUDGE: broken_judge}))
     with pytest.raises(OptimizerAbort) as err:
         run_optimization(cfg)
-    assert err.value.cause is fault
+    assert err.value.__cause__ is fault
     manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
 
@@ -831,7 +830,7 @@ def test_ablated_run_freezes_feature_at_minimum(tmp_path):
 
 
 def test_ablation_positive_weight_gives_positive_delta(tmp_path):
-    competitors = [midpoint_vector(CATALOG).replace(4, 1.0) for _ in range(5)]
+    competitors = [with_value(midpoint_vector(CATALOG), 4, 1.0) for _ in range(5)]
     cfg = small_sim_config(
         tmp_path,
         vis_weights=weights_on("statistics_level", 6.0),

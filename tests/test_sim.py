@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import ledger_sum, midpoint_vector
+from conftest import ledger_sum, midpoint_vector, with_value
 import featgeo.sim as sim_module
 from featgeo.bundled import default_sim_config_path
 from featgeo.citations import parse_citations
@@ -61,7 +61,7 @@ def weights_on(key, value):
 
 
 def doc_with_intro(doc_id, intro):
-    v = midpoint_vector(CATALOG).replace(CATALOG.index_of("has_intro_summary"), intro)
+    v = with_value(midpoint_vector(CATALOG), CATALOG.index_of("has_intro_summary"), intro)
     from featgeo.features import encode_vector
     return SourceDocument(id=doc_id, text=f"Body.\nfeature-profile: {encode_vector(v, CATALOG)}")
 
@@ -80,7 +80,7 @@ def test_propensity_is_half_for_zero_weights():
 def test_propensity_strictly_increasing_in_positive_weight():
     world = make_world(vis_weights=weights_on("statistics_level", 2.0))
     idx = CATALOG.index_of("statistics_level")
-    values = [sim_propensity(midpoint_vector(CATALOG).replace(idx, x), world)
+    values = [sim_propensity(with_value(midpoint_vector(CATALOG), idx, x), world)
               for x in np.linspace(0, 3, 7)]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert all(0.0 < p < 1.0 for p in values)
@@ -104,7 +104,7 @@ def test_neutral_world_gives_mid_scale_dimensions():
 def test_quality_base_strictly_decreasing_in_propensity():
     world = make_world(vis_weights=weights_on("statistics_level", 3.0), tradeoff=1.0)
     idx = CATALOG.index_of("statistics_level")
-    points = [midpoint_vector(CATALOG).replace(idx, x) for x in np.linspace(0, 3, 9)]
+    points = [with_value(midpoint_vector(CATALOG), idx, x) for x in np.linspace(0, 3, 9)]
     props = [sim_propensity(p, world) for p in points]
     bases = [sim_module._propensity_and_base(p, world)[1] for p in points]
     assert all(b > a for a, b in zip(props, props[1:]))
@@ -114,8 +114,8 @@ def test_quality_base_strictly_decreasing_in_propensity():
 def test_equal_scores_give_equal_dimensions():
     # two distinct vectors engineered to the same propensity and quality term
     world = make_world(vis_weights=weights_on("statistics_level", 1.0))
-    a = midpoint_vector(CATALOG).replace(CATALOG.index_of("fluency_level"), 1.2)
-    b = midpoint_vector(CATALOG).replace(CATALOG.index_of("headings_level"), 2.9)
+    a = with_value(midpoint_vector(CATALOG), CATALOG.index_of("fluency_level"), 1.2)
+    b = with_value(midpoint_vector(CATALOG), CATALOG.index_of("headings_level"), 2.9)
     assert sim_module._propensity_and_base(a, world)[1] == sim_module._propensity_and_base(b, world)[1]
     assert sim_quality_dims(a, world) == sim_quality_dims(b, world)
 
@@ -277,7 +277,7 @@ def test_front_members_are_grid_points_and_undominated():
     for combo in product(*(axes[k] for k in active)):
         v = midpoint_vector(CATALOG)
         for key, value in zip(active, combo):
-            v = v.replace(CATALOG.index_of(key), float(value))
+            v = with_value(v, CATALOG.index_of(key), float(value))
         rows.append(v.values)
     vis, qual = _evaluate_grid(np.array(rows), world, QualityConfig())
     assert len(vis) == 243
@@ -377,7 +377,7 @@ def test_ablating_positive_feature_lowers_max_propensity():
     idx = CATALOG.index_of("statistics_level")
     full = brute_force_pareto(3, ["statistics_level"], world)
     best_full = max(ind.objectives[0] for ind in full)
-    frozen = midpoint_vector(CATALOG).replace(idx, 0.0)
+    frozen = with_value(midpoint_vector(CATALOG), idx, 0.0)
     assert 100 * sim_propensity(frozen, world) < best_full
 
 
