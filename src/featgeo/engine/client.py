@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 from ..errors import EngineError, ValidationError
 from ..features import (
-    KIND_BOOLEAN, KIND_TIERED, FeatureCatalog, FeatureVector, GuidelineBlock, vector_from_mapping,
+    KIND_BOOLEAN, KIND_TIERED, FeatureCatalog, FeatureVector, guidelines_text, vector_from_mapping,
 )
 from ..quality import ALL_DIMENSIONS, parse_dimensions
 from .cache import ResponseCache
@@ -111,16 +111,12 @@ class EngineClient:
         self.cache = cache
         self.ledger = CostLedger()
         self.salt = salt
-        self.stage = Stage.FEATURE_EXTRACTION
+        self.stage = Stage.FEATURE_EXTRACTION  # books later calls; set it only while no call is in flight
         self._key_locks: dict[str, threading.Lock] = {}  # one per cache key asked for
         self._key_locks_lock = threading.Lock()
         # Folded into cache keys only: what a request sends stays as it is.
         identity = getattr(backend, "identity", "")
         self._key_scope = f"{identity}\x1f{templates_digest()}"
-
-    def set_stage(self, stage: Stage) -> None:
-        """Book later calls under ``stage``; set it only while no call is in flight."""
-        self.stage = stage
 
     # -- transport ---------------------------------------------------------
 
@@ -223,10 +219,10 @@ class EngineClient:
             lambda reply: vector_from_mapping(_parse_numbers(reply, self.catalog.keys()), self.catalog),
         )
 
-    def generate_page(self, brief: TopicBrief, guidelines: GuidelineBlock, salt: str = "") -> str:
-        """Realize a feature configuration (as rendered guidelines) into page text; a salt asks for a fresh one."""
+    def generate_page(self, brief: TopicBrief, guidelines: tuple[str, ...], salt: str = "") -> str:
+        """Realize a feature configuration (as rendered guideline lines) into page text; a salt asks for a fresh one."""
         prompt = render_prompt(
-            Role.PAGE_GEN, ad_theme=brief.strategy_text, guidelines=guidelines.as_text()
+            Role.PAGE_GEN, ad_theme=brief.strategy_text, guidelines=guidelines_text(guidelines, self.catalog)
         )
         return self._complete_parsed(
             "page generation", Role.PAGE_GEN, prompt, {"brief": brief, "guidelines": guidelines},

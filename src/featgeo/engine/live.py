@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import math
 import os
 import random
 import threading
@@ -135,8 +134,9 @@ class ChatCompletionBackend:
         usage = data.get("usage")
         usage = usage if isinstance(usage, dict) else {}
         counts = [usage.get("prompt_tokens"), usage.get("completion_tokens")]
-        # A count that is missing, null or no finite number was not reported: both are then estimated.
-        reported = all(type(c) is int or (type(c) is float and math.isfinite(c)) for c in counts)
+        # A count is reported only as a non-negative whole number (no bool, NaN or inf); if one is
+        # missing or fails, both are estimated. No upper bound is known, so a huge count passes.
+        reported = all((type(c) is int or type(c) is float and c.is_integer()) and c >= 0 for c in counts)
         return EngineResponse(
             text=text,
             prompt_tokens=int(counts[0]) if reported else estimate_tokens(request.prompt),

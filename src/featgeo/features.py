@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import le, sub, truediv
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -83,9 +83,6 @@ class FeatureCatalog:
         object.__setattr__(self, "highs", tuple(f.hi for f in self.features))
         object.__setattr__(self, "widths", tuple(f.hi - f.lo for f in self.features))
 
-    def __len__(self) -> int:
-        return len(self.features)
-
     def __iter__(self):
         return iter(self.features)
 
@@ -115,23 +112,6 @@ class FeatureVector:
 
     def __getitem__(self, i: int) -> float:
         return self.values[i]
-
-
-@dataclass(frozen=True)
-class GuidelineBlock:
-    """Rendered writing directives, one line per feature in catalog order."""
-
-    lines: tuple[str, ...]
-    layers: tuple[str, ...]
-
-    def as_text(self) -> str:
-        """Group lines under their layer headers for prompt embedding."""
-        out: list[str] = []
-        for layer in LAYERS:
-            out.append(f"{layer}:")
-            out.extend(f"- {line}" for line, lay in zip(self.lines, self.layers) if lay == layer)
-            out.append("")
-        return "\n".join(out).rstrip() + "\n"
 
 
 def _tiered(key: str, layer: str, low: str, medium: str, high: str) -> FeatureDefinition:
@@ -225,15 +205,14 @@ def _density_line(feat: FeatureDefinition, value: float) -> str:
     return f"Target a {pct}% density of {feat.density_label} (0% = none, 100% = saturated)."
 
 
-def render_guidelines(v: FeatureVector, c: FeatureCatalog) -> GuidelineBlock:
-    """Render one writing directive per feature for a clamped vector.
+def render_guidelines(v: FeatureVector, c: FeatureCatalog) -> tuple[str, ...]:
+    """Render one writing directive per feature for a clamped vector, in catalog order.
 
     Boolean features include/omit their directive at threshold 0.5, tiered
     features emit the directive of their band, and density features state a
     target density percentage.
     """
     lines: list[str] = []
-    layers: list[str] = []
     for value, feat in zip(v.values, c):
         if feat.kind == KIND_BOOLEAN:
             line = INTRO_INCLUDE_DIRECTIVE if value >= BOOLEAN_THRESHOLD else INTRO_OMIT_DIRECTIVE
@@ -242,8 +221,17 @@ def render_guidelines(v: FeatureVector, c: FeatureCatalog) -> GuidelineBlock:
         else:
             line = _density_line(feat, value)
         lines.append(line)
-        layers.append(feat.layer)
-    return GuidelineBlock(tuple(lines), tuple(layers))
+    return tuple(lines)
+
+
+def guidelines_text(lines: Sequence[str], c: FeatureCatalog) -> str:
+    """Group rendered lines under their catalog layer headers for prompt embedding."""
+    out: list[str] = []
+    for layer in LAYERS:
+        out.append(f"{layer}:")
+        out.extend(f"- {line}" for line, feat in zip(lines, c) if feat.layer == layer)
+        out.append("")
+    return "\n".join(out).rstrip() + "\n"
 
 
 def vector_from_mapping(record: Mapping[str, float], c: FeatureCatalog) -> FeatureVector:

@@ -397,7 +397,7 @@ def _log_population(pop: Sequence[Individual], generation: int) -> list[Generati
             values=ind.x.values,
             visibility=ind.objectives[0],
             quality=ind.objectives[1],
-            rank=ind.rank if ind.rank is not None else 0,
+            rank=ind.rank,
             crowding=ind.crowding,
         )
         for slot, ind in enumerate(pop)

@@ -116,28 +116,18 @@ class RunConfig:
             raise ValidationError(f"cannot read config file {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config file {path} is not valid JSON: {exc}")
-        return _read_section(cls, raw, "", path.parent).with_overrides(**overrides)
-
-    def with_overrides(
-        self,
-        seed: int | None = None,
-        backend: str | None = None,
-        output_dir: str | Path | None = None,
-        **extra: Any,
-    ) -> "RunConfig":
-        """Apply CLI-style overrides; a seed override drives both GA and sim seeds."""
-        cfg = self
-        if seed is not None:
-            cfg = dataclasses.replace(cfg, ga=dataclasses.replace(cfg.ga, seed=seed))
-            if cfg.sim is not None:
-                cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=seed))
-        if backend is not None:
-            cfg = dataclasses.replace(cfg, backend=backend)
-        if output_dir is not None:
-            cfg = dataclasses.replace(cfg, output_dir=Path(output_dir))
-        if extra:
-            cfg = dataclasses.replace(cfg, **extra)
-        return cfg
+        cfg = _read_section(cls, raw, "", path.parent)
+        # The CLI passes an unset flag as None: a None seed, backend or output_dir overrides nothing.
+        for name in ("seed", "backend", "output_dir"):
+            if name in overrides and overrides[name] is None:
+                del overrides[name]
+        if "seed" in overrides:  # one seed drives both the GA and the sim seed
+            seed = overrides.pop("seed")
+            sim = None if cfg.sim is None else dataclasses.replace(cfg.sim, seed=seed)
+            cfg = dataclasses.replace(cfg, ga=dataclasses.replace(cfg.ga, seed=seed), sim=sim)
+        if "output_dir" in overrides:
+            overrides["output_dir"] = Path(overrides["output_dir"])
+        return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 _JSON_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false", list: "a list"}
@@ -263,7 +253,7 @@ def probe_topic(cfg: RunConfig, client: EngineClient, docs: Sequence[SourceDocum
 
     All costs book to the feature-extraction stage.
     """
-    client.set_stage(Stage.FEATURE_EXTRACTION)
+    client.stage = Stage.FEATURE_EXTRACTION
     brief = client.extract_theme(docs, cfg.topic)
     queries = client.generate_queries(brief, cfg.query_count)
     parses = []
@@ -305,7 +295,6 @@ class CandidateEvaluator:
         client: EngineClient,
         probe: ProbeResult,
         competitor_docs: Sequence[SourceDocument],
-        catalog: FeatureCatalog,
         query_map: Callable[..., Iterable] = map,
     ):
         self.cfg = cfg
@@ -313,7 +302,6 @@ class CandidateEvaluator:
         self.client = client
         self.probe = probe
         self.competitors = list(competitor_docs)
-        self.catalog = catalog
         self.metrics: list[EvalMetric] = []
         self.realizations = 0
         self.advertiser_id = len(self.competitors) + 1
@@ -325,7 +313,7 @@ class CandidateEvaluator:
     def evaluate_batch(self, units: Sequence[EvalUnit]) -> list[tuple[float, float] | None]:
         """(visibility, quality) per unit in unit order, None for a failed one; all units share one generation."""
         _, (generation, _, _) = units[0]
-        self.client.set_stage(Stage.INITIAL_POPULATION if generation == 0 else Stage.GA_OPTIMIZATION)
+        self.client.stage = Stage.INITIAL_POPULATION if generation == 0 else Stage.GA_OPTIMIZATION
         pages = self._realize(units)
         objectives = []
         for (_, key), outcome in zip(units, self.query_map(self._score_unit, pages, units)):
@@ -350,7 +338,8 @@ class CandidateEvaluator:
 
         def realize(unit: EvalUnit) -> str | EngineError:
             x, (_, _, repeat) = unit
-            guidelines = render_guidelines(clamp(x, self.catalog), self.catalog)
+            catalog = self.client.catalog
+            guidelines = render_guidelines(clamp(x, catalog), catalog)
             # A page of its own per repeat needs its own request, or a cache replays the first.
             salt = f"rep{repeat}" if regenerate else ""
             try:
@@ -471,9 +460,7 @@ def run_optimization(
         # One pool for the whole run; at one worker the builtin map runs inline, with no hand-off.
         workers = cfg.eval_workers
         with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            evaluator = CandidateEvaluator(
-                cfg, client, probe, docs, catalog, pool.map if pool else map
-            )
+            evaluator = CandidateEvaluator(cfg, client, probe, docs, pool.map if pool else map)
             result: EvolveResult = evolve(
                 cfg.ga, evaluator, probe.exemplar_vectors, catalog, frozen_features=frozen_features
             )

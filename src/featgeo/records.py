@@ -158,17 +158,12 @@ def _individual_to_dict(
     return out
 
 
-def _aux_metrics(record: RunRecord) -> dict[tuple[int, int], tuple[float, float]]:
-    """Mean word/pos per realized candidate, keyed by (generation, slot)."""
-    sums: dict[tuple[int, int], list[float]] = {}
-    for m in record.eval_metrics:
-        if m.failed:
-            continue
-        entry = sums.setdefault((m.generation, m.slot), [0.0, 0.0, 0.0])
-        entry[0] += m.word
-        entry[1] += m.pos
-        entry[2] += 1.0
-    return {k: (v[0] / v[2], v[1] / v[2]) for k, v in sums.items() if v[2] > 0}
+def _mean_word_pos(record: RunRecord, key: tuple[int, int] | None) -> tuple[float, float] | None:
+    """Mean word/pos over the scored repeats of the candidate realized at (generation, slot) ``key``."""
+    scored = [m for m in record.eval_metrics if not m.failed and (m.generation, m.slot) == key]
+    if not scored:
+        return None
+    return sum((m.word for m in scored), 0.0) / len(scored), sum((m.pos for m in scored), 0.0) / len(scored)
 
 
 def write_run_record(record: RunRecord, run_dir: Path) -> Path:
@@ -205,9 +200,8 @@ def write_run_record(record: RunRecord, run_dir: Path) -> Path:
 
     write_text(run_dir / TRACE_FILE, trace_csv(record.trace.entries if record.trace is not None else ()))
 
-    aux = _aux_metrics(record)
     finals = {
-        policy: _individual_to_dict(ind, catalog, aux.get(ind.key) if ind.key else None)
+        policy: _individual_to_dict(ind, catalog, _mean_word_pos(record, ind.key))
         for policy, ind in record.finals.items()
     }
     write_json(run_dir / FINALS_FILE, finals)

@@ -24,11 +24,10 @@ REPORT_DIR_NAME = "report"
 
 METRICS_TABLE = "metrics_table.txt"
 SCATTER_FILE = "pareto_scatter.csv"
-TRACE_COPY = "hv_trace.csv"
 COMPARISON_FILE = "solution_comparison.txt"
 COST_TABLE = "cost_table.txt"
 
-REPORT_FILES = (METRICS_TABLE, SCATTER_FILE, TRACE_COPY, COMPARISON_FILE, COST_TABLE)
+REPORT_FILES = (METRICS_TABLE, SCATTER_FILE, TRACE_FILE, COMPARISON_FILE, COST_TABLE)
 
 
 @dataclass
@@ -152,7 +151,7 @@ def export_report(data: ReportData, report_dir: str | Path) -> list[Path]:
         METRICS_TABLE: _metrics_table(data),
         SCATTER_FILE: "visibility,quality,on_front\n"
         + "".join(f"{v!r},{q!r},{flag}\n" for v, q, flag in data.scatter),
-        TRACE_COPY: trace_csv(data.trace),
+        TRACE_FILE: trace_csv(data.trace),
         COMPARISON_FILE: _comparison_table(data),
         COST_TABLE: data.cost.report(),
     }

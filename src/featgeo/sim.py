@@ -23,7 +23,6 @@ from .errors import BudgetError, ValidationError
 from .features import (
     FeatureCatalog,
     FeatureVector,
-    GuidelineBlock,
     INTRO_INCLUDE_DIRECTIVE,
     KIND_BOOLEAN,
     KIND_TIERED,
@@ -337,15 +336,15 @@ def direct_evaluator(w: SimWorld, quality_cfg: QualityConfig | None = None):
 # -- guideline-to-vector realization model -------------------------------------
 
 
-def reconstruct_from_guidelines(block: GuidelineBlock, catalog: FeatureCatalog) -> FeatureVector:
+def reconstruct_from_guidelines(lines: Sequence[str], catalog: FeatureCatalog) -> FeatureVector:
     """Invert rendered guidelines into the vector a faithful writer would realize.
 
     Density percentages invert almost exactly; tiered directives map to their
-    band representative; the boolean maps to 0 or 1. The block is one that
+    band representative; the boolean maps to 0 or 1. The lines are ones that
     ``render_guidelines`` rendered over ``catalog``.
     """
     values = []
-    for line, feat in zip(block.lines, catalog):
+    for line, feat in zip(lines, catalog):
         if feat.kind == KIND_BOOLEAN:
             values.append(1.0 if line == INTRO_INCLUDE_DIRECTIVE else 0.0)
         elif feat.kind == KIND_TIERED:
@@ -363,7 +362,6 @@ class SimBackend:
 
     def __init__(self, world: SimWorld):
         self.world = world
-        self.catalog = world.catalog
         config = json.dumps(dataclasses.asdict(world.config), sort_keys=True)
         self.identity = f"sim {text_digest(config)}"
 
@@ -421,15 +419,15 @@ class SimBackend:
     def _features(self, request: EngineRequest) -> str:
         doc = request.payload["doc"]
         latent, _ = self.world.source_state(doc)
-        return "\n".join(f"{feat.key}: {value!r}" for feat, value in zip(self.catalog, latent.values))
+        return "\n".join(f"{feat.key}: {value!r}" for feat, value in zip(self.world.catalog, latent.values))
 
     def _page(self, request: EngineRequest) -> str:
         brief = request.payload["brief"]
-        guidelines: GuidelineBlock = request.payload["guidelines"]
-        realized = reconstruct_from_guidelines(guidelines, self.catalog)
-        record = encode_vector(realized, self.catalog)
+        catalog = self.world.catalog
+        realized = reconstruct_from_guidelines(request.payload["guidelines"], catalog)
+        record = encode_vector(realized, catalog)
         brand = brief.strategy_text.split("position ", 1)[-1].split(" ", 1)[0].rstrip(",.")
-        length_value = realized.values[self.catalog.index_of("length_level")]
+        length_value = realized.values[catalog.index_of("length_level")]
         paragraphs = 2 + int(length_value)
         body = []
         for p in range(paragraphs):

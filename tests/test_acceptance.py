@@ -414,7 +414,7 @@ def test_criterion_11_recorded_extreme_solutions_replay():
     block = render_guidelines(best_vis.x, CATALOG)
     fluency = CATALOG.index_of("fluency_level")
     statistics = CATALOG.index_of("statistics_level")
-    assert block.lines[fluency] == CATALOG.features[CATALOG.index_of("fluency_level")].tier_directives[1]
-    assert "54%" in block.lines[statistics]
+    assert block[fluency] == CATALOG.features[CATALOG.index_of("fluency_level")].tier_directives[1]
+    assert "54%" in block[statistics]
     ok(11, "max-visibility picks (23.7, 87.8), max-quality picks (8.4, 92.7); "
            "rendering yields the medium fluency directive and a 54% statistics density")

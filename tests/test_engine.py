@@ -318,7 +318,7 @@ def test_ledger_concurrent_increments_sum_exactly():
 
 def test_every_call_books_exactly_one_stage(tmp_path):
     client, _ = make_client(["reply text here"])
-    client.set_stage(Stage.INITIAL_POPULATION)
+    client.stage = Stage.INITIAL_POPULATION
     client.generate_page(BRIEF, GUIDELINES)
     assert ledger_sum(client.ledger, Stage.INITIAL_POPULATION).api_calls == 1
     assert ledger_sum(client.ledger, Stage.GA_OPTIMIZATION).api_calls == 0
@@ -574,6 +574,8 @@ def test_live_backend_rejects_content_that_is_no_string(content, usage):
     {"prompt_tokens": 12, "completion_tokens": "7"},
     {"prompt_tokens": 12, "completion_tokens": True},
     {"prompt_tokens": float("nan"), "completion_tokens": 7},
+    {"prompt_tokens": -5, "completion_tokens": 7},
+    {"prompt_tokens": 12.5, "completion_tokens": 7},
     5,
     ["prompt_tokens", "completion_tokens"],
 ])

@@ -19,6 +19,7 @@ from featgeo.features import (
     decode_vector,
     density_percent,
     encode_vector,
+    guidelines_text,
     render_guidelines,
     tier_of,
     vector_from_mapping,
@@ -32,7 +33,7 @@ def random_vector(rng):
 
 
 def test_catalog_has_thirteen_features_in_documented_layers():
-    assert len(CATALOG) == 13
+    assert len(CATALOG.features) == 13
     layers = [f.layer for f in CATALOG]
     assert layers.count(LAYER_STRUCTURE) == 4
     assert layers.count(LAYER_CONTENT) == 5
@@ -138,24 +139,24 @@ def test_render_medium_fluency_directive():
     idx = CATALOG.index_of("fluency_level")
     v = with_value(midpoint_vector(CATALOG), idx, 2.17)
     block = render_guidelines(clamp(v, CATALOG), CATALOG)
-    assert block.lines[idx] == CATALOG.features[CATALOG.index_of("fluency_level")].tier_directives[1]
+    assert block[idx] == CATALOG.features[CATALOG.index_of("fluency_level")].tier_directives[1]
 
 
 def test_render_statistics_density_percentage():
     idx = CATALOG.index_of("statistics_level")
     v = with_value(midpoint_vector(CATALOG), idx, 1.62)
     block = render_guidelines(clamp(v, CATALOG), CATALOG)
-    assert "54%" in block.lines[idx]
+    assert "54%" in block[idx]
 
 
 def test_render_boolean_threshold():
     idx = CATALOG.index_of("has_intro_summary")
     on = render_guidelines(with_value(midpoint_vector(CATALOG), idx, 0.64), CATALOG)
     off = render_guidelines(with_value(midpoint_vector(CATALOG), idx, 0.49), CATALOG)
-    assert on.lines[idx] == INTRO_INCLUDE_DIRECTIVE
-    assert off.lines[idx] == INTRO_OMIT_DIRECTIVE
+    assert on[idx] == INTRO_INCLUDE_DIRECTIVE
+    assert off[idx] == INTRO_OMIT_DIRECTIVE
     at = render_guidelines(with_value(midpoint_vector(CATALOG), idx, BOOLEAN_THRESHOLD), CATALOG)
-    assert at.lines[idx] == INTRO_INCLUDE_DIRECTIVE
+    assert at[idx] == INTRO_INCLUDE_DIRECTIVE
 
 
 def test_render_is_total_and_deterministic_on_clamped_vectors():
@@ -165,12 +166,12 @@ def test_render_is_total_and_deterministic_on_clamped_vectors():
         first = render_guidelines(v, CATALOG)
         second = render_guidelines(v, CATALOG)
         assert first == second
-        assert len(first.lines) == 13
-        assert all(line for line in first.lines)
+        assert len(first) == 13
+        assert all(line for line in first)
 
 
 def test_guideline_text_groups_by_layer():
-    text = render_guidelines(midpoint_vector(CATALOG), CATALOG).as_text()
+    text = guidelines_text(render_guidelines(midpoint_vector(CATALOG), CATALOG), CATALOG)
     s = text.index("Structure:")
     c = text.index("Content:")
     l = text.index("Language:")

@@ -1,6 +1,6 @@
 """Source-layout guards: imports live at module top, the record modules stay below the pipeline,
-every public name has a caller outside the tests, every stored value is read by program code, and
-inputs are checked only where they enter."""
+every public name has a caller outside the tests, every stored value is read by program code,
+inputs are checked only where they enter, and each module-level string constant has one owner."""
 
 import ast
 import importlib
@@ -252,3 +252,20 @@ def test_every_stored_attribute_is_read_by_program_code():
         f"stored but never read: {sorted(unread - UNREAD_BY_NAME)}; "
         f"allowed but now read or gone: {sorted(UNREAD_BY_NAME - unread)}"
     )
+
+
+def test_module_string_constants_are_defined_once():
+    """Two module-level ``NAME = "<string>"`` constants with one value are two owners of one fact:
+    one of them goes, and its readers import the other. Numbers are left out, since equal small
+    integers such as an exit status and a schema version agree by coincidence."""
+    owners: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) \
+                    and isinstance(node.value.value, str):
+                owners.setdefault(node.value.value, []).extend(
+                    f"{path.relative_to(PACKAGE_DIR).as_posix()}:{target.id}"
+                    for target in node.targets if isinstance(target, ast.Name)
+                )
+    shared = {value: names for value, names in owners.items() if len(names) > 1}
+    assert not shared, f"string constants defined more than once: {shared}"

@@ -256,7 +256,7 @@ def run_against(monkeypatch, backend):
 def make_evaluator(cfg, backend):
     client = EngineClient(backend, CATALOG)
     docs = load_documents(cfg.competitor_docs)
-    return CandidateEvaluator(cfg, client, manual_probe(), docs, CATALOG)
+    return CandidateEvaluator(cfg, client, manual_probe(), docs)
 
 
 def test_evaluate_dominant_candidate_visibility_near_100(tmp_path):
@@ -350,7 +350,7 @@ def test_regenerated_pages_are_not_replayed_from_the_cache(tmp_path):
     cfg = small_sim_config(tmp_path, regenerate_page_per_repeat=True)
     client = EngineClient(SimBackend(SimWorld(cfg.sim, CATALOG)), CATALOG,
                           cache=ResponseCache(tmp_path / "responses.jsonl"))
-    evaluator = CandidateEvaluator(cfg, client, manual_probe(), load_documents(cfg.competitor_docs), CATALOG)
+    evaluator = CandidateEvaluator(cfg, client, manual_probe(), load_documents(cfg.competitor_docs))
     evaluator.evaluate_batch([(midpoint_vector(CATALOG), (0, 0, rep)) for rep in range(3)])
     assert ledger_sum(client.ledger, role=Role.PAGE_GEN).api_calls == 3  # live calls
     assert ledger_requests(client.ledger, Role.PAGE_GEN) == 3  # live calls plus cache hits
@@ -541,7 +541,7 @@ def test_identical_requests_in_flight_make_one_call(tmp_path):
     client = EngineClient(SlowPages(world), CATALOG, cache=cache)
     docs = load_documents(cfg.competitor_docs)
     with ThreadPoolExecutor(2) as pool:
-        evaluator = CandidateEvaluator(cfg, client, manual_probe(), docs, CATALOG, pool.map)
+        evaluator = CandidateEvaluator(cfg, client, manual_probe(), docs, pool.map)
         # Two clones in one generation send the same page request.
         first, second = evaluator.evaluate_batch(batch_units(midpoint_vector(CATALOG), [(0, 0), (1, 0)]))
     assert first == second
