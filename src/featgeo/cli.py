@@ -20,7 +20,6 @@ from .pipeline import (
     load_documents,
     probe_topic,
     run_ablation,
-    run_ablation_sweep,
     run_optimization,
 )
 from .report import REPORT_DIR_NAME, REPORT_FILES, export_report, load_report_data
@@ -155,7 +154,7 @@ def _cmd_ablate(args) -> int:
     cfg = _load_config(args)
     _check_run_dir(Path(cfg.output_dir), args.overwrite)
     # run_ablation rejects an unknown key, listing the known ones, before it runs anything.
-    results = run_ablation_sweep(cfg) if args.all else [run_ablation(cfg, args.feature)]
+    results = run_ablation(cfg, catalog_default().keys() if args.all else [args.feature])
     print(f"{'feature':<28}{'base vis':>10}{'ablated':>10}{'delta':>10}  runs")
     for r in results:
         print(f"{r.feature_key:<28}{r.baseline_vis:>10.2f}{r.ablated_vis:>10.2f}{r.delta:>+10.2f}"

@@ -50,7 +50,7 @@ class ResponseCache:
                 try:
                     record = json.loads(line.decode("utf-8"))
                     self._records[record["digest"]] = EngineResponse.from_dict(record["response"])
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, OverflowError) as exc:
                     raise ValidationError(
                         f"response cache {self.path} line {number} is corrupt: {exc!r}"
                     ) from exc

@@ -49,7 +49,8 @@ BACKOFF_CAP_S = 30.0
 def _retry_after(headers: Mapping[str, str] | None) -> float | None:
     """The delta-seconds ``Retry-After`` value, if the server sent one."""
     value = (headers or {}).get("Retry-After", "").strip()
-    return float(value) if value.isdigit() else None
+    # http.client decodes headers as latin-1, where str.isdigit also takes "²".
+    return float(value) if value.isascii() and value.isdigit() else None
 
 
 class ChatCompletionBackend:

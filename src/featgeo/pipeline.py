@@ -12,8 +12,8 @@ import dataclasses
 import hashlib
 import json
 import logging
-import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -138,7 +138,8 @@ def _expect(value: Any, kind: type, key: str) -> Any:
     fits = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, fits):
         raise ValidationError(f"config key {key} must be {_JSON_KINDS[kind]}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):  # json.loads reads NaN and Infinity
+    # json.loads reads NaN, Infinity and integers too large for a float; an int compares exactly.
+    if kind is float and not abs(value) <= sys.float_info.max:
         raise ValidationError(f"config key {key} must be a finite number, got {value!r}")
     return value
 
@@ -496,36 +497,26 @@ def _verify_run(cfg: RunConfig, evaluator: CandidateEvaluator) -> None:
         )
 
 
-def run_ablation(
-    cfg: RunConfig, feature_key: str, baseline: RunRecord | None = None
-) -> AblationResult:
-    """Re-run the optimization with one feature clamped to its minimum (Fig.-style sweep unit).
+def run_ablation(cfg: RunConfig, feature_keys: Sequence[str]) -> list[AblationResult]:
+    """One ``baseline/`` run, then one ``ablate_<key>/`` run per key with that feature at its minimum.
 
-    The delta is the max-visibility solution's visibility drop. Each run's
-    ``final_solutions.json`` holds the quality of the same solutions.
+    Every key is checked before any run starts. A delta is the max-visibility
+    solution's visibility drop; each run's ``final_solutions.json`` holds the
+    quality of the same solutions.
     """
     catalog = catalog_default()
-    index = catalog.index_of(feature_key)
-    lo = catalog.features[index].lo
+    indices = [catalog.index_of(key) for key in feature_keys]
     base_dir = Path(cfg.output_dir)
-    if baseline is None:
-        baseline = run_optimization(cfg, run_dir=base_dir / "baseline")
-    ablated = run_optimization(
-        cfg, frozen_features={index: lo}, run_dir=base_dir / f"ablate_{feature_key}"
-    )
-    base_best = baseline.finals["max_visibility"]
-    abl_best = ablated.finals["max_visibility"]
-    return AblationResult(
-        feature_key=feature_key,
-        baseline_vis=base_best.objectives[0],
-        ablated_vis=abl_best.objectives[0],
-        baseline_status=baseline.status,
-        ablated_status=ablated.status,
-    )
-
-
-def run_ablation_sweep(cfg: RunConfig) -> list[AblationResult]:
-    """Clamp each of the 13 features in turn against one shared baseline run."""
-    catalog = catalog_default()
-    baseline = run_optimization(cfg, run_dir=Path(cfg.output_dir) / "baseline")
-    return [run_ablation(cfg, feat.key, baseline=baseline) for feat in catalog]
+    baseline = run_optimization(cfg, run_dir=base_dir / "baseline")
+    results = []
+    for key, index in zip(feature_keys, indices):
+        frozen = {index: catalog.features[index].lo}
+        ablated = run_optimization(cfg, frozen_features=frozen, run_dir=base_dir / f"ablate_{key}")
+        results.append(AblationResult(
+            feature_key=key,
+            baseline_vis=baseline.finals["max_visibility"].objectives[0],
+            ablated_vis=ablated.finals["max_visibility"].objectives[0],
+            baseline_status=baseline.status,
+            ablated_status=ablated.status,
+        ))
+    return results

@@ -77,7 +77,7 @@ def _read(path: Path, parse: Callable[[str], Any]) -> Any:
         if text and not text.endswith("\n"):
             raise ValueError("no final newline: the file was cut short")
         return parse(text)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"cannot read record file {path}: {exc!r}") from exc
 
 

@@ -259,12 +259,7 @@ def _evaluate_grid(
     return 100.0 * prop, quality
 
 
-def brute_force_pareto(
-    grid_levels: int,
-    active_features: Sequence[str],
-    w: SimWorld,
-    quality_cfg: QualityConfig | None = None,
-) -> ParetoFront:
+def brute_force_pareto(grid_levels: int, active_features: Sequence[str], w: SimWorld) -> ParetoFront:
     """Exact Pareto front over a grid of the active features.
 
     Inactive features sit at their range midpoints. Every grid point is
@@ -275,7 +270,6 @@ def brute_force_pareto(
         raise ValidationError(f"grid levels must be >= 2, got {grid_levels}")
     if not active_features:
         raise ValidationError("need at least one active feature")
-    quality_cfg = quality_cfg or QualityConfig()
     indices = [w.catalog.index_of(key) for key in active_features]
     if len(set(indices)) != len(indices):
         raise ValidationError("active features must be distinct")
@@ -294,7 +288,7 @@ def brute_force_pareto(
     for column, grid in zip(indices, mesh):
         matrix[:, column] = grid.reshape(-1)
 
-    vis, qual = _evaluate_grid(matrix, w, quality_cfg)
+    vis, qual = _evaluate_grid(matrix, w, QualityConfig())
     order = np.lexsort((-qual, -vis))
     members: list[Individual] = []
     best_quality = -np.inf
@@ -310,7 +304,7 @@ def brute_force_pareto(
     return ParetoFront(tuple(members))
 
 
-def direct_evaluator(w: SimWorld, quality_cfg: QualityConfig | None = None):
+def direct_evaluator(w: SimWorld):
     """Closed-form (visibility %, quality %) evaluator over the sim ground truth.
 
     Quality depends on x only through its seven integer dimensions. They
@@ -319,7 +313,7 @@ def direct_evaluator(w: SimWorld, quality_cfg: QualityConfig | None = None):
     own table from a tuple to its quality percent: every distinct tuple is
     blended by ``aggregate_quality`` once, and then looked up.
     """
-    quality_cfg = quality_cfg or QualityConfig()
+    quality_cfg = QualityConfig()
     quality_of: dict[tuple[int, ...], float] = {}
 
     def evaluate(x: FeatureVector, key=None) -> tuple[float, float]:

@@ -306,12 +306,12 @@ def _ablation_config(tmp_path, stats_weight, seed):
 def test_criterion_8_ablation_sign_oracle(tmp_path):
     positive_deltas = []
     for seed in range(5):
-        result = run_ablation(_ablation_config(tmp_path, 6.0, seed), "statistics_level")
+        (result,) = run_ablation(_ablation_config(tmp_path, 6.0, seed), ["statistics_level"])
         positive_deltas.append(result.delta)
         assert result.delta > 0, f"seed {seed}: delta {result.delta}"
     zero_deltas = []
     for seed in range(5):
-        result = run_ablation(_ablation_config(tmp_path, 0.0, seed), "statistics_level")
+        (result,) = run_ablation(_ablation_config(tmp_path, 0.0, seed), ["statistics_level"])
         zero_deltas.append(result.delta)
         assert abs(result.delta) <= ABLATION_NOISE_BAND, f"seed {seed}: delta {result.delta}"
     ok(8, f"positive-weight deltas {[f'{d:.1f}' for d in positive_deltas]} all > 0; "

@@ -12,6 +12,8 @@ from featgeo.engine.client import EngineClient
 from featgeo.engine.live import ENV_BASE_URL, ENV_CACHE_DIR, ENV_MODEL, ChatCompletionBackend
 from featgeo.engine.types import Role
 from featgeo.errors import EngineError
+from featgeo import pipeline
+from featgeo.features import catalog_default
 from featgeo.pipeline import CandidateEvaluator
 from featgeo.sim import SimBackend
 
@@ -122,6 +124,23 @@ def test_ablate_single_feature_prints_delta(tmp_path, small_config, capsys):
     assert (tmp_path / "out" / "ablate_statistics_level" / "manifest.json").exists()
 
 
+def test_ablate_all_runs_one_baseline_then_each_feature_in_catalog_order(tmp_path, small_config, monkeypatch,
+                                                                         capsys):
+    run_dirs, run = [], pipeline.run_optimization
+    monkeypatch.setattr(pipeline, "run_optimization",
+                        lambda cfg, **kw: run_dirs.append(kw["run_dir"]) or run(cfg, **kw))
+    out_dir = tmp_path / "out"
+    assert run_cli(["ablate", "--config", str(small_config), "--all", "--output-dir", str(out_dir)]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    keys = list(catalog_default().keys())
+    assert len(rows) == 13 and [row.split()[0] for row in rows] == keys
+    assert len({row.split()[1] for row in rows}) == 1  # one baseline visibility, shared by every row
+    expected = [out_dir / "baseline", *(out_dir / f"ablate_{key}" for key in keys)]
+    assert run_dirs == expected
+    assert sorted(out_dir.iterdir()) == sorted(expected)
+    assert all((run_dir / "manifest.json").exists() for run_dir in expected)
+
+
 def test_ablate_marks_failed_runs_and_exits_with_engine_status(tmp_path, small_config, monkeypatch, capsys):
     complete = SimBackend.complete
 
@@ -175,9 +194,16 @@ def test_probe_writes_probe_file(tmp_path, small_config, capsys):
     (lambda raw: {**raw, "sim": {**raw["sim"], "competitor_vectors": raw["sim"]["competitor_vectors"][:1]
                                  + [[float("nan")] * 13] + raw["sim"]["competitor_vectors"][2:]}},
      "sim.competitor_vectors[1][0] must be a finite number"),
+    (lambda raw: {**raw, "sim": {**raw["sim"], "visibility_bias": 10**400}},
+     "sim.visibility_bias must be a finite number"),
+    (lambda raw: {**raw, "sim": {**raw["sim"], "visibility_weights": [10**400] + raw["sim"]["visibility_weights"][1:]}},
+     "sim.visibility_weights[0] must be a finite number"),
+    (lambda raw: {**raw, "ga": {**raw["ga"], "mutation_sigma": -10**400}},
+     "ga.mutation_sigma must be a finite number"),
 ], ids=["unknown-section-key", "unknown-key", "string-int", "string-count", "bool-int", "string-bool",
         "string-list", "directory-doc", "string-float", "short-vector", "missing-key", "list-section",
-        "list-file", "nan-scalar", "infinite-scalar", "nan-sigma", "infinite-weight", "nan-vector"])
+        "list-file", "nan-scalar", "infinite-scalar", "nan-sigma", "infinite-weight", "nan-vector",
+        "huge-int-scalar", "huge-int-weight", "huge-negative-int-sigma"])
 def test_malformed_config_exits_with_validation_status_naming_the_key(tmp_path, small_config, capsys, edit, key):
     small_config.write_text(json.dumps(edit(json.loads(small_config.read_text()))))
     out_dir = tmp_path / "probe_out"
@@ -286,6 +312,12 @@ def drop_totals(path):
     path.write_text(json.dumps(cost) + "\n")
 
 
+def infinite_wall_time(path):
+    cost = json.loads(path.read_text())
+    next(iter(cost["entries"].values()))["wall_time"] = float("inf")
+    path.write_text(json.dumps(cost) + "\n")
+
+
 def drop_features(path):
     finals = json.loads(path.read_text())
     del finals["max_quality"]["features"]
@@ -302,6 +334,7 @@ def drop_quality(path):
     ("final_solutions.json", drop_features),
     ("cost.json", truncate),
     ("cost.json", drop_totals),
+    ("cost.json", infinite_wall_time),
     ("pareto_front.jsonl", drop_quality),
     ("generations.jsonl", truncate),
     ("hv_trace.csv", truncate),

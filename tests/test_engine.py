@@ -142,7 +142,11 @@ def test_cache_drops_torn_tail_and_appends_cleanly_after_it(tmp_path):
     assert ResponseCache(path).get("c").text == "late reply"
 
 
-@pytest.mark.parametrize("bad_line", ['{"digest": "x", "respo', '{"digest": "x"}', "[]"])
+@pytest.mark.parametrize("bad_line", [
+    '{"digest": "x", "respo', '{"digest": "x"}', "[]",
+    '{"digest": "x", "response": {"text": "t", "prompt_tokens": 1e999, "completion_tokens": 1,'
+    ' "usage_estimated": false, "elapsed_seconds": 0.1}}',
+])
 def test_cache_corruption_before_the_last_line_names_its_line(tmp_path, bad_line):
     path = tmp_path / "cache.jsonl"
     lines = filled_cache(path, ["a", "b", "c"]).decode().splitlines(keepends=True)
@@ -683,6 +687,12 @@ def test_live_backend_waits_what_retry_after_says_up_to_the_cap(retry_after, sle
     backend, _, sleeps = live_backend(http_error(429, retry_after), Reply(HELLO))
     backend.complete(build_request(Role.ANSWER_GEN, "prompt"))
     assert sleeps == [slept]
+
+
+def test_live_backend_backs_off_on_a_retry_after_that_is_no_ascii_number():
+    backend, opener, sleeps = live_backend(http_error(429, "\u00b2"), Reply(HELLO), rng=TopOfRange())
+    assert backend.complete(build_request(Role.ANSWER_GEN, "prompt")).text == "hello"
+    assert sleeps == [live.BACKOFF_BASE_S] and len(opener.sent) == 2
 
 
 @pytest.mark.parametrize("outcome, message", [

@@ -1,6 +1,7 @@
 """Source-layout guards: imports live at module top, the record modules stay below the pipeline,
 every public name has a caller outside the tests, every stored value is read by program code,
-inputs are checked only where they enter, and each module-level string constant has one owner."""
+inputs are checked only where they enter, each module-level string constant has one owner, and
+every defaulted parameter is set by some program call."""
 
 import ast
 import importlib
@@ -269,3 +270,89 @@ def test_module_string_constants_are_defined_once():
                 )
     shared = {value: names for value, names in owners.items() if len(names) > 1}
     assert not shared, f"string constants defined more than once: {shared}"
+
+
+# Defaulted parameters that only the tests set: seams that stand in for the network, the clock,
+# randomness and argv.
+SET_BY_TESTS_ONLY = {
+    "engine/live.py:ChatCompletionBackend.__init__(opener)", "engine/live.py:ChatCompletionBackend.__init__(timeout)",
+    "engine/live.py:ChatCompletionBackend.__init__(sleep)", "engine/live.py:ChatCompletionBackend.__init__(rng)",
+    "cli.py:run_cli(argv)",
+}
+
+
+def _defaulted_parameters(path: Path) -> list[tuple[str, str, str, int | None]]:
+    """(``file:Class.func(param)``, callee name, param, position) of each defaulted parameter in one file.
+
+    A method's position does not count ``self`` or ``cls``; a keyword-only parameter has none.
+    An ``__init__`` is called by its class's name.
+    """
+    found = []
+
+    def visit(node: ast.AST, qualname: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, qualname + (child.name,))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                is_method = isinstance(node, ast.ClassDef) and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                skip = 1 if is_method else 0
+                callee = node.name if is_method and child.name == "__init__" else child.name
+                where = f"{path.relative_to(PACKAGE_DIR).as_posix()}:{'.'.join(qualname + (child.name,))}"
+                first_default = len(positional) - len(args.defaults)
+                found.extend((f"{where}({arg.arg})", callee, arg.arg, pos - skip)
+                             for pos, arg in enumerate(positional) if pos >= first_default)
+                found.extend((f"{where}({arg.arg})", callee, arg.arg, None)
+                             for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None)
+                visit(child, qualname + (child.name,))
+            else:
+                visit(child, qualname)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), ())
+    return found
+
+
+def _calls(path: Path) -> list[tuple[str, float, set[str]]]:
+    """(callee name, positional count, keyword names) of each call in one file.
+
+    A ``*args`` counts as every position and a ``**kwargs`` as every keyword (``"**"``);
+    ``cls(...)`` in a class's method is a call of that class.
+    """
+    calls = []
+
+    def visit(node: ast.AST, cls_name: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls_name)
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "cls" and cls_name:
+                name = cls_name
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {kw.arg or "**" for kw in node.keywords}
+            calls.append((name, float("inf") if starred else len(node.args), keywords))
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    return calls
+
+
+def test_every_optional_parameter_is_set_by_program_code():
+    """A defaulted parameter that no program code sets is a knob nobody turns, and goes.
+
+    Calls are matched by name: a call of ``<name>(...)`` or ``<obj>.<name>(...)`` anywhere in the
+    package or in perfbench sets a parameter of every function of that name, by keyword or by
+    position. So a parameter that a same-named function's caller happens to reach is not caught.
+    """
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    calls = [call for path in [*PACKAGE_DIR.rglob("*.py"), *perfbench.glob("*.py")] for call in _calls(path)]
+    unset = {
+        site for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for site, callee, param, pos in _defaulted_parameters(path)
+        if not any(name == callee and (param in keywords or "**" in keywords or (pos is not None and count > pos))
+                   for name, count, keywords in calls)
+    }
+    assert unset == SET_BY_TESTS_ONLY, (
+        f"defaulted but never set: {sorted(unset - SET_BY_TESTS_ONLY)}; "
+        f"allowed but now set or gone: {sorted(SET_BY_TESTS_ONLY - unset)}"
+    )

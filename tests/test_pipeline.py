@@ -840,7 +840,7 @@ def test_ablation_positive_weight_gives_positive_delta(tmp_path):
         ga=GAConfig(population_size=6, generations=3, repeats_per_eval=2, seed=5),
         query_count=3,
     )
-    result = run_ablation(cfg, "statistics_level")
+    (result,) = run_ablation(cfg, ["statistics_level"])
     assert result.feature_key == "statistics_level"
     assert result.delta > 0
     assert result.delta == pytest.approx(result.baseline_vis - result.ablated_vis, abs=1e-9)
@@ -849,7 +849,14 @@ def test_ablation_positive_weight_gives_positive_delta(tmp_path):
 def test_ablation_unknown_feature_key(tmp_path):
     cfg = small_sim_config(tmp_path)
     with pytest.raises(ValidationError, match="unknown feature key"):
-        run_ablation(cfg, "brand_density")
+        run_ablation(cfg, ["brand_density"])
+
+
+def test_ablation_checks_every_key_before_the_baseline_runs(tmp_path):
+    cfg = small_sim_config(tmp_path)
+    with pytest.raises(ValidationError, match="unknown feature key 'brand_density'"):
+        run_ablation(cfg, ["statistics_level", "brand_density"])
+    assert not (cfg.output_dir / "baseline").exists()
 
 
 # -- report -------------------------------------------------------------------------------

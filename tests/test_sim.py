@@ -321,17 +321,6 @@ def test_direct_evaluator_equals_its_public_parts_exactly():
         assert evaluate(x) == (100 * sim_propensity(x, world), quality)
 
 
-def test_evaluators_of_two_alphas_keep_their_own_quality_tables():
-    world = bundled_world()
-    cfgs = (QualityConfig(alpha=0.5), QualityConfig(alpha=0.8))
-    evaluators = [direct_evaluator(world, cfg) for cfg in cfgs]
-    rng = np.random.default_rng(12)
-    for _ in range(200):
-        x = clamp(FeatureVector(tuple(rng.uniform(0, 3, size=13))), CATALOG)
-        for evaluate, cfg in zip(evaluators, cfgs):  # alternately, on the same vector
-            assert evaluate(x)[1] == aggregate_quality(sim_quality_dims(x, world), cfg)
-
-
 def test_closed_form_evolve_builds_each_distinct_quality_once(monkeypatch):
     world = bundled_world()
     built = []
