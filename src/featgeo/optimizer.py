@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .draws import Draws
 from .errors import FeatGeoError, ValidationError
 from .features import FeatureCatalog, FeatureVector, clamp
 
@@ -67,6 +68,8 @@ class GAConfig:
             raise ValidationError(f"repeats per evaluation must be >= 1, got {self.repeats_per_eval}")
         if self.tournament_size < 2:
             raise ValidationError(f"tournament size must be >= 2, got {self.tournament_size}")
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ValidationError(f"GA seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -278,20 +281,17 @@ def gaussian_mutate(
 # -- selection ----------------------------------------------------------------
 
 
-def _better(a: Individual, b: Individual) -> Individual:
-    if a.rank != b.rank:
-        return a if a.rank < b.rank else b
-    if a.crowding != b.crowding:
-        return a if a.crowding > b.crowding else b
-    return a
+def _tournament(pop: Sequence[Individual], cfg: GAConfig, rng: np.random.Generator, draws: Draws) -> Individual:
+    """The best of k distinct picks, as ``rng.choice(len(pop), k, replace=False)`` draws them.
 
-
-def _tournament(pop: Sequence[Individual], cfg: GAConfig, rng: np.random.Generator) -> Individual:
-    picks = rng.choice(len(pop), size=min(cfg.tournament_size, len(pop)), replace=False).tolist()
-    best = pop[picks[0]]
-    for idx in picks[1:]:
-        best = _better(best, pop[idx])
-    return best
+    Lower rank wins, then larger crowding; a tie goes to the earlier pick.
+    """
+    n, k = len(pop), min(cfg.tournament_size, len(pop))
+    if n > 10_000 and k > n // 50:  # numpy's tail-shuffle branch, which Draws.sample does not follow
+        picks = rng.choice(n, size=k, replace=False).tolist()
+    else:
+        picks = draws.sample(n, k)
+    return min((pop[i] for i in picks), key=lambda ind: (ind.rank, -ind.crowding))
 
 
 def _environmental_selection(pop: list[Individual], n: int) -> list[Individual]:
@@ -442,8 +442,9 @@ def evolve(
             offspring: list[Individual] = []
             for pair in range(cfg.population_size // 2):
                 rng = _rng_for(cfg.seed, generation, pair)
-                parent_a = _tournament(population, cfg, rng)
-                parent_b = _tournament(population, cfg, rng)
+                draws = Draws(rng)  # the pair's two tournaments share its kept half-word
+                parent_a = _tournament(population, cfg, rng, draws)
+                parent_b = _tournament(population, cfg, rng, draws)
                 child_a, child_b = uniform_crossover(
                     parent_a.x, parent_b.x, cfg, rng, frozen=frozen_features
                 )

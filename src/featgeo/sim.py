@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .draws import Draws
 from .errors import BudgetError, ValidationError
 from .features import (
     FeatureCatalog,
@@ -96,6 +97,8 @@ class SimConfig:
     noise_scale: float = 0.0
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ValidationError(f"sim seed must be >= 0, got {self.seed}")
         # Scalars are stored as floats, as the manifest's config snapshot has always recorded them.
         for name in ("visibility_bias", "tradeoff_strength", "noise_scale"):
             object.__setattr__(self, name, float(getattr(self, name)))
@@ -228,12 +231,12 @@ def sim_answer(
     cdf = weights.cumsum()
     cdf /= cdf[-1]
 
+    # Lengths and words are rng.integers(6, 15) and rng.integers(0, len(_FILLER_VOCAB), size=n_words).
+    draws = Draws(rng)
     sentences = []
     for _ in range(k_sentences):
-        n_words = int(rng.integers(6, 15))
-        words = [
-            _FILLER_VOCAB[int(i)] for i in rng.integers(0, len(_FILLER_VOCAB), size=n_words)
-        ]
+        n_words = 6 + draws.below(9)
+        words = [_FILLER_VOCAB[draws.below(len(_FILLER_VOCAB))] for _ in range(n_words)]
         cited = docs[int(cdf.searchsorted(rng.random(), side="right"))].id
         sentences.append(f"{words[0].capitalize()} {' '.join(words[1:])} [{cited}].")
     return " ".join(sentences)

@@ -200,16 +200,27 @@ def test_probe_writes_probe_file(tmp_path, small_config, capsys):
      "sim.visibility_weights[0] must be a finite number"),
     (lambda raw: {**raw, "ga": {**raw["ga"], "mutation_sigma": -10**400}},
      "ga.mutation_sigma must be a finite number"),
+    (lambda raw: {**raw, "ga": {**raw["ga"], "seed": -1}}, "GA seed must be >= 0, got -1"),
+    (lambda raw: {**raw, "sim": {**raw["sim"], "seed": -1}}, "sim seed must be >= 0, got -1"),
 ], ids=["unknown-section-key", "unknown-key", "string-int", "string-count", "bool-int", "string-bool",
         "string-list", "directory-doc", "string-float", "short-vector", "missing-key", "list-section",
         "list-file", "nan-scalar", "infinite-scalar", "nan-sigma", "infinite-weight", "nan-vector",
-        "huge-int-scalar", "huge-int-weight", "huge-negative-int-sigma"])
+        "huge-int-scalar", "huge-int-weight", "huge-negative-int-sigma", "negative-ga-seed", "negative-sim-seed"])
 def test_malformed_config_exits_with_validation_status_naming_the_key(tmp_path, small_config, capsys, edit, key):
     small_config.write_text(json.dumps(edit(json.loads(small_config.read_text()))))
     out_dir = tmp_path / "probe_out"
     assert run_cli(["probe", "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and err.count("\n") == 1  # one line, no traceback
+    assert not out_dir.exists()
+
+
+def test_a_negative_seed_flag_exits_with_validation_status_before_the_run_directory(tmp_path, small_config, capsys):
+    out_dir = tmp_path / "run"
+    args = ["simulate", "--config", str(small_config), "--seed", "-1", "--output-dir", str(out_dir)]
+    assert run_cli(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be >= 0, got -1" in err and err.count("\n") == 1
     assert not out_dir.exists()
 
 

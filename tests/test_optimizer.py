@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import dominates, load_example_solutions, midpoint_vector, with_value
+from featgeo import optimizer
+from featgeo.draws import Draws
 from featgeo.errors import ValidationError
 from featgeo.features import FeatureVector, catalog_default, vector_from_mapping
+from featgeo.sim import _FILLER_VOCAB
 from featgeo.optimizer import (
     GAConfig,
     HypervolumeTrace,
     Individual,
     OptimizerAbort,
     ParetoFront,
+    _tournament,
     crowding_distance,
     evolve,
     gaussian_mutate,
@@ -272,6 +276,106 @@ def test_a_vector_of_uniform_draws_equals_as_many_scalar_draws(k):
     assert a.random() == b.random()
 
 
+# -- tournament draws ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, len(_FILLER_VOCAB), 63, 64, 2**31 + 1, 2**32])
+def test_draws_below_equals_rng_integers(n):
+    # 2**31 + 1 rejects about half of its 32-bit words.
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = Draws(rng)
+        assert [draws.below(n) for _ in range(101)] == [int(ref.integers(0, n)) for _ in range(101)]
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", [1, 9, 64, 2**31 + 1, 2**32])
+def test_draws_below_interleaved_with_64_bit_draws_keeps_the_stream(n):
+    steps = np.random.default_rng(n).integers(3, size=400).tolist()
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    draws = Draws(rng)
+    for step in steps:
+        if step == 0:
+            assert draws.below(n) == int(ref.integers(0, n))
+        elif step == 1:
+            assert rng.random() == ref.random()
+        else:
+            assert rng.standard_normal() == ref.standard_normal()
+    assert rng.random() == ref.random()
+
+
+class RecordingPopulation(list):
+    """A population that logs every index read: a tournament reads each of its picks once, in order."""
+
+    def __init__(self, members):
+        super().__init__(members)
+        self.reads = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+def _better(a, b):
+    if a.rank != b.rank:
+        return a if a.rank < b.rank else b
+    if a.crowding != b.crowding:
+        return a if a.crowding > b.crowding else b
+    return a
+
+
+def reference_winner(pop, picks):
+    best = pop[picks[0]]
+    for idx in picks[1:]:
+        best = _better(best, pop[idx])
+    return best
+
+
+def reference_tournament(pop, cfg, rng, draws):
+    """The rng.choice tournament that _tournament must match: its picks, folded by pairwise wins."""
+    return reference_winner(pop, rng.choice(len(pop), size=min(cfg.tournament_size, len(pop)), replace=False).tolist())
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4, 64, 1000, 10_000, 10_001) for k in (2, 3, 5, 201) if k <= n])
+def test_tournament_picks_equal_rng_choice_without_replacement(n, k):
+    cfg = cfg_with(tournament_size=k)
+    for seed in range(3):
+        source = np.random.default_rng(seed)
+        pop = RecordingPopulation(
+            Individual(x=midpoint_vector(CATALOG), rank=int(rank), crowding=float(crowding))
+            for rank, crowding in zip(source.integers(3, size=n), source.integers(3, size=n))
+        )
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = Draws(rng)  # shared, as by a pair's two tournaments in evolve; a third checks an odd count
+        for _ in range(3):
+            pop.reads.clear()
+            winner = _tournament(pop, cfg, rng, draws)
+            picks = ref.choice(n, k, replace=False).tolist()
+            assert pop.reads == picks
+            assert winner is reference_winner(list(pop), picks)
+        assert rng.random() == ref.random()
+
+
+def mixed_landscape(x):
+    return (sum(x.values[:8]), sum(x.values[5:]) - 2.0 * x[4])
+
+
+@pytest.mark.parametrize("population_size, tournament_size", [(8, 3), (8, 5), (2, 2), (2, 5)])
+def test_evolve_equals_the_rng_choice_tournament(monkeypatch, population_size, tournament_size):
+    # The pinned digests all run binary tournaments; these shapes draw more picks,
+    # or none at Floyd's first step (population 2).
+    cfg = cfg_with(population_size=population_size, generations=6, tournament_size=tournament_size, seed=3)
+    exemplars = [midpoint_vector(CATALOG), FeatureVector(CATALOG.lows), FeatureVector(CATALOG.highs)]
+
+    def run():
+        return evolve(cfg, lambda x, key: mixed_landscape(x), exemplars, CATALOG)
+
+    ours = run()
+    monkeypatch.setattr(optimizer, "_tournament", reference_tournament)
+    ref = run()
+    assert (ours.front, ours.trace, ours.log) == (ref.front, ref.trace, ref.log)
+
+
 # -- hypervolume -------------------------------------------------------------------------
 
 
@@ -505,6 +609,8 @@ def test_ga_config_validation():
         GAConfig(mutation_sigma=0.0)
     with pytest.raises(ValidationError):
         GAConfig(repeats_per_eval=0)
+    with pytest.raises(ValidationError, match="GA seed must be >= 0, got -1"):
+        GAConfig(seed=-1)
 
 
 def test_trace_values_must_be_normalized():

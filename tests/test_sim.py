@@ -484,6 +484,8 @@ def test_sim_config_validation():
         SimConfig(1, (0.0,) * 13, 0.0, (0.0,) * 13, -1.0, ())
     with pytest.raises(ValidationError):
         SimConfig(1, (0.0,) * 13, 0.0, (0.0,) * 13, 0.0, (), noise_scale=-0.1)
+    with pytest.raises(ValidationError, match="sim seed must be >= 0, got -1"):
+        SimConfig(-1, (0.0,) * 13, 0.0, (0.0,) * 13, 0.0, ())
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="tradeoff strength must be finite"):
             SimConfig(1, (0.0,) * 13, 0.0, (0.0,) * 13, bad, ())
