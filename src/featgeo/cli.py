@@ -76,6 +76,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="optimize against the bundled offline sim topic")
     add_run_flags(p, config_required=False)
+    p.set_defaults(policy="max_visibility")
 
     p = sub.add_parser("score", help="score one answer file (standalone citation metrics)")
     p.add_argument("--answer", required=True, help="file holding the answer text")
@@ -87,72 +88,53 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(args) -> RunConfig:
-    return RunConfig.from_file(
-        args.config or bundled.default_sim_config_path(),
-        seed=args.seed, backend=args.backend, output_dir=args.output_dir,
-    )
-
-
-def _check_run_dir(run_dir: Path, overwrite: bool) -> None:
-    """Create the run directory; an occupied one needs ``overwrite``."""
+def _run_config(args) -> RunConfig:
+    """Load the config with only the flags given and create its run directory, refusing an occupied one."""
+    given = {k: v for k, v in vars(args).items() if k in ("seed", "backend", "output_dir") and v is not None}
+    cfg = RunConfig.from_file(args.config or bundled.default_sim_config_path(), **given)
+    if args.command == "simulate" and cfg.backend != BACKEND_SIM:
+        raise ValidationError("simulate always runs against the sim backend")
+    run_dir = Path(cfg.output_dir)
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
         occupied = any(run_dir.iterdir())
     except OSError as exc:
         raise ValidationError(f"cannot use {run_dir} as a run directory: {exc}") from exc
-    if occupied and not overwrite:
+    if occupied and not args.overwrite:
         raise ValidationError(
             f"run directory {run_dir} already exists; pass --overwrite to write into it"
         )
+    return cfg
 
 
 def _cmd_probe(args) -> int:
-    cfg = _load_config(args)
-    run_dir = Path(cfg.output_dir)
-    _check_run_dir(run_dir, args.overwrite)
+    cfg = _run_config(args)
     catalog = catalog_default()
     client = build_client(cfg, catalog)
     docs = load_documents(cfg.competitor_docs)
     probe = probe_topic(cfg, client, docs)
-    out = run_dir / records.PROBE_FILE
+    out = Path(cfg.output_dir) / records.PROBE_FILE
     records.write_json(out, records.probe_to_dict(probe, catalog))
     print(f"probed {len(probe.queries)} queries; exemplars: {list(probe.exemplar_ids)}")
     print(f"wrote {out}")
     return EXIT_OK
 
 
-def _run_and_summarize(cfg: RunConfig, policy: str = "max_visibility") -> int:
+def _cmd_optimize(args) -> int:
+    cfg = _run_config(args)
     record = run_optimization(cfg)
-    best = record.finals[policy]
+    best = record.finals[args.policy]
     print(f"run {record.status}: {cfg.output_dir}")
     print(f"front size: {len(record.front)}  final HV: {record.trace.entries[-1][1]:.4f}")
-    print(
-        f"{policy}: visibility {best.objectives[0]:.2f}  quality {best.objectives[1]:.2f}"
-    )
+    print(f"{args.policy}: visibility {best.objectives[0]:.2f}  quality {best.objectives[1]:.2f}")
     failed = sum(m.failed for m in record.eval_metrics)
     if failed:
         print(f"{failed} of {len(record.eval_metrics)} evaluations failed", file=sys.stderr)
     return EXIT_ENGINE if record.status == "failed" else EXIT_OK
 
 
-def _cmd_optimize(args) -> int:
-    cfg = _load_config(args)
-    _check_run_dir(Path(cfg.output_dir), args.overwrite)
-    return _run_and_summarize(cfg, args.policy)
-
-
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    if cfg.backend != BACKEND_SIM:
-        raise ValidationError("simulate always runs against the sim backend")
-    _check_run_dir(Path(cfg.output_dir), args.overwrite)
-    return _run_and_summarize(cfg)
-
-
 def _cmd_ablate(args) -> int:
-    cfg = _load_config(args)
-    _check_run_dir(Path(cfg.output_dir), args.overwrite)
+    cfg = _run_config(args)
     # run_ablation rejects an unknown key, listing the known ones, before it runs anything.
     results = run_ablation(cfg, catalog_default().keys() if args.all else [args.feature])
     print(f"{'feature':<28}{'base vis':>10}{'ablated':>10}{'delta':>10}  runs")
@@ -198,7 +180,7 @@ _COMMANDS = {
     "probe": _cmd_probe,
     "optimize": _cmd_optimize,
     "ablate": _cmd_ablate,
-    "simulate": _cmd_simulate,
+    "simulate": _cmd_optimize,
     "score": _cmd_score,
     "report": _cmd_report,
 }

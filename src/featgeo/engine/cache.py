@@ -28,9 +28,12 @@ class ResponseCache:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._records: dict[str, EngineResponse] = {}
-        self._dir_made = False
-        if self.path.exists():
-            self._load()
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self.path.exists():
+                self._load()
+        except OSError as exc:
+            raise ValidationError(f"cannot use {self.path} as a response cache: {exc}") from exc
 
     def _load(self) -> None:
         """Read every complete record; a bad line raises ValidationError with its number.
@@ -67,9 +70,6 @@ class ResponseCache:
             if digest in self._records:
                 return
             self._records[digest] = response
-            if not self._dir_made:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._dir_made = True
             record = {"digest": digest, "role": role.value, "response": dataclasses.asdict(response)}
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record) + "\n")

@@ -80,6 +80,8 @@ class ChatCompletionBackend:
             raise ValidationError(
                 f"base URL {base_url!r} must be http(s) with a host and no whitespace or control character"
             )
+        if not (api_key.isascii() and api_key.isprintable()):  # an HTTP header carries nothing else
+            raise ValidationError("API key must be printable ASCII; its value is not shown")
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key
@@ -102,7 +104,8 @@ class ChatCompletionBackend:
         try:
             return cls(base_url, model, api_key=os.environ.get(ENV_API_KEY, ""))
         except ValidationError as exc:
-            raise ValidationError(f"{ENV_BASE_URL}: {exc}") from exc
+            source = ENV_API_KEY if str(exc).startswith("API key") else ENV_BASE_URL
+            raise ValidationError(f"{source}: {exc}") from exc
 
     def complete(self, request: EngineRequest) -> EngineResponse:
         headers = {"Content-Type": "application/json"}

@@ -117,10 +117,6 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config file {path} is not valid JSON: {exc}")
         cfg = _read_section(cls, raw, "", path.parent)
-        # The CLI passes an unset flag as None: a None seed, backend or output_dir overrides nothing.
-        for name in ("seed", "backend", "output_dir"):
-            if name in overrides and overrides[name] is None:
-                del overrides[name]
         if "seed" in overrides:  # one seed drives both the GA and the sim seed
             seed = overrides.pop("seed")
             sim = None if cfg.sim is None else dataclasses.replace(cfg.sim, seed=seed)
@@ -264,8 +260,8 @@ def probe_topic(cfg: RunConfig, client: EngineClient, docs: Sequence[SourceDocum
     frequencies = citation_frequency(parses)
     exemplar_ids = select_exemplars(frequencies, cfg.exemplar_count)
     if not exemplar_ids:
-        logger.warning("no source was cited during probing; falling back to all documents")
         exemplar_ids = [d.id for d in docs[: cfg.exemplar_count]]
+        logger.warning("no source was cited during probing; falling back to the first %d documents", len(exemplar_ids))
     vectors = tuple(client.extract_features(docs[i - 1]) for i in exemplar_ids)
     return ProbeResult(
         queries=tuple(queries),
@@ -479,8 +475,10 @@ def run_optimization(
         record.status = "failed"
         record.error = str(exc)
         records.write_run_record(record, run_dir)
-        for name in report.REPORT_FILES:  # no earlier run's report stays beside this record
-            (run_dir / report.REPORT_DIR_NAME / name).unlink(missing_ok=True)
+        report_dir = run_dir / report.REPORT_DIR_NAME
+        if report_dir.is_dir():  # no earlier run's report stays beside this record
+            for name in report.REPORT_FILES:
+                (report_dir / name).unlink(missing_ok=True)
         raise
     records.write_run_record(record, run_dir)
     report.export_report(report.load_report_data(run_dir), run_dir / report.REPORT_DIR_NAME)

@@ -155,6 +155,9 @@ def export_report(data: ReportData, report_dir: str | Path) -> list[Path]:
         COMPARISON_FILE: _comparison_table(data),
         COST_TABLE: data.cost.report(),
     }
-    for name, text in texts.items():
-        write_text(report_dir / name, text)
+    try:
+        for name, text in texts.items():
+            write_text(report_dir / name, text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write the report under {report_dir}: {exc}") from exc
     return [report_dir / name for name in texts]

@@ -488,6 +488,71 @@ def test_an_output_dir_at_or_under_a_file_exits_with_validation_status_before_an
     assert err.startswith(f"error: cannot use {out_dir} as a run directory") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("live_via", ["flag", "config"])
+def test_simulate_refuses_a_live_backend_before_the_run_directory(tmp_path, small_config, capsys, live_via):
+    flags = ["--backend", "live"]
+    if live_via == "config":
+        small_config.write_text(json.dumps({**json.loads(small_config.read_text()), "backend": "live"}))
+        flags = []
+    out_dir = tmp_path / "run"
+    args = ["simulate", "--config", str(small_config), *flags, "--output-dir", str(out_dir)]
+    assert run_cli(args) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: simulate always runs against the sim backend\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("make", [
+    lambda d: (d / "responses.jsonl").mkdir(parents=True), lambda d: d.write_text("x\n"),
+], ids=["cache-file-is-a-directory", "cache-dir-is-a-file"])
+def test_an_unusable_response_cache_exits_with_validation_status_before_any_request(
+    tmp_path, small_config, monkeypatch, capsys, make
+):
+    def no_request(self, request):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr(SimBackend, "complete", no_request)
+    cache_dir = tmp_path / "cache"
+    make(cache_dir)
+    monkeypatch.setenv(ENV_CACHE_DIR, str(cache_dir))
+    out_dir = tmp_path / "run"
+    assert run_cli(["simulate", "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot use {cache_dir / 'responses.jsonl'} as a response cache: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("command", [["report"], ["simulate", "--overwrite"]], ids=["report", "simulate"])
+def test_a_report_directory_that_is_a_file_exits_with_validation_status_and_keeps_the_record(
+    run_dir, small_config, capsys, command
+):
+    shutil.rmtree(run_dir / "report")
+    (run_dir / "report").write_text("not a directory\n")
+    before = tree(run_dir)
+    args = [str(run_dir)] if command == ["report"] else ["--config", str(small_config), "--output-dir", str(run_dir)]
+    assert run_cli([*command, *args]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write the report under {run_dir / 'report'}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert tree(run_dir) == before
+
+
+def test_a_failed_rerun_beside_a_report_file_exits_by_its_own_error(run_dir, small_config, tmp_path, capsys):
+    shutil.rmtree(run_dir / "report")
+    (run_dir / "report").write_text("not a directory\n")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    raw = json.loads(small_config.read_text())
+    raw["competitor_docs"][4] = str(empty)
+    small_config.write_text(json.dumps(raw))
+    args = ["simulate", "--config", str(small_config), "--output-dir", str(run_dir), "--overwrite"]
+    assert run_cli(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: competitor document {empty}") and err.count("\n") == 1
+    assert (run_dir / "report").read_text() == "not a directory\n"
+    assert json.loads((run_dir / "manifest.json").read_text())["status"] == "failed"
+
+
 def test_a_failed_rerun_leaves_no_report_of_the_earlier_run(tmp_path, capsys):
     topic = tmp_path / "sim_topic"
     shutil.copytree(default_sim_config_path().parent, topic)

@@ -214,6 +214,22 @@ def test_live_backend_refuses_a_malformed_base_url(base_url):
         ChatCompletionBackend(base_url, "model-x")
 
 
+@pytest.mark.parametrize("key", ["sk-s\u00e9cret", "sk-secret\nX-Injected: 1"], ids=["non-ascii", "newline"])
+def test_live_backend_refuses_an_api_key_no_http_header_can_carry_without_showing_it(monkeypatch, key):
+    opener = ScriptedOpener(Reply(HELLO))
+    with pytest.raises(ValidationError) as direct:
+        ChatCompletionBackend("http://engine/", "model-x", api_key=key, opener=opener)
+    monkeypatch.setenv(live.ENV_BASE_URL, "http://engine/")
+    monkeypatch.setenv(live.ENV_MODEL, "model-x")
+    monkeypatch.setenv(live.ENV_API_KEY, key)
+    with pytest.raises(ValidationError) as from_env:
+        ChatCompletionBackend.from_env()
+    assert str(from_env.value).startswith(f"{live.ENV_API_KEY}: API key must be printable ASCII")
+    for message in (str(direct.value), str(from_env.value)):
+        assert key not in message and "cret" not in message
+    assert opener.sent == []
+
+
 def test_cache_key_is_deterministic():
     r1 = build_request(Role.JUDGE, "prompt text", salt="s")
     r2 = build_request(Role.JUDGE, "prompt text", salt="s")

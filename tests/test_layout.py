@@ -162,9 +162,10 @@ INPUT_BOUNDARIES = {
     "engine/client.py:_non_empty", "engine/client.py:EngineClient.generate_queries.parse",
     "quality.py:parse_dimensions", "features.py:vector_from_mapping", "features.py:decode_vector",
     # the prompt template files, the response cache file and the run directory
-    "engine/templates.py:render_prompt", "engine/cache.py:ResponseCache._load", "report.py:_read",
+    "engine/templates.py:render_prompt", "engine/cache.py:ResponseCache.__init__",
+    "engine/cache.py:ResponseCache._load", "report.py:_read", "report.py:export_report",
     # CLI arguments and the environment
-    "cli.py:_check_run_dir", "cli.py:_cmd_simulate", "cli.py:_cmd_score", "cli.py:_cmd_report",
+    "cli.py:_run_config", "cli.py:_cmd_score", "cli.py:_cmd_report",
     "features.py:FeatureCatalog.index_of",
     "engine/live.py:ChatCompletionBackend.__init__", "engine/live.py:ChatCompletionBackend.from_env",
     # README's Python API

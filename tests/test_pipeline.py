@@ -215,6 +215,21 @@ def test_probe_exemplars_begin_with_dominant_document(tmp_path):
     assert probe.frequencies[2] == 8
 
 
+def test_probe_without_a_cited_source_falls_back_to_the_first_documents(tmp_path, caplog):
+    cfg = small_sim_config(tmp_path, exemplar_count=3)
+    backend = RoleScriptBackend(SimWorld(cfg.sim, CATALOG), {
+        Role.ANSWER_GEN: lambda req: "This answer cites no source at all.",
+    })
+    with caplog.at_level("WARNING"):
+        probe = probe_topic(cfg, EngineClient(backend, CATALOG), load_documents(cfg.competitor_docs))
+    assert probe.exemplar_ids == (1, 2, 3)
+    assert len(probe.exemplar_vectors) == 3
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert [r.getMessage() for r in warnings] == [
+        "no source was cited during probing; falling back to the first 3 documents"
+    ]
+
+
 # -- candidate evaluation ----------------------------------------------------------------
 
 
