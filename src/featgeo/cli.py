@@ -22,9 +22,7 @@ from .pipeline import (
     run_ablation,
     run_optimization,
 )
-from .report import REPORT_DIR_NAME, REPORT_FILES, export_report, load_report_data
-
-logger = logging.getLogger(__name__)
+from .report import export_report
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -163,15 +161,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    run_dir = Path(args.run_dir)
-    data = load_report_data(run_dir)
-    report_dir = run_dir / REPORT_DIR_NAME
-    if any((report_dir / name).exists() for name in REPORT_FILES) and not args.overwrite:
-        raise ValidationError(
-            f"report files already exist under {report_dir}; pass --overwrite to re-export"
-        )
-    paths = export_report(data, report_dir)
-    for p in paths:
+    for p in export_report(args.run_dir, args.overwrite):
         print(f"wrote {p}")
     return EXIT_OK
 

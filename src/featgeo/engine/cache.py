@@ -71,8 +71,11 @@ class ResponseCache:
                 return
             self._records[digest] = response
             record = {"digest": digest, "role": role.value, "response": dataclasses.asdict(response)}
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record) + "\n")
+            try:
+                with self.path.open("a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(record) + "\n")
+            except OSError as exc:
+                raise ValidationError(f"cannot write the response cache {self.path}: {exc}") from exc
 
     def __len__(self) -> int:
         with self._lock:

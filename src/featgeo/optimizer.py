@@ -10,7 +10,6 @@ of non-dominated solutions.
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -21,8 +20,6 @@ import numpy as np
 from .draws import Draws
 from .errors import FeatGeoError, ValidationError
 from .features import FeatureCatalog, FeatureVector, clamp
-
-logger = logging.getLogger(__name__)
 
 EvalKey = tuple[int, int, int]  # (generation, slot, repeat); generation 0 = initial population
 Evaluator = Callable[[FeatureVector, EvalKey], tuple[float, float]]

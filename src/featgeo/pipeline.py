@@ -474,14 +474,12 @@ def run_optimization(
             record.trace = HypervolumeTrace(exc.partial_trace)
         record.status = "failed"
         record.error = str(exc)
+        report.remove_report(run_dir)  # no earlier run's report stays beside this record
         records.write_run_record(record, run_dir)
-        report_dir = run_dir / report.REPORT_DIR_NAME
-        if report_dir.is_dir():  # no earlier run's report stays beside this record
-            for name in report.REPORT_FILES:
-                (report_dir / name).unlink(missing_ok=True)
         raise
+    report.remove_report(run_dir)
     records.write_run_record(record, run_dir)
-    report.export_report(report.load_report_data(run_dir), run_dir / report.REPORT_DIR_NAME)
+    report.export_report(run_dir, overwrite=True)
     return record
 
 

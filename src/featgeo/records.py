@@ -18,6 +18,7 @@ from typing import Any, Iterable
 
 from .engine.ledger import CostLedger
 from .engine.types import TopicBrief
+from .errors import ValidationError
 from .features import FeatureCatalog, FeatureVector, catalog_default
 from .optimizer import GenerationRecord, HypervolumeTrace, Individual, ParetoFront
 
@@ -102,9 +103,13 @@ class RunRecord:
 
 
 def write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write one run-directory file; an OSError is the validation error ``cannot write <file>``."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(path: Path, obj: Any, indent: int | None = None) -> None:
@@ -170,7 +175,6 @@ def write_run_record(record: RunRecord, run_dir: Path) -> Path:
     """Persist a (possibly partial) run record; returns the manifest path."""
     catalog = catalog_default()
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
 
     written = RECORD_FILES
     if record.probe is not None:

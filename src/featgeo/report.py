@@ -3,14 +3,14 @@
 Reports are built only from a persisted run directory, so a re-export is
 byte-identical to the report written at the end of the run by construction.
 Every record file is checked as it is read and against its sha256 in the
-manifest, and all five files are rendered before any is written, so a failing
-export leaves no partial report behind.
+manifest, all five files are rendered before any is written, and a write that
+fails removes the report files, so a failing export leaves no partial report
+behind.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -28,47 +28,6 @@ COMPARISON_FILE = "solution_comparison.txt"
 COST_TABLE = "cost_table.txt"
 
 REPORT_FILES = (METRICS_TABLE, SCATTER_FILE, TRACE_FILE, COMPARISON_FILE, COST_TABLE)
-
-
-@dataclass
-class ReportData:
-    """Everything the exporter needs, read back from a run directory."""
-
-    finals: dict[str, dict[str, Any]]
-    scatter: list[tuple[float, float, int]]
-    trace: list[tuple[int, float]]
-    cost: CostLedger
-
-
-def load_report_data(run_dir: str | Path) -> ReportData:
-    """Build report inputs from a persisted run directory.
-
-    A record file that is missing, cut short, not valid JSON or short of a
-    field the report reads raises ValidationError naming it; a cost ledger
-    whose blocks disagree with its entries, or a file the manifest lists
-    whose sha256 differs from the recorded one, raises IntegrityError.
-    """
-    run_dir = Path(run_dir)
-    finals = _read(run_dir / FINALS_FILE, _parse_finals)
-    front = _read(run_dir / FRONT_FILE, _parse_objectives)
-    front_pairs = set(front)
-    scatter = [(vis, qual, 1) for vis, qual in front]
-    scatter += [
-        (vis, qual, 0)
-        for vis, qual in _read(run_dir / GENERATIONS_FILE, _parse_objectives)
-        if (vis, qual) not in front_pairs
-    ]
-    trace = _read(run_dir / TRACE_FILE, _parse_trace)
-    cost = _read(run_dir / COST_FILE, lambda text: CostLedger.from_dict(json.loads(text)))
-    artifacts = _read(run_dir / MANIFEST_FILE, lambda text: dict(json.loads(text)["artifacts"]))
-    for name, digest in artifacts.items():
-        try:
-            actual = file_digest(run_dir / name)
-        except OSError as exc:
-            raise IntegrityError(f"listed record file {name} is unreadable: {exc!r}") from exc
-        if actual != digest:
-            raise IntegrityError(f"record file {name} does not match its sha256 in {MANIFEST_FILE}")
-    return ReportData(finals=finals, scatter=scatter, trace=trace, cost=cost)
 
 
 def _read(path: Path, parse: Callable[[str], Any]) -> Any:
@@ -109,19 +68,19 @@ def _fmt(value: float | None) -> str:
     return "-" if value is None else f"{value:.2f}"
 
 
-def _metrics_table(data: ReportData) -> str:
+def _metrics_table(finals: dict[str, dict[str, Any]]) -> str:
     rows = [
         (policy, *(_fmt(entry.get(name)) for name in ("visibility", "quality", "word", "pos")))
-        for policy, entry in sorted(data.finals.items())
+        for policy, entry in sorted(finals.items())
     ]
     return format_table(("Policy", "Vis", "Qual", "Word", "Pos"), rows)
 
 
-def _comparison_table(data: ReportData) -> str:
+def _comparison_table(finals: dict[str, dict[str, Any]]) -> str:
     """Side-by-side feature configurations of the two extreme front solutions."""
     catalog = catalog_default()
-    sol_a = data.finals["max_visibility"]
-    sol_b = data.finals["max_quality"]
+    sol_a = finals["max_visibility"]
+    sol_b = finals["max_quality"]
     lines = [
         "Extreme front solutions: A = max visibility, B = max quality",
         "",
@@ -144,20 +103,62 @@ def _comparison_table(data: ReportData) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_report(data: ReportData, report_dir: str | Path) -> list[Path]:
-    """Emit the five report files; deterministic for a fixed run record."""
-    report_dir = Path(report_dir)
+def export_report(run_dir: str | Path, overwrite: bool) -> list[Path]:
+    """Rebuild the five report files under ``run_dir/report`` from the persisted record.
+
+    The record is checked before any report file is touched: a record file
+    that is missing, cut short, not valid JSON or short of a field the report
+    reads raises ValidationError naming it; a cost ledger whose blocks disagree
+    with its entries, or a file the manifest lists whose sha256 differs from
+    the recorded one, raises IntegrityError. Existing report files are replaced
+    only with ``overwrite``. A write that fails removes the report files.
+    """
+    run_dir = Path(run_dir)
+    finals = _read(run_dir / FINALS_FILE, _parse_finals)
+    front = _read(run_dir / FRONT_FILE, _parse_objectives)
+    front_pairs = set(front)
+    scatter = [(vis, qual, 1) for vis, qual in front]
+    scatter += [
+        (vis, qual, 0)
+        for vis, qual in _read(run_dir / GENERATIONS_FILE, _parse_objectives)
+        if (vis, qual) not in front_pairs
+    ]
+    trace = _read(run_dir / TRACE_FILE, _parse_trace)
+    cost = _read(run_dir / COST_FILE, lambda text: CostLedger.from_dict(json.loads(text)))
+    artifacts = _read(run_dir / MANIFEST_FILE, lambda text: dict(json.loads(text)["artifacts"]))
+    for name, digest in artifacts.items():
+        try:
+            actual = file_digest(run_dir / name)
+        except OSError as exc:
+            raise IntegrityError(f"listed record file {name} is unreadable: {exc!r}") from exc
+        if actual != digest:
+            raise IntegrityError(f"record file {name} does not match its sha256 in {MANIFEST_FILE}")
+
+    report_dir = run_dir / REPORT_DIR_NAME
+    if not overwrite and any((report_dir / name).exists() for name in REPORT_FILES):
+        raise ValidationError(
+            f"report files already exist under {report_dir}; pass --overwrite to re-export"
+        )
     texts = {
-        METRICS_TABLE: _metrics_table(data),
+        METRICS_TABLE: _metrics_table(finals),
         SCATTER_FILE: "visibility,quality,on_front\n"
-        + "".join(f"{v!r},{q!r},{flag}\n" for v, q, flag in data.scatter),
-        TRACE_FILE: trace_csv(data.trace),
-        COMPARISON_FILE: _comparison_table(data),
-        COST_TABLE: data.cost.report(),
+        + "".join(f"{v!r},{q!r},{flag}\n" for v, q, flag in scatter),
+        TRACE_FILE: trace_csv(trace),
+        COMPARISON_FILE: _comparison_table(finals),
+        COST_TABLE: cost.report(),
     }
     try:
         for name, text in texts.items():
             write_text(report_dir / name, text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write the report under {report_dir}: {exc}") from exc
+    except ValidationError:
+        remove_report(run_dir)
+        raise
     return [report_dir / name for name in texts]
+
+
+def remove_report(run_dir: Path) -> None:
+    """Delete the report files, so that no report outlives the record it was built from."""
+    for name in REPORT_FILES:
+        path = run_dir / REPORT_DIR_NAME / name
+        if path.is_file():
+            path.unlink()

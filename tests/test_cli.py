@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import shutil
@@ -273,6 +274,14 @@ def test_failing_report_creates_no_report_file(run_dir, capsys):
     assert tree(run_dir / "report") == {}
 
 
+def test_a_corrupt_record_beside_a_report_exits_by_its_own_error_without_overwrite(run_dir, capsys):
+    (run_dir / "final_solutions.json").write_text("{}\n")
+    before = tree(run_dir / "report")
+    assert run_cli(["report", str(run_dir)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: cannot read record file {run_dir / 'final_solutions.json'}")
+    assert tree(run_dir / "report") == before
+
+
 @pytest.mark.parametrize("tamper", ["entry", "totals"])
 def test_report_rejects_tampered_ledger_and_changes_no_report_file(run_dir, tamper, capsys):
     cost_path = run_dir / "cost.json"
@@ -532,7 +541,7 @@ def test_a_report_directory_that_is_a_file_exits_with_validation_status_and_keep
     args = [str(run_dir)] if command == ["report"] else ["--config", str(small_config), "--output-dir", str(run_dir)]
     assert run_cli([*command, *args]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write the report under {run_dir / 'report'}: ")
+    assert err.startswith(f"error: cannot write {run_dir / 'report' / 'metrics_table.txt'}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert tree(run_dir) == before
 
@@ -564,6 +573,75 @@ def test_a_failed_rerun_leaves_no_report_of_the_earlier_run(tmp_path, capsys):
     assert run_cli(args + ["--overwrite"]) == EXIT_VALIDATION
     assert not (out_dir / "report" / "solution_comparison.txt").exists()
     assert tree(out_dir / "report") == {}
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "failed"
+
+
+def report_files(run_dir):
+    return sorted(p.name for p in (run_dir / "report").iterdir() if p.is_file())
+
+
+def test_a_report_write_that_fails_part_way_leaves_no_report_file(run_dir, capsys):
+    shutil.rmtree(run_dir / "report")
+    (run_dir / "report" / "pareto_scatter.csv").mkdir(parents=True)
+    assert run_cli(["report", str(run_dir), "--overwrite"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {run_dir / 'report' / 'pareto_scatter.csv'}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert report_files(run_dir) == []
+
+
+@pytest.mark.parametrize("command, name", [
+    (["simulate"], "cost.json"), (["probe"], "probe.json"),
+], ids=["simulate-cost", "probe-probe"])
+def test_an_unwritable_record_file_exits_with_validation_status(run_dir, small_config, capsys, command, name):
+    (run_dir / name).unlink()
+    (run_dir / name).mkdir()
+    args = [*command, "--config", str(small_config), "--output-dir", str(run_dir), "--overwrite"]
+    assert run_cli(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {run_dir / name}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_failed_record_write_at_the_end_of_a_run_leaves_no_report_of_the_earlier_run(
+    run_dir, small_config, capsys
+):
+    assert len(report_files(run_dir)) == 5
+    (run_dir / "manifest.json").unlink()
+    (run_dir / "manifest.json").mkdir()
+    args = ["simulate", "--config", str(small_config), "--output-dir", str(run_dir), "--overwrite"]
+    assert run_cli(args) == EXIT_VALIDATION
+    assert f"cannot write {run_dir / 'manifest.json'}: " in capsys.readouterr().err
+    assert report_files(run_dir) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("appends", [3, 50], ids=["probe", "evaluation"])
+def test_an_unwritable_response_cache_exits_with_validation_status(
+    tmp_path, small_config, monkeypatch, capsys, workers, appends
+):
+    small_config.write_text(json.dumps({**json.loads(small_config.read_text()), "eval_workers": workers}))
+    real_open = Path.open
+    count = 0
+
+    def open_(self, mode="r", *args, **kwargs):
+        nonlocal count
+        if mode == "a":
+            count += 1
+            if count > appends:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_)
+    cache = tmp_path / "cache" / "responses.jsonl"
+    monkeypatch.setenv(ENV_CACHE_DIR, str(cache.parent))
+    out_dir = tmp_path / "run"
+    assert run_cli(["simulate", "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"cannot write the response cache {cache}: [Errno {errno.ENOSPC}]" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert cache.read_text().count("\n") == appends
+    assert (out_dir / "probe.json").exists() == (appends == 50)
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "failed"
 
 

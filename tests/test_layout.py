@@ -1,7 +1,7 @@
 """Source-layout guards: imports live at module top, the record modules stay below the pipeline,
 every public name has a caller outside the tests, every stored value is read by program code,
-inputs are checked only where they enter, each module-level string constant has one owner, and
-every defaulted parameter is set by some program call."""
+inputs are checked only where they enter, each module-level string constant has one owner, every
+module-level name is read somewhere, and every defaulted parameter is set by some program call."""
 
 import ast
 import importlib
@@ -163,9 +163,10 @@ INPUT_BOUNDARIES = {
     "quality.py:parse_dimensions", "features.py:vector_from_mapping", "features.py:decode_vector",
     # the prompt template files, the response cache file and the run directory
     "engine/templates.py:render_prompt", "engine/cache.py:ResponseCache.__init__",
-    "engine/cache.py:ResponseCache._load", "report.py:_read", "report.py:export_report",
+    "engine/cache.py:ResponseCache._load", "engine/cache.py:ResponseCache.put", "records.py:write_text",
+    "report.py:_read", "report.py:export_report",
     # CLI arguments and the environment
-    "cli.py:_run_config", "cli.py:_cmd_score", "cli.py:_cmd_report",
+    "cli.py:_run_config", "cli.py:_cmd_score",
     "features.py:FeatureCatalog.index_of",
     "engine/live.py:ChatCompletionBackend.__init__", "engine/live.py:ChatCompletionBackend.from_env",
     # README's Python API
@@ -271,6 +272,47 @@ def test_module_string_constants_are_defined_once():
                 )
     shared = {value: names for value, names in owners.items() if len(names) > 1}
     assert not shared, f"string constants defined more than once: {shared}"
+
+
+# Module-level names that no program code reads, each with its reason.
+UNREAD_MODULE_NAMES = {
+    "__init__.py:__version__",  # the package version, for its users
+}
+
+
+def test_every_module_level_name_is_read_by_program_code():
+    """A module-level assignment, function or class that neither its own module reads nor any
+    module imports or reads as an attribute is dead weight, and goes.
+
+    Matched by name across the package and perfbench, so a name that a local variable or another
+    module's attribute of the same name shadows is not caught.
+    """
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted([*PACKAGE_DIR.rglob("*.py"), *perfbench.glob("*.py")])}
+    imported = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.ImportFrom):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            imported.add(node.attr)
+    unread = set()
+    for path, tree in trees.items():
+        if not path.is_relative_to(PACKAGE_DIR):
+            continue
+        used = imported | {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            else:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            unread.update(f"{path.relative_to(PACKAGE_DIR).as_posix()}:{name}"
+                          for name in names if name not in used)
+    assert unread == UNREAD_MODULE_NAMES, (
+        f"module-level names nothing reads: {sorted(unread - UNREAD_MODULE_NAMES)}; "
+        f"allowed but now read or gone: {sorted(UNREAD_MODULE_NAMES - unread)}"
+    )
 
 
 # Defaulted parameters that only the tests set: seams that stand in for the network, the clock,

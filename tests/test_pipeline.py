@@ -878,14 +878,15 @@ def test_ablation_checks_every_key_before_the_baseline_runs(tmp_path):
 
 
 def test_report_reexport_is_byte_identical(tmp_path):
-    from featgeo.report import export_report, load_report_data
+    from featgeo.report import export_report
     cfg = small_sim_config(tmp_path)
     run_optimization(cfg)
     report_dir = cfg.output_dir / "report"
     original = {p.name: p.read_bytes() for p in report_dir.iterdir()}
-    data = load_report_data(cfg.output_dir)
-    export_report(data, tmp_path / "reexport")
-    again = {p.name: p.read_bytes() for p in (tmp_path / "reexport").iterdir()}
+    for p in report_dir.iterdir():
+        p.unlink()
+    export_report(cfg.output_dir, overwrite=False)
+    again = {p.name: p.read_bytes() for p in report_dir.iterdir()}
     assert original == again
 
 
