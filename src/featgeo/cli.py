@@ -112,6 +112,7 @@ def _cmd_probe(args) -> int:
     docs = load_documents(cfg.competitor_docs)
     probe = probe_topic(cfg, client, docs)
     out = Path(cfg.output_dir) / records.PROBE_FILE
+    records.withdraw(out.parent)  # an earlier run's manifest and report vouch for the probe.json replaced here
     records.write_json(out, records.probe_to_dict(probe, catalog))
     print(f"probed {len(probe.queries)} queries; exemplars: {list(probe.exemplar_ids)}")
     print(f"wrote {out}")

@@ -36,8 +36,6 @@ class Draws:
         """``rng.integers(0, n)`` for ``1 <= n <= 2**32``; ``n == 1`` draws nothing."""
         if n == 1:
             return 0
-        if n == 0x100000000:
-            return self._next32()
         m = self._next32() * n
         if (m & 0xFFFFFFFF) < n:
             threshold = (0x100000000 - n) % n  # 2**32 mod n: the low words that would bias the draw

@@ -8,26 +8,16 @@ from importlib import resources
 from ..errors import ValidationError
 from .types import Role, text_digest
 
-_TEMPLATE_FILES: dict[Role, str] = {
-    Role.QUERY_GEN: "query_gen.txt",
-    Role.THEME_EXTRACT: "theme_extract.txt",
-    Role.FEATURE_EXTRACT: "feature_extract.txt",
-    Role.PAGE_GEN: "page_gen.txt",
-    Role.ANSWER_GEN: "answer_gen.txt",
-    Role.JUDGE: "judge.txt",
-}
-
-
 @lru_cache(maxsize=None)
 def load_template(role: Role) -> str:
-    ref = resources.files("featgeo.engine") / "templates" / _TEMPLATE_FILES[role]
+    ref = resources.files("featgeo.engine") / "templates" / f"{role.name.lower()}.txt"
     return ref.read_text(encoding="utf-8")
 
 
 @lru_cache(maxsize=None)
 def templates_digest() -> str:
     """One digest over every role template, so an edited template keys new cache entries."""
-    return text_digest("\x1f".join(load_template(role) for role in _TEMPLATE_FILES))
+    return text_digest("\x1f".join(load_template(role) for role in Role))
 
 
 def render_prompt(role: Role, **params: str) -> str:

@@ -188,11 +188,8 @@ def crowding_distance(front: Sequence[Individual]) -> list[float]:
         if span <= 0.0:
             continue  # zero-width objective contributes nothing to interior points
         for pos in range(1, n - 1):
-            i = order[pos]
-            if distances[i] == float("inf"):
-                continue
             gap = front[order[pos + 1]].objectives[obj] - front[order[pos - 1]].objectives[obj]
-            distances[i] += gap / span
+            distances[order[pos]] += gap / span  # a boundary point's infinity stays infinite
     for ind, d in zip(front, distances):
         ind.crowding = d
     return distances
@@ -316,8 +313,6 @@ def hypervolume(front: ParetoFront | Sequence[tuple[float, float]]) -> float:
     rectangles of strictly improving quality.
     """
     pairs = front.objective_pairs() if isinstance(front, ParetoFront) else list(front)
-    if not pairs:
-        return 0.0
     points = sorted(((v / 100.0, q / 100.0) for v, q in pairs), key=lambda p: (-p[0], -p[1]))
     area = 0.0
     best_quality = 0.0

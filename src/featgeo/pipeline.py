@@ -474,10 +474,8 @@ def run_optimization(
             record.trace = HypervolumeTrace(exc.partial_trace)
         record.status = "failed"
         record.error = str(exc)
-        report.remove_report(run_dir)  # no earlier run's report stays beside this record
         records.write_run_record(record, run_dir)
         raise
-    report.remove_report(run_dir)
     records.write_run_record(record, run_dir)
     report.export_report(run_dir, overwrite=True)
     return record

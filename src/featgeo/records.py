@@ -1,11 +1,13 @@
-"""Run records: their types, their file names, and the one writer that persists them.
+"""Run records and their run directory: the types, the file names, and the one writer and remover.
 
 A run is recorded as line-delimited record files plus a digest manifest. Every
 file is written deterministically (fixed key order, repr floats, "\n"
 newlines), so a re-run of the same config under the sim backend reproduces the
-record byte for byte. The manifest is written last and carries the sha256 of
-every record file. Reports are built from the persisted record only, never
-from the in-memory objects that produced it.
+record byte for byte. The manifest carries the sha256 of every record file: it
+and the report are withdrawn before any record file is rewritten, and the
+manifest is written last, so a directory without one holds no vouched record.
+Reports are built from the persisted record only, never from the in-memory
+objects that produced it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,14 @@ RECORD_FILES = (
     METRICS_FILE,
     COST_FILE,
 )
+
+REPORT_DIR_NAME = "report"
+METRICS_TABLE = "metrics_table.txt"
+SCATTER_FILE = "pareto_scatter.csv"
+COMPARISON_FILE = "solution_comparison.txt"
+COST_TABLE = "cost_table.txt"
+
+REPORT_FILES = (METRICS_TABLE, SCATTER_FILE, TRACE_FILE, COMPARISON_FILE, COST_TABLE)
 
 
 @dataclass(frozen=True)
@@ -112,6 +122,22 @@ def write_text(path: Path, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
+def remove(paths: Iterable[Path]) -> None:
+    """Delete those of ``paths`` that are regular files, so a directory in a file's place is left to
+    fail at its write; an OSError is the validation error ``cannot remove <file>``."""
+    for path in paths:
+        try:
+            if path.is_file():
+                path.unlink()
+        except OSError as exc:
+            raise ValidationError(f"cannot remove {path}: {exc}") from exc
+
+
+def withdraw(run_dir: Path) -> None:
+    """Delete the manifest and the report, so that nothing vouches for record files about to be rewritten."""
+    remove([run_dir / MANIFEST_FILE, *(run_dir / REPORT_DIR_NAME / name for name in REPORT_FILES)])
+
+
 def write_json(path: Path, obj: Any, indent: int | None = None) -> None:
     write_text(path, json.dumps(obj, ensure_ascii=False, indent=indent) + "\n")
 
@@ -171,16 +197,16 @@ def _mean_word_pos(record: RunRecord, key: tuple[int, int] | None) -> tuple[floa
     return sum((m.word for m in scored), 0.0) / len(scored), sum((m.pos for m in scored), 0.0) / len(scored)
 
 
-def write_run_record(record: RunRecord, run_dir: Path) -> Path:
-    """Persist a (possibly partial) run record; returns the manifest path."""
+def write_run_record(record: RunRecord, run_dir: Path) -> None:
+    """Persist a (possibly partial) run record: withdraw the manifest and report, write the record
+    files, then the manifest."""
     catalog = catalog_default()
-    run_dir = Path(run_dir)
-
+    withdraw(run_dir)
     written = RECORD_FILES
     if record.probe is not None:
         write_json(run_dir / PROBE_FILE, probe_to_dict(record.probe, catalog))
     else:  # a run that failed before its probe leaves no earlier run's probe behind
-        (run_dir / PROBE_FILE).unlink(missing_ok=True)
+        remove([run_dir / PROBE_FILE])
         written = tuple(name for name in RECORD_FILES if name != PROBE_FILE)
 
     write_jsonl(
@@ -223,6 +249,4 @@ def write_run_record(record: RunRecord, run_dir: Path) -> Path:
         "config": record.config_snapshot,
         "artifacts": artifacts,
     }
-    manifest_path = run_dir / MANIFEST_FILE
-    write_json(manifest_path, manifest, indent=2)
-    return manifest_path
+    write_json(run_dir / MANIFEST_FILE, manifest, indent=2)

@@ -17,17 +17,9 @@ from typing import Any, Callable
 from .engine.ledger import CostLedger, format_table
 from .errors import IntegrityError, ValidationError
 from .features import LAYERS, catalog_default
-from .records import COST_FILE, FINALS_FILE, FRONT_FILE, GENERATIONS_FILE, MANIFEST_FILE, TRACE_FILE
-from .records import file_digest, trace_csv, write_text
-
-REPORT_DIR_NAME = "report"
-
-METRICS_TABLE = "metrics_table.txt"
-SCATTER_FILE = "pareto_scatter.csv"
-COMPARISON_FILE = "solution_comparison.txt"
-COST_TABLE = "cost_table.txt"
-
-REPORT_FILES = (METRICS_TABLE, SCATTER_FILE, TRACE_FILE, COMPARISON_FILE, COST_TABLE)
+from .records import COMPARISON_FILE, COST_FILE, COST_TABLE, FINALS_FILE, FRONT_FILE, GENERATIONS_FILE
+from .records import MANIFEST_FILE, METRICS_TABLE, REPORT_DIR_NAME, REPORT_FILES, SCATTER_FILE, TRACE_FILE
+from .records import file_digest, remove, trace_csv, write_text
 
 
 def _read(path: Path, parse: Callable[[str], Any]) -> Any:
@@ -151,14 +143,6 @@ def export_report(run_dir: str | Path, overwrite: bool) -> list[Path]:
         for name, text in texts.items():
             write_text(report_dir / name, text)
     except ValidationError:
-        remove_report(run_dir)
+        remove(report_dir / name for name in texts)
         raise
     return [report_dir / name for name in texts]
-
-
-def remove_report(run_dir: Path) -> None:
-    """Delete the report files, so that no report outlives the record it was built from."""
-    for name in REPORT_FILES:
-        path = run_dir / REPORT_DIR_NAME / name
-        if path.is_file():
-            path.unlink()

@@ -121,8 +121,10 @@ def test_ablate_single_feature_prints_delta(tmp_path, small_config, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "statistics_level" in out
-    assert (tmp_path / "out" / "baseline" / "manifest.json").exists()
-    assert (tmp_path / "out" / "ablate_statistics_level" / "manifest.json").exists()
+    baseline, ablated = (json.loads((tmp_path / "out" / name / "manifest.json").read_text())["config"]
+                         for name in ("baseline", "ablate_statistics_level"))
+    assert "frozen_features" not in baseline
+    assert ablated.pop("frozen_features") == {"statistics_level": 0.0} and ablated == baseline
 
 
 def test_ablate_all_runs_one_baseline_then_each_feature_in_catalog_order(tmp_path, small_config, monkeypatch,
@@ -203,10 +205,19 @@ def test_probe_writes_probe_file(tmp_path, small_config, capsys):
      "ga.mutation_sigma must be a finite number"),
     (lambda raw: {**raw, "ga": {**raw["ga"], "seed": -1}}, "GA seed must be >= 0, got -1"),
     (lambda raw: {**raw, "sim": {**raw["sim"], "seed": -1}}, "sim seed must be >= 0, got -1"),
+    (lambda raw: {**raw, "topic": "  "}, "run config needs a topic label"),
+    (lambda raw: {**raw, "query_count": 0}, "query count must be >= 1, got 0"),
+    (lambda raw: {**raw, "exemplar_count": 0}, "exemplar count must be >= 1, got 0"),
+    (lambda raw: {**raw, "advertiser_position": "middle"}, "advertiser position must be 'first' or 'last', got 'middle'"),
+    (lambda raw: {**raw, "judge_target": "both"}, "judge target must be 'answer' or 'page', got 'both'"),
+    (lambda raw: {**raw, "eval_workers": 0}, "eval workers must be >= 1, got 0"),
+    (lambda raw: {**raw, "competitor_docs": []}, "run config needs at least one competitor document"),
 ], ids=["unknown-section-key", "unknown-key", "string-int", "string-count", "bool-int", "string-bool",
         "string-list", "directory-doc", "string-float", "short-vector", "missing-key", "list-section",
         "list-file", "nan-scalar", "infinite-scalar", "nan-sigma", "infinite-weight", "nan-vector",
-        "huge-int-scalar", "huge-int-weight", "huge-negative-int-sigma", "negative-ga-seed", "negative-sim-seed"])
+        "huge-int-scalar", "huge-int-weight", "huge-negative-int-sigma", "negative-ga-seed", "negative-sim-seed",
+        "blank-topic", "zero-queries", "zero-exemplars", "unknown-position", "unknown-judge-target",
+        "zero-workers", "no-docs"])
 def test_malformed_config_exits_with_validation_status_naming_the_key(tmp_path, small_config, capsys, edit, key):
     small_config.write_text(json.dumps(edit(json.loads(small_config.read_text()))))
     out_dir = tmp_path / "probe_out"
@@ -344,6 +355,12 @@ def drop_features(path):
     path.write_text(json.dumps(finals) + "\n")
 
 
+def non_numeric_visibility(path):
+    finals = json.loads(path.read_text())
+    finals["max_quality"]["visibility"] = "high"
+    path.write_text(json.dumps(finals) + "\n")
+
+
 def drop_quality(path):
     path.write_text("".join(line.replace('"quality"', '"q"', 1) + "\n"
                             for line in path.read_text().splitlines()))
@@ -352,6 +369,7 @@ def drop_quality(path):
 @pytest.mark.parametrize("name, damage", [
     ("final_solutions.json", truncate),
     ("final_solutions.json", drop_features),
+    ("final_solutions.json", non_numeric_visibility),
     ("cost.json", truncate),
     ("cost.json", drop_totals),
     ("cost.json", infinite_wall_time),
@@ -613,6 +631,65 @@ def test_a_failed_record_write_at_the_end_of_a_run_leaves_no_report_of_the_earli
     assert run_cli(args) == EXIT_VALIDATION
     assert f"cannot write {run_dir / 'manifest.json'}: " in capsys.readouterr().err
     assert report_files(run_dir) == []
+
+
+def test_a_record_rewrite_that_fails_leaves_no_manifest_of_the_earlier_run(run_dir, small_config, capsys):
+    (run_dir / "cost.json").unlink()
+    (run_dir / "cost.json").mkdir()
+    args = ["simulate", "--config", str(small_config), "--seed", "8", "--output-dir", str(run_dir), "--overwrite"]
+    assert run_cli(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {run_dir / 'cost.json'}: ") and err.count("\n") == 1
+    assert not (run_dir / "manifest.json").exists()
+    assert report_files(run_dir) == []
+
+
+def test_a_run_that_fails_before_its_probe_beside_a_probe_directory_exits_by_its_own_error(
+    run_dir, small_config, tmp_path, capsys
+):
+    (run_dir / "probe.json").unlink()
+    (run_dir / "probe.json").mkdir()
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    raw = json.loads(small_config.read_text())
+    raw["competitor_docs"][4] = str(empty)
+    small_config.write_text(json.dumps(raw))
+    args = ["simulate", "--config", str(small_config), "--output-dir", str(run_dir), "--overwrite"]
+    assert run_cli(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: competitor document {empty}") and err.count("\n") == 1
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and "probe.json" not in manifest["artifacts"]
+
+
+def test_a_probe_over_a_finished_run_withdraws_its_manifest_and_report(run_dir, small_config, capsys):
+    args = ["probe", "--config", str(small_config), "--seed", "8", "--output-dir", str(run_dir), "--overwrite"]
+    assert run_cli(args) == EXIT_OK
+    assert not (run_dir / "manifest.json").exists()
+    assert report_files(run_dir) == []
+    capsys.readouterr()
+    assert run_cli(["report", str(run_dir)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read record file {run_dir / 'manifest.json'}") and err.count("\n") == 1
+
+
+def test_a_manifest_that_cannot_be_removed_exits_with_validation_status_before_any_record_write(
+    run_dir, small_config, monkeypatch, capsys
+):
+    before = tree(run_dir)
+    real_unlink = Path.unlink
+
+    def unlink(self, *args, **kwargs):
+        if self.name == "manifest.json":
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+        return real_unlink(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "unlink", unlink)
+    args = ["simulate", "--config", str(small_config), "--seed", "8", "--output-dir", str(run_dir), "--overwrite"]
+    assert run_cli(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot remove {run_dir / 'manifest.json'}: ") and err.count("\n") == 1
+    assert tree(run_dir) == before
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -142,6 +142,14 @@ def test_cache_drops_torn_tail_and_appends_cleanly_after_it(tmp_path):
     assert ResponseCache(path).get("c").text == "late reply"
 
 
+def test_cache_file_with_blank_lines_loads(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    first, second = filled_cache(path, ["a", "b"]).decode().splitlines(keepends=True)
+    path.write_text("\n" + first + "  \n" + second)
+    cache = ResponseCache(path)
+    assert len(cache) == 2 and cache.get("a").text == "reply 0" and cache.get("b").text == "reply 1"
+
+
 @pytest.mark.parametrize("bad_line", [
     '{"digest": "x", "respo', '{"digest": "x"}', "[]",
     '{"digest": "x", "response": {"text": "t", "prompt_tokens": 1e999, "completion_tokens": 1,'
@@ -212,6 +220,15 @@ def test_live_backend_identity_is_its_url_and_model():
 def test_live_backend_refuses_a_malformed_base_url(base_url):
     with pytest.raises(ValidationError, match="base URL"):
         ChatCompletionBackend(base_url, "model-x")
+
+
+@pytest.mark.parametrize("unset", [live.ENV_BASE_URL, live.ENV_MODEL], ids=["base-url", "model"])
+def test_live_backend_from_env_needs_the_base_url_and_the_model(monkeypatch, unset):
+    monkeypatch.setenv(live.ENV_BASE_URL, "http://engine/")
+    monkeypatch.setenv(live.ENV_MODEL, "model-x")
+    monkeypatch.delenv(unset)
+    with pytest.raises(ValidationError, match=f"live backend needs {live.ENV_BASE_URL} and {live.ENV_MODEL} set"):
+        ChatCompletionBackend.from_env()
 
 
 @pytest.mark.parametrize("key", ["sk-s\u00e9cret", "sk-secret\nX-Injected: 1"], ids=["non-ascii", "newline"])

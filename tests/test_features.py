@@ -237,6 +237,20 @@ def test_decode_rejects_non_json_and_non_object():
         decode_vector(json.dumps([1, 2, 3]), CATALOG)
 
 
+@pytest.mark.parametrize("value, message", [
+    ('"high"', "feature 'statistics_level' has non-numeric value 'high'"),
+    ("null", "feature 'statistics_level' has non-numeric value None"),
+    ("NaN", "non-finite value for feature 'statistics_level': nan"),
+    ("1e400", "non-finite value for feature 'statistics_level': inf"),
+], ids=["string", "null", "nan", "overflow"])
+def test_decode_rejects_a_non_numeric_or_non_finite_value(value, message):
+    record = json.dumps({f.key: (f.lo + f.hi) / 2 for f in CATALOG})
+    text = record.replace('"statistics_level": 1.5', f'"statistics_level": {value}')
+    assert text != record
+    with pytest.raises(ValidationError, match=message):
+        decode_vector(text, CATALOG)
+
+
 def test_feature_vector_requires_thirteen_values():
     with pytest.raises(ValidationError):
         FeatureVector((1.0, 2.0))

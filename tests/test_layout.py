@@ -1,7 +1,8 @@
 """Source-layout guards: imports live at module top, the record modules stay below the pipeline,
 every public name has a caller outside the tests, every stored value is read by program code,
 inputs are checked only where they enter, each module-level string constant has one owner, every
-module-level name is read somewhere, and every defaulted parameter is set by some program call."""
+module-level name is read somewhere, every defaulted parameter is set by some program call, and only
+the records writer and remover change a run-directory file."""
 
 import ast
 import importlib
@@ -69,6 +70,44 @@ def _sites(path: Path, matches) -> list[str]:
         for node in ast.walk(tree)
         if matches(node)
     ]
+
+
+# Calls that change a file: path methods (and ``shutil.rmtree``) by name, and two ``os`` functions
+# whose names other types share.
+_CHANGES_A_FILE = {"unlink", "rmdir", "rmtree", "truncate", "write_text", "write_bytes", "rename", "touch"}
+_OS_CHANGES_A_FILE = {"remove", "replace"}
+
+
+def _changes_a_file(node: ast.AST) -> bool:
+    """A call that unlinks, truncates, removes or renames a file, or opens one with a literal writing mode.
+
+    ``records.<name>(...)`` is the records module's own API and does not count; a mode that is not a
+    string literal is not seen.
+    """
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    owner = getattr(getattr(func, "value", None), "id", None)
+    if isinstance(func, ast.Attribute) and owner != "records" and (
+            func.attr in _CHANGES_A_FILE or (owner == "os" and func.attr in _OS_CHANGES_A_FILE)):
+        return True
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    if name != "open":
+        return False
+    modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+    modes += node.args[0 if isinstance(func, ast.Attribute) else 1:][:1]
+    return any(isinstance(m, ast.Constant) and isinstance(m.value, str) and set(m.value) & set("wax+")
+               for m in modes)
+
+
+def test_run_directory_files_are_changed_only_by_the_records_writer_and_remover():
+    """``records.write_text`` and ``records.remove`` own every change to a run-directory file, so the
+    manifest-first withdrawal and manifest-last write cannot be bypassed. The response cache is not
+    a run-directory file: it appends its records and truncates a torn tail."""
+    sites = [site for path in sorted(PACKAGE_DIR.rglob("*.py")) for site in _sites(path, _changes_a_file)]
+    assert sorted(sites) == [
+        "engine/cache.py:_load", "engine/cache.py:put", "records.py:remove", "records.py:write_text",
+    ], sites
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -164,7 +203,7 @@ INPUT_BOUNDARIES = {
     # the prompt template files, the response cache file and the run directory
     "engine/templates.py:render_prompt", "engine/cache.py:ResponseCache.__init__",
     "engine/cache.py:ResponseCache._load", "engine/cache.py:ResponseCache.put", "records.py:write_text",
-    "report.py:_read", "report.py:export_report",
+    "records.py:remove", "report.py:_read", "report.py:export_report",
     # CLI arguments and the environment
     "cli.py:_run_config", "cli.py:_cmd_score",
     "features.py:FeatureCatalog.index_of",

@@ -118,6 +118,11 @@ def test_crowding_three_even_points_interior_is_two():
     assert front[1].crowding == pytest.approx(2.0)
 
 
+def test_crowding_equal_points_keep_infinite_ends_and_a_zero_interior():
+    front = [ind(50, 50), ind(50, 50), ind(50, 50)]
+    assert crowding_distance(front) == [float("inf"), 0.0, float("inf")]
+
+
 def test_crowding_zero_width_objective_contributes_nothing():
     front = [ind(0, 50), ind(50, 50), ind(100, 50)]
     distances = crowding_distance(front)
@@ -611,6 +616,10 @@ def test_ga_config_validation():
         GAConfig(repeats_per_eval=0)
     with pytest.raises(ValidationError, match="GA seed must be >= 0, got -1"):
         GAConfig(seed=-1)
+    with pytest.raises(ValidationError, match=r"crossover probability must lie in \[0, 1\], got 1.5"):
+        GAConfig(crossover_prob=1.5)
+    with pytest.raises(ValidationError, match="tournament size must be >= 2, got 1"):
+        GAConfig(tournament_size=1)
 
 
 def test_trace_values_must_be_normalized():

@@ -122,6 +122,17 @@ def test_config_missing_doc_is_validation_error(tmp_path):
         RunConfig.from_file(p)
 
 
+def test_config_output_dir_override_is_a_path():
+    assert RunConfig.from_file(default_sim_config_path(), output_dir="x").output_dir == Path("x")
+
+
+def test_config_file_that_is_not_json_is_validation_error(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text('{"topic": ')
+    with pytest.raises(ValidationError, match=f"config file {re.escape(str(p))} is not valid JSON"):
+        RunConfig.from_file(p)
+
+
 def test_config_validation_errors(tmp_path):
     docs = write_docs(tmp_path, [midpoint_vector(CATALOG)] * 5)
     with pytest.raises(ValidationError):
@@ -677,6 +688,21 @@ def test_run_ledger_accounting(tmp_path):
     totals = ledger_sum(record.ledger)
     assert totals.api_calls > 0
     assert totals.prompt_tokens > 0
+
+
+def test_the_profile_memo_holds_only_texts_that_carry_a_profile(tmp_path, monkeypatch):
+    """With the judge reading answers, answers reach ``SimWorld.profile_of`` too, and stay out of its memo."""
+    worlds = []
+
+    class RecordedWorld(SimWorld):
+        def __init__(self, *args):
+            super().__init__(*args)
+            worlds.append(self)
+
+    monkeypatch.setattr(pipeline_module, "SimWorld", RecordedWorld)
+    run_optimization(small_sim_config(tmp_path, judge_target="answer"))
+    [world] = worlds
+    assert world._profiles and all(PROFILE_MARKER in text for text in world._profiles)
 
 
 def test_run_records_raw_judge_dimensions(tmp_path):

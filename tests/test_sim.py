@@ -355,6 +355,16 @@ def test_scalar_quantization_matches_the_vectorized_one():
         ), base
 
 
+@pytest.mark.parametrize("grid_levels, active, message", [
+    (1, ["statistics_level"], "grid levels must be >= 2, got 1"),
+    (3, [], "need at least one active feature"),
+    (3, ["statistics_level", "statistics_level"], "active features must be distinct"),
+], ids=["one-level", "no-feature", "repeated-feature"])
+def test_brute_force_pareto_rejects_a_malformed_grid(grid_levels, active, message):
+    with pytest.raises(ValidationError, match=message):
+        brute_force_pareto(grid_levels, active, make_world())
+
+
 def test_budget_exceeded_raises():
     with pytest.raises(BudgetError):
         brute_force_pareto(101, ["statistics_level", "list_density", "quotation_level"],
@@ -491,6 +501,12 @@ def test_sim_config_validation():
             SimConfig(1, (0.0,) * 13, 0.0, (0.0,) * 13, bad, ())
         with pytest.raises(ValidationError, match="noise scale must be finite"):
             SimConfig(1, (0.0,) * 13, 0.0, (0.0,) * 13, 0.0, (), noise_scale=bad)
+        with pytest.raises(ValidationError, match="visibility_weights must be finite"):
+            SimConfig(1, (bad,) + (0.0,) * 12, 0.0, (0.0,) * 13, 0.0, ())
+        with pytest.raises(ValidationError, match="quality_weights must be finite"):
+            SimConfig(1, (0.0,) * 13, 0.0, (0.0,) * 12 + (bad,), 0.0, ())
+        with pytest.raises(ValidationError, match="visibility bias must be finite"):
+            SimConfig(1, (0.0,) * 13, bad, (0.0,) * 13, 0.0, ())
 
 
 def test_run_decodes_each_document_profile_once_and_shares_the_world_across_workers(
