@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -30,8 +31,7 @@ _ALNUM = re.compile(r"[^\W_]")
 _INT_DIGITS = 640
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """One parsed sentence with its cited source indices."""
 
     text: str
@@ -68,6 +68,25 @@ class VisibilityScores:
         return self.word[i], self.pos[i], self.vis[i]
 
 
+@lru_cache(maxsize=1024)
+def _decode_group(group: str, num_sources: int) -> tuple[frozenset[int], int]:
+    """The in-range indices of a sentence's comma-joined citation tokens, and how many were dropped.
+
+    Answers cite few distinct groups, so nearly every sentence's group is a memo hit.
+    """
+    cites: set[int] = set()
+    dropped = 0
+    for digits in _INDEX.findall(group):
+        if len(digits) > _INT_DIGITS:  # leading zeros keep the value; else it reads as 0
+            digits = "0" if any(map(int, digits[:-_INT_DIGITS])) else digits[-_INT_DIGITS:]
+        k = int(digits)
+        if 1 <= k <= num_sources:
+            cites.add(k)
+        else:
+            dropped += 1
+    return frozenset(cites), dropped
+
+
 def parse_citations(answer: str, num_sources: int) -> CitationParse:
     """Split an answer into sentences and attach bracketed citations.
 
@@ -87,20 +106,13 @@ def parse_citations(answer: str, num_sources: int) -> CitationParse:
         # Text and token indices alternate: text, indices, text, ..., text.
         pieces = _TOKEN.split(answer[start:end])
         start = end
-        cites: set[int] = set()
-        for digits in _INDEX.findall(",".join(pieces[1::2])):
-            if len(digits) > _INT_DIGITS:  # leading zeros keep the value; else it reads as 0
-                digits = "0" if any(map(int, digits[:-_INT_DIGITS])) else digits[-_INT_DIGITS:]
-            k = int(digits)
-            if 1 <= k <= num_sources:
-                cites.add(k)
-            else:
-                dropped += 1
+        cited, group_dropped = _decode_group(",".join(pieces[1::2]), num_sources)
+        dropped += group_dropped
         text = "".join(pieces[::2]).strip()
         # Words are whitespace-delimited runs holding at least one alphanumeric.
         count = len([w for w in text.split() if w.isalnum() or _ALNUM.search(w)])
         if count >= 1:
-            sentences.append(Sentence(text, count, frozenset(cites), len(sentences) + 1))
+            sentences.append(Sentence(text, count, cited, len(sentences) + 1))
     return CitationParse(tuple(sentences), num_sources, dropped)
 
 
@@ -117,18 +129,15 @@ def visibility_scores(p: CitationParse) -> VisibilityScores:
 
     total_sentences = len(p.sentences)
     total_words = sum(s.word_count for s in p.sentences)
-    decay_total = sum(
-        s.word_count * math.exp(-s.position / total_sentences) for s in p.sentences
-    )
+    decayed = [s.word_count * math.exp(-s.position / total_sentences) for s in p.sentences]
+    decay_total = sum(decayed)
 
     word = [0.0] * n
     pos = [0.0] * n
-    for s in p.sentences:
-        weight = s.word_count
-        decayed = weight * math.exp(-s.position / total_sentences)
+    for s, d in zip(p.sentences, decayed):
         for k in s.cited:
-            word[k - 1] += weight
-            pos[k - 1] += decayed
+            word[k - 1] += s.word_count
+            pos[k - 1] += d
     # Divide before scaling so a source citing every sentence lands on exactly 100.
     word_pct = tuple(100.0 * (w / total_words) for w in word)
     pos_pct = tuple(100.0 * (d / decay_total) for d in pos)

@@ -133,7 +133,9 @@ class EngineClient:
             return self._call(request).text
         key = text_digest(f"{self._key_scope}\x1f{request.cache_key}")
         with self._key_locks_lock:
-            key_lock = self._key_locks.setdefault(key, threading.Lock())
+            key_lock = self._key_locks.get(key)
+            if key_lock is None:
+                key_lock = self._key_locks[key] = threading.Lock()
         with key_lock:
             hit = self.cache.get(key)
             if hit is not None:

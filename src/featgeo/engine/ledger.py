@@ -103,14 +103,17 @@ class CostLedger:
         self, stage: Stage, role: Role, response: EngineResponse, cached: bool = False
     ) -> None:
         """Book one engine interaction. Cache hits count separately from live calls."""
-        delta = CallStats(cache_hits=1) if cached else CallStats(
-            wall_time_us=round(response.elapsed_seconds * 1e6),
-            api_calls=1,
-            prompt_tokens=response.prompt_tokens,
-            completion_tokens=response.completion_tokens,
-        )
         with self._lock:
-            self._entries.setdefault((stage, role), CallStats()).add(delta)
+            stats = self._entries.get((stage, role))
+            if stats is None:
+                stats = self._entries[(stage, role)] = CallStats()
+            if cached:
+                stats.cache_hits += 1
+            else:
+                stats.wall_time_us += round(response.elapsed_seconds * 1e6)
+                stats.api_calls += 1
+                stats.prompt_tokens += response.prompt_tokens
+                stats.completion_tokens += response.completion_tokens
 
     def _snapshot(self) -> dict[tuple[Stage, Role], CallStats]:
         """A consistent copy of the entries, so derived figures agree with each other."""

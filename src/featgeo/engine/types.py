@@ -76,6 +76,8 @@ class EngineResponse:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineResponse":
+        if not isinstance(data["text"], str):
+            raise TypeError(f"reply text is {type(data['text']).__name__}, not str")
         return cls(
             text=data["text"],
             prompt_tokens=int(data["prompt_tokens"]),

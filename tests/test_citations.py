@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -6,15 +7,22 @@ from typing import Iterable
 import numpy as np
 import pytest
 
+from featgeo.bundled import default_sim_config_path
 from featgeo.citations import (
     CitationParse,
     Sentence,
+    VisibilityScores,
+    _decode_group,
     citation_frequency,
     parse_citations,
     select_exemplars,
     visibility_scores,
 )
+from featgeo.engine.types import SourceDocument
 from featgeo.errors import ValidationError
+from featgeo.features import catalog_default
+from featgeo.pipeline import RunConfig
+from featgeo.sim import SimWorld, sim_answer
 
 TWO_SENTENCE_ANSWER = "A is B [1][2]. C is D [3]."
 
@@ -223,10 +231,66 @@ def random_answers(count: int, seed: int):
         yield "".join(_FRAGMENTS[i] for i in picks), int(rng.integers(1, 5))
 
 
+def reference_visibility_scores(p: CitationParse) -> VisibilityScores:
+    """The two-pass form that the one-pass ``visibility_scores`` replaced, kept verbatim."""
+    n = p.num_sources
+    if not p.sentences:
+        zeros = tuple(0.0 for _ in range(n))
+        return VisibilityScores(zeros, zeros, zeros)
+
+    total_sentences = len(p.sentences)
+    total_words = sum(s.word_count for s in p.sentences)
+    decay_total = sum(
+        s.word_count * math.exp(-s.position / total_sentences) for s in p.sentences
+    )
+
+    word = [0.0] * n
+    pos = [0.0] * n
+    for s in p.sentences:
+        weight = s.word_count
+        decayed = weight * math.exp(-s.position / total_sentences)
+        for k in s.cited:
+            word[k - 1] += weight
+            pos[k - 1] += decayed
+    word_pct = tuple(100.0 * (w / total_words) for w in word)
+    pos_pct = tuple(100.0 * (d / decay_total) for d in pos)
+    vis_pct = tuple((w + d) / 2.0 for w, d in zip(word_pct, pos_pct))
+    return VisibilityScores(word_pct, pos_pct, vis_pct)
+
+
 def test_parse_matches_the_char_by_char_oracle_on_random_answers():
     for answer, num_sources in random_answers(20_000, seed=4):
         expected = oracle_parse_citations(answer, num_sources)
         assert parse_citations(answer, num_sources) == expected, (answer, num_sources)
+        assert visibility_scores(expected) == reference_visibility_scores(expected), (answer, num_sources)
+
+
+def test_parse_and_visibility_match_their_references_bit_for_bit_on_sim_answers():
+    """Engine-sized answers: 100 sim answers over each of 1, 3 and 6 sources, each parsed at 1, 3
+    and 6 sources, so citations past the source count are dropped too. Scores compare with ==."""
+    config = RunConfig.from_file(default_sim_config_path()).sim
+    # The bundled topic has five competitors; a sixth source repeats the first one's latent vector.
+    config = dataclasses.replace(config, competitor_vectors=config.competitor_vectors + config.competitor_vectors[:1])
+    world = SimWorld(config, catalog_default())
+    for doc_count in (1, 3, 6):
+        docs = [SourceDocument(i, f"Source {i} on meal planning.") for i in range(1, doc_count + 1)]
+        for i in range(100):
+            answer = sim_answer(f"query {i} over {doc_count} sources?", docs, world, salt=str(i))
+            for num_sources in (1, 3, 6):
+                expected = oracle_parse_citations(answer, num_sources)
+                assert parse_citations(answer, num_sources) == expected, (answer, num_sources)
+                assert visibility_scores(expected) == reference_visibility_scores(expected), (answer, num_sources)
+
+
+@pytest.mark.parametrize("order", [(3, 6), (6, 3)])
+def test_the_citation_group_memo_is_keyed_by_the_source_count(order):
+    answer = "A [2][5]. B [5]."
+    expected = {3: ([{2}, set()], 2), 6: ([{2, 5}, {5}], 0)}
+    _decode_group.cache_clear()
+    for num_sources in order:
+        p = parse_citations(answer, num_sources)
+        assert ([s.cited for s in p.sentences], p.dropped_citations) == expected[num_sources]
+        assert p == oracle_parse_citations(answer, num_sources)
 
 
 def test_regex_classes_agree_with_the_str_predicates_on_every_code_point():

@@ -549,6 +549,29 @@ def test_an_unusable_response_cache_exits_with_validation_status_before_any_requ
     assert not list(out_dir.iterdir())
 
 
+def test_a_cached_reply_whose_text_is_not_a_string_exits_with_validation_status_before_any_request(
+    tmp_path, small_config, monkeypatch, capsys
+):
+    cache = tmp_path / "cache" / "responses.jsonl"
+    monkeypatch.setenv(ENV_CACHE_DIR, str(cache.parent))
+    args = ["simulate", "--config", str(small_config), "--output-dir", str(tmp_path / "run"), "--overwrite"]
+    assert run_cli(args) == EXIT_OK
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    number = next(i for i, r in enumerate(records, start=1) if r["role"] == Role.ANSWER_GEN.value)
+    records[number - 1]["response"]["text"] = 5
+    cache.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+
+    def no_request(self, request):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr(SimBackend, "complete", no_request)
+    assert run_cli(args) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: response cache {cache} line {number} is corrupt: TypeError('reply text is int, not str')\n"
+    )
+
+
 @pytest.mark.parametrize("command", [["report"], ["simulate", "--overwrite"]], ids=["report", "simulate"])
 def test_a_report_directory_that_is_a_file_exits_with_validation_status_and_keeps_the_record(
     run_dir, small_config, capsys, command

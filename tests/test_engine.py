@@ -27,6 +27,7 @@ from featgeo.engine.types import (
     TopicBrief,
     build_request,
     estimate_tokens,
+    text_digest,
 )
 from featgeo.errors import EngineError, IntegrityError, ValidationError
 from featgeo.features import catalog_default, render_guidelines
@@ -154,6 +155,8 @@ def test_cache_file_with_blank_lines_loads(tmp_path):
     '{"digest": "x", "respo', '{"digest": "x"}', "[]",
     '{"digest": "x", "response": {"text": "t", "prompt_tokens": 1e999, "completion_tokens": 1,'
     ' "usage_estimated": false, "elapsed_seconds": 0.1}}',
+    '{"digest": "x", "response": {"text": 5, "prompt_tokens": 1, "completion_tokens": 1,'
+    ' "usage_estimated": false, "elapsed_seconds": 0.1}}',
 ])
 def test_cache_corruption_before_the_last_line_names_its_line(tmp_path, bad_line):
     path = tmp_path / "cache.jsonl"
@@ -254,6 +257,24 @@ def test_cache_key_is_deterministic():
     assert r1.cache_key == r2.cache_key != r3.cache_key
 
 
+def test_the_on_disk_cache_key_is_pinned(tmp_path, monkeypatch):
+    """A change to how a key is built re-keys every existing response cache, so it shows here first."""
+    assert build_request(Role.JUDGE, "prompt text", salt="s").cache_key == (
+        "72016657c0b06d06a438d1cb34cd45d6b8c64e18fe3bdff2324b8049cc8a10a0"
+    )
+    monkeypatch.setattr(client_module, "templates_digest", lambda: "templates v1")
+    path = tmp_path / "c.jsonl"
+    client = EngineClient(NamedBackend(["page"], "engine a"), CATALOG, cache=ResponseCache(path), salt="run")
+    for _ in range(2):
+        assert client._complete(Role.JUDGE, "prompt text", None, "s") == "page"
+    assert len(client.backend.requests) == 1  # the hit reads the key the miss wrote
+    request_key = build_request(Role.JUDGE, "prompt text", salt="run\x1fs").cache_key
+    scoped_key = text_digest(f"engine a\x1ftemplates v1\x1f{request_key}")
+    assert json.loads(path.read_text())["digest"] == scoped_key == (
+        "5d7e4ca4ecb41fba9d0f640e40f85c6f13c373a16bb6e7554fd3e6816e690855"
+    )
+
+
 # -- ledger ----------------------------------------------------------------------
 
 
@@ -335,21 +356,32 @@ def test_ledger_empty_report_is_all_zero():
 
 
 def test_ledger_concurrent_increments_sum_exactly():
+    """Threads open the same buckets at once and book live calls and cache hits into them."""
     ledger = CostLedger()
     n_threads, per_thread = 8, 200
+    roles = (Role.ANSWER_GEN, Role.JUDGE)
 
     def work():
-        for _ in range(per_thread):
-            ledger.record_call(Stage.GA_OPTIMIZATION, Role.ANSWER_GEN, response_with(3, 1))
+        for i in range(per_thread):
+            ledger.record_call(Stage.GA_OPTIMIZATION, roles[i % 2], response_with(3, 1, 0.25), cached=i % 4 < 2)
 
-    threads = [threading.Thread(target=work) for _ in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    totals = ledger_sum(ledger)
-    assert totals.api_calls == n_threads * per_thread
-    assert totals.prompt_tokens == 3 * n_threads * per_thread
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    each = n_threads * per_thread // 4  # live calls per role, and cache hits per role
+    for role in roles:
+        stats = ledger_sum(ledger, role=role)
+        assert (stats.api_calls, stats.cache_hits, stats.prompt_tokens, stats.completion_tokens) == (
+            each, each, 3 * each, each)
+        assert stats.wall_time_us == 250_000 * each
     CostLedger.from_dict(ledger.to_dict())
 
 

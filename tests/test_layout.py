@@ -254,13 +254,15 @@ UNREAD_BY_NAME = {
 
 
 def _stored_attributes(path: Path) -> list[tuple[str, str]]:
-    """(``file:Class.name``, name) of each dataclass field and each ``self.<name> = ...`` in an ``__init__``."""
+    """(``file:Class.name``, name) of each dataclass or ``NamedTuple`` field and each ``self.<name> = ...``
+    in an ``__init__``."""
     stored = []
     for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if not isinstance(cls, ast.ClassDef):
             continue
         names = []
-        if any("dataclass" in _names(d) for d in cls.decorator_list):
+        if any("dataclass" in _names(d) for d in cls.decorator_list) \
+                or any("NamedTuple" in _names(base) for base in cls.bases):
             names += [stmt.target.id for stmt in cls.body
                       if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
         for init in cls.body:
@@ -270,6 +272,12 @@ def _stored_attributes(path: Path) -> list[tuple[str, str]]:
                           and getattr(node.value, "id", None) == "self"]
         stored += [(f"{path.relative_to(PACKAGE_DIR).as_posix()}:{cls.name}.{name}", name) for name in names]
     return stored
+
+
+def test_stored_attributes_cover_dataclass_named_tuple_and_init_attributes():
+    found = {site for path in PACKAGE_DIR.rglob("*.py") for site, _ in _stored_attributes(path)}
+    assert {"citations.py:Sentence.cited", "citations.py:CitationParse.num_sources",
+            "engine/cache.py:ResponseCache.path"} <= found
 
 
 def test_every_stored_attribute_is_read_by_program_code():
