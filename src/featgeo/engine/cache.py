@@ -18,6 +18,7 @@ import threading
 from pathlib import Path
 
 from ..errors import ValidationError
+from ..schema import expect, field_spec
 from .types import EngineResponse, Role
 
 
@@ -43,6 +44,7 @@ class ResponseCache:
         next put starts on a fresh line.
         """
         kept = 0  # bytes through the last complete line
+        spec = field_spec(EngineResponse)  # every field is required in a record
         with self.path.open("rb") as fh:
             for number, line in enumerate(fh, start=1):
                 if not line.endswith(b"\n"):
@@ -50,13 +52,14 @@ class ResponseCache:
                 kept += len(line)
                 if not line.strip():
                     continue
+                where = f"response cache {self.path} line {number} is corrupt: "
                 try:
                     record = json.loads(line.decode("utf-8"))
-                    self._records[record["digest"]] = EngineResponse.from_dict(record["response"])
-                except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                    raise ValidationError(
-                        f"response cache {self.path} line {number} is corrupt: {exc!r}"
-                    ) from exc
+                    reply = record["response"]
+                    self._records[expect(record["digest"], str, where + "digest")] = EngineResponse(
+                        *[expect(reply[name], kind, f"{where}response.{name}") for name, kind, _ in spec])
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValidationError(f"{where}{exc!r}") from exc
             torn = fh.tell() > kept
         if torn:
             os.truncate(self.path, kept)

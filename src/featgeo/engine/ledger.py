@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
 from ..errors import IntegrityError
+from ..schema import expect
 from .types import EngineResponse, Role, Stage
 
 STAGES = (Stage.FEATURE_EXTRACTION, Stage.INITIAL_POPULATION, Stage.GA_OPTIMIZATION)
@@ -70,13 +71,14 @@ class CallStats:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CallStats":
+    def from_dict(cls, data: Mapping[str, Any], where: str) -> "CallStats":
+        """One serialized bucket; every key is required but ``cache_hits``. ``where`` labels its keys."""
         return cls(
-            wall_time_us=round(float(data["wall_time"]) * 1e6),
-            api_calls=int(data["api_calls"]),
-            prompt_tokens=int(data["prompt_tokens"]),
-            completion_tokens=int(data["completion_tokens"]),
-            cache_hits=int(data.get("cache_hits", 0)),
+            wall_time_us=round(expect(data["wall_time"], float, where + "wall_time") * 1e6),
+            api_calls=expect(data["api_calls"], int, where + "api_calls"),
+            prompt_tokens=expect(data["prompt_tokens"], int, where + "prompt_tokens"),
+            completion_tokens=expect(data["completion_tokens"], int, where + "completion_tokens"),
+            cache_hits=expect(data.get("cache_hits", 0), int, where + "cache_hits"),
         )
 
 
@@ -153,24 +155,21 @@ class CostLedger:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CostLedger":
+    def from_dict(cls, data: Mapping[str, Any], where: str) -> "CostLedger":
         """Load a serialized ledger, checking its stage and total blocks against its entries.
 
-        Raises IntegrityError when any stored block differs from the summed
-        entries in any field.
+        ``where`` labels the ledger's values in a type error. Raises IntegrityError
+        when any stored block differs from the summed entries in any field.
         """
         ledger = cls()
-        for key, stats in data.get("entries", {}).items():
+        for key, stats in data["entries"].items():
             stage_name, role_name = key.split("/", 1)
-            ledger._entries[(Stage(stage_name), Role(role_name))] = CallStats.from_dict(stats)
-        blocks = [
-            (f"stage {stage.value!r}", data["stages"][stage.value], _sum(ledger._entries, stage))
-            for stage in STAGES
-        ]
+            stats = CallStats.from_dict(stats, f"{where}entries.{key}.")
+            ledger._entries[(Stage(stage_name), Role(role_name))] = stats
+        blocks = [(f"stages.{s.value}", data["stages"][s.value], _sum(ledger._entries, s)) for s in STAGES]
         blocks.append(("totals", data["totals"], _sum(ledger._entries)))
         for name, stored, derived in blocks:
-            if CallStats.from_dict(stored) != derived:
+            if CallStats.from_dict(stored, f"{where}{name}.") != derived:
                 raise IntegrityError(
-                    f"ledger {name} {dict(stored)} disagree with its summed entries {derived.to_dict()}"
-                )
+                    f"ledger {name} {dict(stored)} disagree with its summed entries {derived.to_dict()}")
         return ledger

@@ -74,18 +74,6 @@ class EngineResponse:
     usage_estimated: bool = False
     elapsed_seconds: float = 0.0
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EngineResponse":
-        if not isinstance(data["text"], str):
-            raise TypeError(f"reply text is {type(data['text']).__name__}, not str")
-        return cls(
-            text=data["text"],
-            prompt_tokens=int(data["prompt_tokens"]),
-            completion_tokens=int(data["completion_tokens"]),
-            usage_estimated=bool(data["usage_estimated"]),
-            elapsed_seconds=float(data["elapsed_seconds"]),
-        )
-
 
 @dataclass(frozen=True)
 class SourceDocument:

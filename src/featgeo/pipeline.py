@@ -13,12 +13,11 @@ import hashlib
 import json
 import logging
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import records, report
 from .citations import citation_frequency, parse_citations, select_exemplars, visibility_scores
@@ -47,6 +46,7 @@ from .optimizer import (
 )
 from .quality import QualityConfig, aggregate_quality
 from .records import EvalMetric, ProbeResult, RunRecord
+from .schema import read_section
 from .sim import SimBackend, SimConfig, SimWorld
 
 logger = logging.getLogger(__name__)
@@ -116,7 +116,7 @@ class RunConfig:
             raise ValidationError(f"cannot read config file {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config file {path} is not valid JSON: {exc}")
-        cfg = _read_section(cls, raw, "", path.parent)
+        cfg = read_section(cls, raw, "", path.parent)
         if "seed" in overrides:  # one seed drives both the GA and the sim seed
             seed = overrides.pop("seed")
             sim = None if cfg.sim is None else dataclasses.replace(cfg.sim, seed=seed)
@@ -124,85 +124,6 @@ class RunConfig:
         if "output_dir" in overrides:
             overrides["output_dir"] = Path(overrides["output_dir"])
         return dataclasses.replace(cfg, **overrides) if overrides else cfg
-
-
-_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false", list: "a list"}
-
-
-def _expect(value: Any, kind: type, key: str) -> Any:
-    """``value`` if its JSON type fits ``kind``: an int passes as a float, a bool as nothing else."""
-    fits = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, fits):
-        raise ValidationError(f"config key {key} must be {_JSON_KINDS[kind]}, got {value!r}")
-    # json.loads reads NaN, Infinity and integers too large for a float; an int compares exactly.
-    if kind is float and not abs(value) <= sys.float_info.max:
-        raise ValidationError(f"config key {key} must be a finite number, got {value!r}")
-    return value
-
-
-def _items(value: Any, kind: type, key: str) -> list[Any]:
-    return [_expect(item, kind, f"{key}[{i}]") for i, item in enumerate(_expect(value, list, key))]
-
-
-def _doc_paths(value: Any, key: str, base: Path) -> tuple[Path, ...]:
-    paths = tuple(base / entry for entry in _items(value, str, key))
-    for path in paths:
-        if not path.is_file():
-            raise ValidationError(f"competitor document is not an existing file: {path}")
-    return paths
-
-
-def _vector(value: Any, key: str) -> FeatureVector:
-    values = tuple(_items(value, float, key))
-    try:
-        return FeatureVector(values)
-    except ValidationError as exc:
-        raise ValidationError(f"config key {key}: {exc}") from exc
-
-
-# Field types whose JSON form differs from the field value, with their readers.
-_CONVERTERS: dict[Any, Callable[[Any, str, Path], Any]] = {
-    tuple[Path, ...]: _doc_paths,
-    Path: lambda value, key, base: Path(_expect(value, str, key)),
-    Path | None: lambda value, key, base: None if value in (None, "") else Path(_expect(value, str, key)),
-    tuple[float, ...]: lambda value, key, base: tuple(float(x) for x in _items(value, float, key)),
-    tuple[FeatureVector, ...]: lambda value, key, base: tuple(
-        _vector(row, f"{key}[{i}]") for i, row in enumerate(_expect(value, list, key))
-    ),
-}
-
-
-def _read_section(cls: type, raw: Any, prefix: str, base: Path) -> Any:
-    """Build config dataclass ``cls`` from a JSON object, field by field.
-
-    Keys name fields; a missing key takes the field's default. ``prefix`` is
-    the section's key path, so every error names the full key.
-    """
-    if not isinstance(raw, dict):
-        raise ValidationError(f"config {prefix.rstrip('.') or 'file'} must be a JSON object")
-    fields = dataclasses.fields(cls)
-    unknown = sorted(set(raw) - {f.name for f in fields})
-    if unknown:
-        raise ValidationError(f"unknown config key {prefix}{unknown[0]}")
-    hints = get_type_hints(cls)
-    values = {}
-    for f in fields:
-        key = prefix + f.name
-        if f.name in raw:
-            values[f.name] = _read_value(hints[f.name], raw[f.name], key, base)
-        elif f.default is dataclasses.MISSING:
-            raise ValidationError(f"missing config key {key}")
-    return cls(**values)
-
-
-def _read_value(kind: Any, value: Any, key: str, base: Path) -> Any:
-    if kind in _CONVERTERS:
-        return _CONVERTERS[kind](value, key, base)
-    # A nested section, also an optional one (``SimConfig | None``).
-    section = next((t for t in get_args(kind) or (kind,) if dataclasses.is_dataclass(t)), None)
-    if section is not None:
-        return _read_section(section, value, key + ".", base)
-    return _expect(value, kind, key)
 
 
 @dataclass(frozen=True)

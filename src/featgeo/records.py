@@ -25,6 +25,7 @@ from .features import FeatureCatalog, FeatureVector, catalog_default
 from .optimizer import GenerationRecord, HypervolumeTrace, Individual, ParetoFront
 
 SCHEMA_VERSION = 1
+STATUSES = ("complete", "degraded", "failed")  # a run's status, as the manifest records it
 
 PROBE_FILE = "probe.json"
 GENERATIONS_FILE = "generations.jsonl"

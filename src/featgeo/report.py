@@ -19,41 +19,56 @@ from .errors import IntegrityError, ValidationError
 from .features import LAYERS, catalog_default
 from .records import COMPARISON_FILE, COST_FILE, COST_TABLE, FINALS_FILE, FRONT_FILE, GENERATIONS_FILE
 from .records import MANIFEST_FILE, METRICS_TABLE, REPORT_DIR_NAME, REPORT_FILES, SCATTER_FILE, TRACE_FILE
-from .records import file_digest, remove, trace_csv, write_text
+from .records import RECORD_FILES, SCHEMA_VERSION, STATUSES, file_digest, remove, trace_csv, write_text
+from .schema import expect
 
 
-def _read(path: Path, parse: Callable[[str], Any]) -> Any:
+def _read(path: Path, parse: Callable[[str, str], Any]) -> Any:
+    """``parse(text, where)`` of a record file, where ``where`` labels the file's values in an error."""
+    where = f"cannot read record file {path}: "
     try:
         text = path.read_text(encoding="utf-8")
         if text and not text.endswith("\n"):
             raise ValueError("no final newline: the file was cut short")
-        return parse(text)
+        return parse(text, where)
     except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-        raise ValidationError(f"cannot read record file {path}: {exc!r}") from exc
+        raise ValidationError(f"{where}{exc!r}") from exc
 
 
-def _parse_finals(text: str) -> dict[str, dict[str, Any]]:
-    """Final solutions: both extremes present, every value the tables print numeric."""
+def _parse_manifest(text: str, where: str) -> tuple[str, Any, dict[str, str]]:
+    """The run's status, its recorded error and the sha256 of each record file the manifest lists."""
+    manifest = json.loads(text)
+    expect(manifest["schema_version"], int, where + "schema_version", (SCHEMA_VERSION,))
+    artifacts = expect(manifest["artifacts"], dict, where + "artifacts")
+    for name, digest in artifacts.items():
+        expect(name, str, where + "artifacts key", RECORD_FILES)
+        expect(digest, str, f"{where}artifacts.{name}")
+    return expect(manifest["status"], str, where + "status", STATUSES), manifest["error"], artifacts
+
+
+def _parse_finals(text: str, where: str) -> dict[str, dict[str, Any]]:
+    """Final solutions by policy, every value the tables print a finite number."""
     finals = json.loads(text)
-    keys = catalog_default().keys()
-    if not {"max_visibility", "max_quality"} <= finals.keys():
-        raise KeyError("the comparison table needs max_visibility and max_quality")
-    for entry in finals.values():
-        values = [entry["visibility"], entry["quality"], *(entry["features"][k] for k in keys)]
-        values += [entry[k] for k in ("word", "pos") if entry.get(k) is not None]
-        if not all(isinstance(v, (int, float)) for v in values):
-            raise TypeError(f"non-numeric value in {entry!r}")
+    for policy, entry in finals.items():
+        values = {name: entry[name] for name in ("visibility", "quality")}
+        values.update((name, entry[name]) for name in ("word", "pos") if entry.get(name) is not None)
+        values.update((f"features.{key}", entry["features"][key]) for key in catalog_default().keys())
+        for name, value in values.items():
+            expect(value, float, f"{where}{policy}.{name}")
     return finals
 
 
-def _parse_objectives(text: str) -> list[tuple[float, float]]:
-    rows = (json.loads(line) for line in text.splitlines() if line)
-    return [(float(row["visibility"]), float(row["quality"])) for row in rows]
+def _parse_objectives(text: str, where: str) -> list[tuple[float, float]]:
+    rows = ((number, json.loads(line)) for number, line in enumerate(text.splitlines(), start=1) if line)
+    return [tuple(expect(row[name], float, f"{where}line {number} {name}") for name in ("visibility", "quality"))
+            for number, row in rows]
 
 
-def _parse_trace(text: str) -> list[tuple[int, float]]:
-    rows = (line.split(",") for line in text.splitlines()[1:])
-    return [(int(gen), float(hv)) for gen, hv in rows]
+def _parse_trace(text: str, where: str) -> list[tuple[int, float]]:
+    """(generation, hypervolume) rows; each cell is a JSON number, as ``repr`` writes it."""
+    rows = enumerate((line.split(",") for line in text.splitlines()[1:]), start=2)
+    return [(expect(json.loads(gen), int, f"{where}line {number} generation"),
+             expect(json.loads(hv), float, f"{where}line {number} hypervolume")) for number, (gen, hv) in rows]
 
 
 def _fmt(value: float | None) -> str:
@@ -98,15 +113,24 @@ def _comparison_table(finals: dict[str, dict[str, Any]]) -> str:
 def export_report(run_dir: str | Path, overwrite: bool) -> list[Path]:
     """Rebuild the five report files under ``run_dir/report`` from the persisted record.
 
-    The record is checked before any report file is touched: a record file
-    that is missing, cut short, not valid JSON or short of a field the report
-    reads raises ValidationError naming it; a cost ledger whose blocks disagree
+    The record is checked before any report file is touched, the manifest
+    first: a record file that is missing, cut short, not valid JSON, short of
+    a field the report reads or holding a value of the wrong JSON type raises
+    ValidationError naming it, and so does a failed run that chose no final
+    solutions, naming its status and error; a cost ledger whose blocks disagree
     with its entries, or a file the manifest lists whose sha256 differs from
     the recorded one, raises IntegrityError. Existing report files are replaced
     only with ``overwrite``. A write that fails removes the report files.
     """
     run_dir = Path(run_dir)
+    status, error, artifacts = _read(run_dir / MANIFEST_FILE, _parse_manifest)
     finals = _read(run_dir / FINALS_FILE, _parse_finals)
+    if not {"max_visibility", "max_quality"} <= finals.keys():
+        if status == "failed" and not finals:
+            raise ValidationError(f"run {run_dir} has status failed and chose no final solutions, "
+                                  f"so it has no report: {error}")
+        raise ValidationError(f"cannot read record file {run_dir / FINALS_FILE}: "
+                              "the comparison table needs max_visibility and max_quality")
     front = _read(run_dir / FRONT_FILE, _parse_objectives)
     front_pairs = set(front)
     scatter = [(vis, qual, 1) for vis, qual in front]
@@ -116,8 +140,7 @@ def export_report(run_dir: str | Path, overwrite: bool) -> list[Path]:
         if (vis, qual) not in front_pairs
     ]
     trace = _read(run_dir / TRACE_FILE, _parse_trace)
-    cost = _read(run_dir / COST_FILE, lambda text: CostLedger.from_dict(json.loads(text)))
-    artifacts = _read(run_dir / MANIFEST_FILE, lambda text: dict(json.loads(text)["artifacts"]))
+    cost = _read(run_dir / COST_FILE, lambda text, where: CostLedger.from_dict(json.loads(text), where))
     for name, digest in artifacts.items():
         try:
             actual = file_digest(run_dir / name)

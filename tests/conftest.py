@@ -39,7 +39,7 @@ def ledger_sum(ledger: CostLedger, stage: Stage | None = None, role: Role | None
     for key, stats in ledger.to_dict()["entries"].items():
         stage_name, role_name = key.split("/", 1)
         if stage in (None, Stage(stage_name)) and role in (None, Role(role_name)):
-            out.add(CallStats.from_dict(stats))
+            out.add(CallStats.from_dict(stats, f"entries.{key}."))
     return out
 
 

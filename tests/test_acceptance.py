@@ -374,7 +374,7 @@ def test_criterion_9_simulate_seed_7_determinism(tmp_path):
 def test_criterion_10_ledger_integrity(tmp_path):
     cfg = RunConfig.from_file(default_sim_config_path(), seed=5, output_dir=tmp_path / "run")
     record = run_optimization(cfg)
-    CostLedger.from_dict(json.loads((tmp_path / "run" / "cost.json").read_text()))
+    CostLedger.from_dict(json.loads((tmp_path / "run" / "cost.json").read_text()), "cost.json: ")
     n, g = cfg.ga.population_size, cfg.ga.generations
     page_requests = ledger_requests(record.ledger, Role.PAGE_GEN)
     assert page_requests == n * g + n, page_requests

@@ -19,18 +19,22 @@ from featgeo.pipeline import CandidateEvaluator
 from featgeo.sim import SimBackend
 
 
-@pytest.fixture()
-def small_config(tmp_path):
-    """Bundled sim config shrunk for fast CLI runs."""
+def write_small_config(directory):
+    """Bundled sim config shrunk for fast CLI runs, written into ``directory``."""
     raw = json.loads(default_sim_config_path().read_text())
     docs_dir = default_sim_config_path().parent / "docs"
     raw["competitor_docs"] = [str(docs_dir / f"competitor{i}.txt") for i in range(1, 6)]
     raw["ga"].update(population_size=4, generations=2, repeats_per_eval=2)
     raw["query_count"] = 2
-    raw["output_dir"] = str(tmp_path / "default_out")
-    path = tmp_path / "config.json"
+    raw["output_dir"] = str(directory / "default_out")
+    path = directory / "config.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+@pytest.fixture()
+def small_config(tmp_path):
+    return write_small_config(tmp_path)
 
 
 def tree(run_dir):
@@ -568,7 +572,7 @@ def test_a_cached_reply_whose_text_is_not_a_string_exits_with_validation_status_
     monkeypatch.setattr(SimBackend, "complete", no_request)
     assert run_cli(args) == EXIT_VALIDATION
     assert capsys.readouterr().err == (
-        f"error: response cache {cache} line {number} is corrupt: TypeError('reply text is int, not str')\n"
+        f"error: response cache {cache} line {number} is corrupt: response.text must be a string, got 5\n"
     )
 
 

@@ -292,7 +292,7 @@ def test_ledger_totals_follow_stage_sums():
     assert totals.api_calls == 4
     assert totals.prompt_tokens == 200
     assert totals.completion_tokens == 31
-    CostLedger.from_dict(ledger.to_dict())
+    CostLedger.from_dict(ledger.to_dict(), "ledger: ")
 
 
 def stats_dict(wall_time, api_calls, prompt_tokens, completion_tokens):
@@ -315,7 +315,7 @@ def test_ledger_report_recomputes_known_stage_numbers():
         },
         "totals": stats_dict(1720.8, 366, 1007157, 150467),
     }
-    report = CostLedger.from_dict(data).report()
+    report = CostLedger.from_dict(data, "ledger: ").report()
     assert "Feature Extraction" in report
     assert "Initial Population" in report
     assert "GA Optimization" in report
@@ -331,7 +331,7 @@ def test_ledger_report_rejects_tampered_totals():
     data = ledger.to_dict()
     data["totals"]["api_calls"] = 99  # simulate corruption
     with pytest.raises(IntegrityError):
-        CostLedger.from_dict(data).report()
+        CostLedger.from_dict(data, "ledger: ").report()
 
 
 @pytest.mark.parametrize("block", ["GA Optimization", "totals"])
@@ -343,11 +343,11 @@ def test_ledger_load_rejects_any_stage_or_total_field_off_its_entries(block, fie
     ledger.record_call(Stage.GA_OPTIMIZATION, Role.ANSWER_GEN, response_with(10, 1, elapsed=0.5))
     ledger.record_call(Stage.GA_OPTIMIZATION, Role.JUDGE, response_with(4, 2), cached=True)
     data = ledger.to_dict()
-    assert CostLedger.from_dict(data).to_dict() == data
+    assert CostLedger.from_dict(data, "ledger: ").to_dict() == data
     stored = data["totals"] if block == "totals" else data["stages"][block]
     stored[field] += 1
     with pytest.raises(IntegrityError, match=block):
-        CostLedger.from_dict(data)
+        CostLedger.from_dict(data, "ledger: ")
 
 
 def test_ledger_empty_report_is_all_zero():
@@ -382,7 +382,7 @@ def test_ledger_concurrent_increments_sum_exactly():
         assert (stats.api_calls, stats.cache_hits, stats.prompt_tokens, stats.completion_tokens) == (
             each, each, 3 * each, each)
         assert stats.wall_time_us == 250_000 * each
-    CostLedger.from_dict(ledger.to_dict())
+    CostLedger.from_dict(ledger.to_dict(), "ledger: ")
 
 
 def test_every_call_books_exactly_one_stage(tmp_path):

@@ -1,8 +1,9 @@
 """Source-layout guards: imports live at module top, the record modules stay below the pipeline,
 every public name has a caller outside the tests, every stored value is read by program code,
 inputs are checked only where they enter, each module-level string constant has one owner, every
-module-level name is read somewhere, every defaulted parameter is set by some program call, and only
-the records writer and remover change a run-directory file."""
+module-level name is read somewhere, every defaulted parameter is set by some program call, only
+the records writer and remover change a run-directory file, and the readers of the response cache,
+cost.json and the record files convert no value with int, float or bool."""
 
 import ast
 import importlib
@@ -53,7 +54,7 @@ def _imported_modules(path: Path) -> set[str]:
 
 
 def test_record_report_and_ledger_modules_do_not_import_the_pipeline():
-    for rel in ("records.py", "report.py", "engine/ledger.py"):
+    for rel in ("records.py", "report.py", "engine/ledger.py", "schema.py"):
         assert "pipeline" not in _imported_modules(PACKAGE_DIR / rel), rel
 
 
@@ -119,6 +120,17 @@ def _call_sites(path: Path, name: str) -> list[str]:
     """The innermost enclosing function (or <module>) of every call to ``name`` in one file."""
     return _sites(path, lambda node: isinstance(node, ast.Call)
                   and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_the_readers_of_persisted_values_convert_nothing():
+    """The response cache, cost.json and the record files are read through ``schema.expect``, which refuses
+    a value of the wrong JSON type; a call of the builtin ``int``, ``float`` or ``bool`` there would convert
+    it instead."""
+    converts = {"int", "float", "bool"}
+    sites = [site for rel in ("engine/types.py", "engine/cache.py", "engine/ledger.py", "report.py")
+             for site in _sites(PACKAGE_DIR / rel, lambda node: isinstance(node, ast.Call)
+                                and getattr(node.func, "id", None) in converts)]
+    assert sites == [], sites
 
 
 def test_thread_pool_is_built_at_one_site_inside_run_optimization():
@@ -192,11 +204,11 @@ def test_every_public_definition_is_named_outside_its_own_body():
 # functions is a value the program built itself, and is not checked again.
 INPUT_BOUNDARIES = {
     # the config file
-    "pipeline.py:RunConfig.__post_init__", "pipeline.py:RunConfig.from_file", "pipeline.py:_read_section",
-    "pipeline.py:_expect", "pipeline.py:_vector", "optimizer.py:GAConfig.__post_init__",
+    "pipeline.py:RunConfig.__post_init__", "pipeline.py:RunConfig.from_file", "schema.py:read_section",
+    "schema.py:expect", "schema.py:_vector", "optimizer.py:GAConfig.__post_init__",
     "quality.py:QualityConfig.__post_init__", "sim.py:SimConfig.__post_init__", "features.py:FeatureVector.__post_init__",
     # competitor documents, and the sim config's document-to-vector match
-    "pipeline.py:_doc_paths", "pipeline.py:load_documents", "sim.py:SimWorld.source_state",
+    "schema.py:_doc_paths", "pipeline.py:load_documents", "sim.py:SimWorld.source_state",
     # engine replies, parsed by the client's callbacks
     "engine/client.py:_non_empty", "engine/client.py:EngineClient.generate_queries.parse",
     "quality.py:parse_dimensions", "features.py:vector_from_mapping", "features.py:decode_vector",
@@ -248,6 +260,10 @@ def test_validation_errors_are_raised_only_at_boundaries():
 UNREAD_BY_NAME = {
     # eval_metrics.jsonl rows are written with map(vars, ...), so every EvalMetric field is persisted.
     "records.py:EvalMetric.per_query_vis", "records.py:EvalMetric.judge_scores",
+    # response cache records are written with dataclasses.asdict and read back field by field from
+    # EngineResponse's own field list, so every EngineResponse field is persisted; the flag is for the
+    # operator reading the cache, as README describes.
+    "engine/types.py:EngineResponse.usage_estimated",
     # a counter README documents for operators of a live run.
     "engine/live.py:ChatCompletionBackend.transport_retries",
 }

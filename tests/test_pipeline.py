@@ -672,7 +672,7 @@ def test_run_ledger_accounting(tmp_path):
 
     cfg = small_sim_config(tmp_path)
     record = run_optimization(cfg)
-    CostLedger.from_dict(json.loads((cfg.output_dir / "cost.json").read_text()))
+    CostLedger.from_dict(json.loads((cfg.output_dir / "cost.json").read_text()), "cost.json: ")
     n, g = cfg.ga.population_size, cfg.ga.generations
     m = cfg.query_count
     reps = cfg.ga.repeats_per_eval
