@@ -112,8 +112,7 @@ class EngineClient:
         self.ledger = CostLedger()
         self.salt = salt
         self.stage = Stage.FEATURE_EXTRACTION  # books later calls; set it only while no call is in flight
-        self._key_locks: dict[str, threading.Lock] = {}  # one per cache key asked for
-        self._key_locks_lock = threading.Lock()
+        self._key_locks: dict[str, threading.Lock] = {}  # one per cache key in flight or whose call failed
         # Folded into cache keys only: what a request sends stays as it is.
         identity = getattr(backend, "identity", "")
         self._key_scope = f"{identity}\x1f{templates_digest()}"
@@ -126,23 +125,22 @@ class EngineClient:
         With a cache, an identical request is single-flight: a caller whose
         request is already in flight waits for that call and then reads its
         reply as a cache hit, as it would had the calls run one after another.
-        If the call fails, the next waiter makes its own call.
+        If the call fails, the next waiter makes its own call. A key's lock goes
+        once its reply is cached, since later callers read that reply as a hit.
         """
         request = build_request(role, prompt, salt=f"{self.salt}\x1f{salt}", payload=payload)
         if self.cache is None:
             return self._call(request).text
         key = text_digest(f"{self._key_scope}\x1f{request.cache_key}")
-        with self._key_locks_lock:
-            key_lock = self._key_locks.get(key)
-            if key_lock is None:
-                key_lock = self._key_locks[key] = threading.Lock()
-        with key_lock:
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.ledger.record_call(self.stage, role, hit, cached=True)
-                return hit.text
-            response = self._call(request)
-            self.cache.put(key, role, response)
+        # dict.setdefault runs atomically in CPython, so every caller of one key gets one lock.
+        with self._key_locks.setdefault(key, threading.Lock()):
+            response = self.cache.get(key)
+            if response is not None:
+                self.ledger.record_call(self.stage, role, response, cached=True)
+            else:
+                response = self._call(request)  # on a raise the lock stays, and waiters retry one at a time
+                self.cache.put(key, role, response)
+            self._key_locks.pop(key, None)
         return response.text
 
     def _call(self, request: EngineRequest) -> EngineResponse:

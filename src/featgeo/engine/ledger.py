@@ -10,30 +10,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from ..errors import IntegrityError
 from ..schema import expect
 from .types import EngineResponse, Role, Stage
 
 STAGES = (Stage.FEATURE_EXTRACTION, Stage.INITIAL_POPULATION, Stage.GA_OPTIMIZATION)
-
-
-def format_table(
-    header: Sequence[str], rows: Sequence[Sequence[str]], total: Sequence[str] | None = None
-) -> str:
-    """Left-aligned text table: header, rule, rows, then an optional ruled-off total row."""
-    body = [*rows, total] if total is not None else list(rows)
-    widths = [max(len(cell) for cell in column) for column in zip(header, *body)]
-    rule = "  ".join("-" * w for w in widths)
-
-    def line(cells: Sequence[str]) -> str:
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-
-    lines = [line(header), rule, *map(line, rows)]
-    if total is not None:
-        lines += [rule, line(total)]
-    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -121,25 +104,6 @@ class CostLedger:
         """A consistent copy of the entries, so derived figures agree with each other."""
         with self._lock:
             return {key: replace(stats) for key, stats in self._entries.items()}
-
-    def report(self) -> str:
-        """Format the stage table (time, calls, prompt/completion tokens) plus totals."""
-        entries = self._snapshot()
-
-        def row(name: str, stats: CallStats) -> tuple[str, ...]:
-            return (
-                name,
-                f"{stats.wall_time:,.1f}",
-                f"{stats.api_calls:,}",
-                f"{stats.prompt_tokens:,}",
-                f"{stats.completion_tokens:,}",
-            )
-
-        return format_table(
-            ("Pipeline Stage", "Time (s)", "API Calls", "Prompt Tok.", "Compl. Tok."),
-            [row(stage.value, _sum(entries, stage)) for stage in STAGES],
-            row("Total", _sum(entries)),
-        )
 
     def to_dict(self) -> dict[str, Any]:
         entries = self._snapshot()

@@ -22,7 +22,7 @@ from .errors import FeatGeoError, ValidationError
 from .features import FeatureCatalog, FeatureVector, clamp
 
 EvalKey = tuple[int, int, int]  # (generation, slot, repeat); generation 0 = initial population
-Evaluator = Callable[[FeatureVector, EvalKey], tuple[float, float]]
+Evaluator = Callable[[FeatureVector, EvalKey], tuple[float, float] | None]  # None: the unit failed
 EvalUnit = tuple[FeatureVector, EvalKey]
 
 

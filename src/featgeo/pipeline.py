@@ -9,7 +9,6 @@ and persists a fully replayable record of everything it did.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import logging
 import os
@@ -24,7 +23,7 @@ from .citations import citation_frequency, parse_citations, select_exemplars, vi
 from .engine.cache import ResponseCache
 from .engine.client import EngineClient
 from .engine.live import ChatCompletionBackend, ENV_CACHE_DIR
-from .engine.types import SourceDocument, Stage
+from .engine.types import SourceDocument, Stage, text_digest
 from .errors import EngineError, IntegrityError, ValidationError
 from .features import (
     FeatureCatalog,
@@ -224,9 +223,9 @@ class CandidateEvaluator:
         self.realizations = 0
         self.advertiser_id = len(self.competitors) + 1
 
-    def __call__(self, x: FeatureVector, key: EvalKey) -> tuple[float, float]:
-        """One unit's objectives; a failed unit scores the penalty objectives (0, 0)."""
-        return self.evaluate_batch([(x, key)])[0] or (0.0, 0.0)
+    def __call__(self, x: FeatureVector, key: EvalKey) -> tuple[float, float] | None:
+        """One unit's objectives, or None for a failed unit, as ``evaluate_batch`` gives them."""
+        return self.evaluate_batch([(x, key)])[0]
 
     def evaluate_batch(self, units: Sequence[EvalUnit]) -> list[tuple[float, float] | None]:
         """(visibility, quality) per unit in unit order, None for a failed one; all units share one generation."""
@@ -345,7 +344,7 @@ def _config_snapshot(cfg: RunConfig, docs: Sequence[SourceDocument]) -> dict[str
         if f.name not in DEPLOYMENT_FIELDS and getattr(cfg, f.name) is not None
     }
     snapshot["competitor_docs"] = [
-        {"name": Path(p).name, "sha256": hashlib.sha256(d.text.encode("utf-8")).hexdigest()}
+        {"name": Path(p).name, "sha256": text_digest(d.text)}
         for p, d in zip(cfg.competitor_docs, docs)
     ]
     return snapshot

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
-from .engine.ledger import CostLedger, format_table
+from .engine.ledger import STAGES, CostLedger
 from .errors import IntegrityError, ValidationError
 from .features import LAYERS, catalog_default
 from .records import COMPARISON_FILE, COST_FILE, COST_TABLE, FINALS_FILE, FRONT_FILE, GENERATIONS_FILE
@@ -71,6 +71,23 @@ def _parse_trace(text: str, where: str) -> list[tuple[int, float]]:
              expect(json.loads(hv), float, f"{where}line {number} hypervolume")) for number, (gen, hv) in rows]
 
 
+def format_table(
+    header: Sequence[str], rows: Sequence[Sequence[str]], total: Sequence[str] | None = None
+) -> str:
+    """Left-aligned text table: header, rule, rows, then an optional ruled-off total row."""
+    body = [*rows, total] if total is not None else list(rows)
+    widths = [max(len(cell) for cell in column) for column in zip(header, *body)]
+    rule = "  ".join("-" * w for w in widths)
+
+    def line(cells: Sequence[str]) -> str:
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+
+    lines = [line(header), rule, *map(line, rows)]
+    if total is not None:
+        lines += [rule, line(total)]
+    return "\n".join(lines) + "\n"
+
+
 def _fmt(value: float | None) -> str:
     return "-" if value is None else f"{value:.2f}"
 
@@ -81,6 +98,17 @@ def _metrics_table(finals: dict[str, dict[str, Any]]) -> str:
         for policy, entry in sorted(finals.items())
     ]
     return format_table(("Policy", "Vis", "Qual", "Word", "Pos"), rows)
+
+
+def _cost_table(text: str, where: str) -> str:
+    """Time, calls and prompt/completion tokens of each stage and of the run, rendered from the stage
+    and total blocks of cost.json once ``CostLedger.from_dict`` has checked them against its entries."""
+    cost = json.loads(text)
+    CostLedger.from_dict(cost, where)
+    blocks = [(stage.value, cost["stages"][stage.value]) for stage in STAGES] + [("Total", cost["totals"])]
+    rows = [(name, f"{b['wall_time']:,.1f}", f"{b['api_calls']:,}", f"{b['prompt_tokens']:,}",
+             f"{b['completion_tokens']:,}") for name, b in blocks]
+    return format_table(("Pipeline Stage", "Time (s)", "API Calls", "Prompt Tok.", "Compl. Tok."), rows[:-1], rows[-1])
 
 
 def _comparison_table(finals: dict[str, dict[str, Any]]) -> str:
@@ -140,7 +168,7 @@ def export_report(run_dir: str | Path, overwrite: bool) -> list[Path]:
         if (vis, qual) not in front_pairs
     ]
     trace = _read(run_dir / TRACE_FILE, _parse_trace)
-    cost = _read(run_dir / COST_FILE, lambda text, where: CostLedger.from_dict(json.loads(text), where))
+    cost_table = _read(run_dir / COST_FILE, _cost_table)
     for name, digest in artifacts.items():
         try:
             actual = file_digest(run_dir / name)
@@ -160,7 +188,7 @@ def export_report(run_dir: str | Path, overwrite: bool) -> list[Path]:
         + "".join(f"{v!r},{q!r},{flag}\n" for v, q, flag in scatter),
         TRACE_FILE: trace_csv(trace),
         COMPARISON_FILE: _comparison_table(finals),
-        COST_TABLE: cost.report(),
+        COST_TABLE: cost_table,
     }
     try:
         for name, text in texts.items():

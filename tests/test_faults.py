@@ -1,0 +1,109 @@
+"""Fault injection over engine calls: a run cut by a failed backend call at any point leaves a
+run directory, a response cache and a client that README's failure rules describe."""
+
+import json
+import threading
+
+import pytest
+
+from featgeo import pipeline
+from featgeo.bundled import default_sim_config_path
+from featgeo.cli import EXIT_ENGINE, EXIT_OK, run_cli
+from featgeo.engine.cache import ResponseCache
+from featgeo.engine.types import text_digest
+from featgeo.errors import EngineError
+from featgeo.records import file_digest
+from featgeo.sim import SimBackend
+
+
+def write_config(directory, workers):
+    """The bundled sim config at population 4, 1 generation, 2 repeats and 2 queries, with a cache."""
+    raw = json.loads(default_sim_config_path().read_text())
+    docs_dir = default_sim_config_path().parent / "docs"
+    raw["competitor_docs"] = [str(docs_dir / f"competitor{i}.txt") for i in range(1, 6)]
+    raw["ga"].update(population_size=4, generations=1, repeats_per_eval=2)
+    raw.update(query_count=2, eval_workers=workers, cache_path=str(directory / "responses.jsonl"))
+    path = directory / "config.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+class Injector:
+    """Counts the sim backend's calls and raises a fresh ``fault`` at call ``at`` (None: never)."""
+
+    def __init__(self, monkeypatch, fault=None, at=None):
+        self.fault, self.at = fault, at
+        self.calls, self.raised, self.failed_request = 0, None, None
+        self.clients = []
+        self._lock = threading.Lock()
+        complete, build_client = SimBackend.complete, pipeline.build_client
+
+        def injecting(backend, request):
+            with self._lock:
+                k, self.calls = self.calls, self.calls + 1
+            if k == self.at:
+                self.raised, self.failed_request = self.fault(f"injected at backend call {k}"), request
+                raise self.raised
+            return complete(backend, request)
+
+        def recording_build_client(cfg, catalog):
+            self.clients.append(build_client(cfg, catalog))
+            return self.clients[-1]
+
+        monkeypatch.setattr(SimBackend, "complete", injecting)
+        monkeypatch.setattr(pipeline, "build_client", recording_build_client)
+
+
+def cached_digests(path):
+    return [json.loads(line)["digest"] for line in path.read_text().splitlines()] if path.exists() else []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fault", [EngineError, RuntimeError])
+def test_a_run_cut_at_any_backend_call_leaves_a_consistent_record_cache_and_client(
+        tmp_path, monkeypatch, capsys, fault, workers):
+    with monkeypatch.context() as patch:
+        clean = Injector(patch)
+        assert run_cli(["simulate", "--config", str(write_config(tmp_path, workers)),
+                        "--output-dir", str(tmp_path / "clean")]) == EXIT_OK
+    capsys.readouterr()
+    assert clean.calls > 40
+    for k in range(clean.calls):
+        point = tmp_path / f"cut{k}"
+        point.mkdir()
+        config = write_config(point, workers)
+        run_dir = point / "run"
+        with monkeypatch.context() as patch:
+            cut = Injector(patch, fault, k)
+            if fault is EngineError:
+                code = run_cli(["simulate", "--config", str(config), "--output-dir", str(run_dir)])
+                assert code in (EXIT_OK, EXIT_ENGINE), k
+                assert "Traceback" not in capsys.readouterr().err, k
+            else:
+                with pytest.raises(RuntimeError) as err:
+                    run_cli(["simulate", "--config", str(config), "--output-dir", str(run_dir)])
+                assert err.value is cut.raised, k
+        assert cut.raised is not None, k
+
+        manifest_path = run_dir / "manifest.json"
+        if manifest_path.exists():
+            manifest = json.loads(manifest_path.read_text())
+            for name, digest in manifest["artifacts"].items():
+                assert file_digest(run_dir / name) == digest, (k, name)
+            assert manifest["status"] == ("degraded" if fault is EngineError and code == EXIT_OK else "failed"), k
+        else:
+            assert fault is RuntimeError or code == EXIT_ENGINE, k
+
+        cache_path = point / "responses.jsonl"
+        ResponseCache(cache_path)
+        (client,) = cut.clients
+        failed_key = text_digest(f"{client._key_scope}\x1f{cut.failed_request.cache_key}")
+        assert set(client._key_locks) <= {failed_key}, k
+
+        stored = set(cached_digests(cache_path))
+        with monkeypatch.context() as patch:
+            rerun = Injector(patch)
+            assert run_cli(["simulate", "--config", str(config), "--output-dir", str(point / "rerun")]) == EXIT_OK
+        capsys.readouterr()
+        called = cached_digests(cache_path)[len(stored):]
+        assert len(called) == rerun.calls and not stored & set(called), k

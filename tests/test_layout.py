@@ -58,6 +58,15 @@ def test_record_report_and_ledger_modules_do_not_import_the_pipeline():
         assert "pipeline" not in _imported_modules(PACKAGE_DIR / rel), rel
 
 
+def test_report_tables_live_in_the_report_and_the_engine_layer_keeps_calls_and_counts():
+    """The engine layer books calls and counts; rendering them is the report's, and the records sit above it."""
+    definers = [path.relative_to(PACKAGE_DIR).as_posix() for path in sorted(PACKAGE_DIR.rglob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.FunctionDef) and node.name == "format_table"]
+    assert definers == ["report.py"], definers
+    for path in sorted((PACKAGE_DIR / "engine").glob("*.py")):
+        assert not {"report", "records"} & _imported_modules(path), path.name
+
 
 def _sites(path: Path, matches) -> list[str]:
     """The innermost enclosing function (or <module>) of every node ``matches`` accepts in one file."""

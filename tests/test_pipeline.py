@@ -14,6 +14,7 @@ import pytest
 from conftest import dominates, ledger_requests, ledger_sum, midpoint_vector, with_value
 import featgeo.pipeline as pipeline_module
 import featgeo.records as records
+import featgeo.report as report_module
 from featgeo.bundled import default_sim_config_path
 from featgeo.engine.cache import ResponseCache
 from featgeo.engine.client import EngineClient
@@ -336,7 +337,7 @@ def test_evaluate_records_per_query_mean_bookkeeping(tmp_path):
     )
 
 
-def test_evaluate_failure_yields_penalty_objectives(tmp_path):
+def test_evaluate_failure_yields_no_objectives(tmp_path):
     cfg = small_sim_config(tmp_path)
     world = SimWorld(cfg.sim, CATALOG)
 
@@ -345,8 +346,7 @@ def test_evaluate_failure_yields_penalty_objectives(tmp_path):
 
     backend = RoleScriptBackend(world, {Role.ANSWER_GEN: explode})
     evaluator = make_evaluator(cfg, backend)
-    vis, qual = evaluator(midpoint_vector(CATALOG), (1, 2, 0))
-    assert (vis, qual) == (0.0, 0.0)
+    assert evaluator(midpoint_vector(CATALOG), (1, 2, 0)) is None
     assert evaluator.metrics[0].failed
 
 
@@ -575,6 +575,25 @@ def test_identical_requests_in_flight_make_one_call(tmp_path):
     assert ledger_requests(client.ledger, Role.PAGE_GEN) == 2  # one live call, one cache hit
     records = [json.loads(line) for line in cache.path.read_text().splitlines()]
     assert [r["role"] for r in records].count(Role.PAGE_GEN.value) == 1
+
+
+def test_the_client_holds_no_key_lock_after_a_cached_run_or_its_replay(tmp_path, monkeypatch):
+    """A key's lock goes once its reply is cached, so a run that fails no call ends with none."""
+    clients = []
+    build_client = pipeline_module.build_client
+
+    def recording_build_client(cfg, catalog):
+        clients.append(build_client(cfg, catalog))
+        return clients[-1]
+
+    monkeypatch.setattr(pipeline_module, "build_client", recording_build_client)
+    cfg = RunConfig.from_file(default_sim_config_path(), seed=7, output_dir=tmp_path / "run",
+                              cache_path=tmp_path / "responses.jsonl")
+    run_optimization(cfg)
+    run_optimization(dataclasses.replace(cfg, output_dir=tmp_path / "replay"))
+    filled, replayed = (ledger_sum(client.ledger) for client in clients)
+    assert replayed.api_calls == 0 and replayed.cache_hits == filled.api_calls + filled.cache_hits
+    assert [len(client._key_locks) for client in clients] == [0, 0]
 
 
 def test_advertiser_position_first_keeps_last_id(tmp_path):
@@ -901,6 +920,41 @@ def test_ablation_checks_every_key_before_the_baseline_runs(tmp_path):
 
 
 # -- report -------------------------------------------------------------------------------
+
+
+def stats_dict(wall_time, api_calls, prompt_tokens, completion_tokens):
+    return {"wall_time": wall_time, "api_calls": api_calls,
+            "prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens,
+            "cache_hits": 0}
+
+
+def test_cost_table_renders_known_stage_numbers():
+    data = {
+        "entries": {
+            "Feature Extraction/FeatureExtract": stats_dict(17.8, 5, 19011, 740),
+            "Initial Population/PageGen": stats_dict(192.2, 41, 113318, 16495),
+            "GA Optimization/AnswerGen": stats_dict(1510.8, 320, 874828, 133232),
+        },
+        "stages": {
+            "Feature Extraction": stats_dict(17.8, 5, 19011, 740),
+            "Initial Population": stats_dict(192.2, 41, 113318, 16495),
+            "GA Optimization": stats_dict(1510.8, 320, 874828, 133232),
+        },
+        "totals": stats_dict(1720.8, 366, 1007157, 150467),
+    }
+    table = report_module._cost_table(json.dumps(data), "cost.json: ")
+    assert "Feature Extraction" in table
+    assert "Initial Population" in table
+    assert "GA Optimization" in table
+    assert "366" in table
+    assert "1,007,157" in table
+    assert "150,467" in table
+    assert "1,720.8" in table
+
+
+def test_cost_table_of_an_empty_ledger_is_all_zero():
+    table = report_module._cost_table(json.dumps(CostLedger().to_dict()), "cost.json: ")
+    assert table.count("0") >= 8
 
 
 def test_report_reexport_is_byte_identical(tmp_path):
