@@ -11,7 +11,7 @@ from . import bundled, records
 from .citations import parse_citations, visibility_scores
 from .errors import BudgetError, FeatGeoError, IntegrityError, ValidationError
 from .features import catalog_default
-from .optimizer import POLICIES, OptimizerAbort
+from .optimizer import POLICIES
 from .pipeline import (
     BACKEND_LIVE,
     BACKEND_SIM,
@@ -188,11 +188,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except FeatGeoError as exc:
-        # An abort inside evolve exits as the error that caused it.
-        cause = exc.__cause__ if isinstance(exc, OptimizerAbort) else exc
-        if not isinstance(cause, FeatGeoError):
-            raise cause
-        code, label = next((c, l) for kinds, c, l in _EXIT_CODES if isinstance(cause, kinds))
+        code, label = next((c, l) for kinds, c, l in _EXIT_CODES if isinstance(exc, kinds))
         print(f"{label}: {exc}", file=sys.stderr)
         return code
 

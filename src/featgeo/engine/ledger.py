@@ -16,9 +16,6 @@ from ..errors import IntegrityError
 from ..schema import expect
 from .types import EngineResponse, Role, Stage
 
-STAGES = (Stage.FEATURE_EXTRACTION, Stage.INITIAL_POPULATION, Stage.GA_OPTIMIZATION)
-
-
 @dataclass
 class CallStats:
     """Accumulated usage for one accounting bucket.
@@ -114,7 +111,7 @@ class CostLedger:
                     entries.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
                 )
             },
-            "stages": {stage.value: _sum(entries, stage).to_dict() for stage in STAGES},
+            "stages": {stage.value: _sum(entries, stage).to_dict() for stage in Stage},
             "totals": _sum(entries).to_dict(),
         }
 
@@ -130,7 +127,7 @@ class CostLedger:
             stage_name, role_name = key.split("/", 1)
             stats = CallStats.from_dict(stats, f"{where}entries.{key}.")
             ledger._entries[(Stage(stage_name), Role(role_name))] = stats
-        blocks = [(f"stages.{s.value}", data["stages"][s.value], _sum(ledger._entries, s)) for s in STAGES]
+        blocks = [(f"stages.{s.value}", data["stages"][s.value], _sum(ledger._entries, s)) for s in Stage]
         blocks.append(("totals", data["totals"], _sum(ledger._entries)))
         for name, stored, derived in blocks:
             if CallStats.from_dict(stored, f"{where}{name}.") != derived:

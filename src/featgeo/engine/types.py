@@ -20,7 +20,7 @@ class Role(str, Enum):
 
 
 class Stage(str, Enum):
-    """Cost-accounting stages of one optimization run."""
+    """Cost-accounting stages of one optimization run, declared in the order cost.json and its table list them."""
 
     FEATURE_EXTRACTION = "Feature Extraction"
     INITIAL_POPULATION = "Initial Population"

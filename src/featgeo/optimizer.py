@@ -130,12 +130,11 @@ class EvolveResult:
 
 
 class OptimizerAbort(FeatGeoError):
-    """Evaluator failure, chained to it as ``__cause__``; carries whatever log/trace existed at abort time."""
+    """Evaluator failure, chained to it as ``__cause__``; ``partial`` is the result ``evolve`` had reached."""
 
-    def __init__(self, message: str, partial_log: tuple, partial_trace: tuple):
+    def __init__(self, message: str, partial: EvolveResult):
         super().__init__(message)
-        self.partial_log = partial_log
-        self.partial_trace = partial_trace
+        self.partial = partial
 
 
 # -- sorting and diversity ---------------------------------------------------
@@ -409,7 +408,8 @@ def evolve(
     keyed by (generation, slot, repeat), and the results averaged (see
     ``_evaluate_generation``). The returned front is the non-dominated set
     over every individual ever evaluated; the trace holds that archive's
-    hypervolume after initialization and after each generation.
+    hypervolume after initialization and after each generation. An exception in
+    the loop is raised as OptimizerAbort, whose ``partial`` is the result so far.
     """
     log: list[GenerationRecord] = []
     trace: list[tuple[int, float]] = []
@@ -420,6 +420,9 @@ def evolve(
         nonlocal archive
         archive = pareto_front_of(archive.members + tuple(evaluated))
         trace.append((generation, hypervolume(archive)))
+
+    def result() -> EvolveResult:
+        return EvolveResult(archive, HypervolumeTrace(tuple(trace)), tuple(log), evaluations)
 
     try:
         init_rng = _rng_for(cfg.seed, 0, 0)
@@ -448,8 +451,5 @@ def evolve(
             record(generation, offspring)
             log.extend(_log_population(population, generation))
     except Exception as exc:
-        raise OptimizerAbort(
-            f"evaluator failed during evolution: {exc}", tuple(log), tuple(trace)
-        ) from exc
-
-    return EvolveResult(archive, HypervolumeTrace(tuple(trace)), tuple(log), evaluations)
+        raise OptimizerAbort(f"evaluator failed during evolution: {exc}", result()) from exc
+    return result()

@@ -35,9 +35,7 @@ from .features import (
 from .optimizer import (
     EvalKey,
     EvalUnit,
-    EvolveResult,
     GAConfig,
-    HypervolumeTrace,
     OptimizerAbort,
     POLICIES,
     evolve,
@@ -359,7 +357,8 @@ def run_optimization(
 
     The report is built from the persisted run directory, exactly as
     ``featgeo report`` rebuilds it later. The record's status follows its
-    failed evaluations (``RunRecord.settle_status``).
+    failed evaluations (``RunRecord.settle_status``). An exception writes a
+    failed record and is raised; an evolve abort raises the error that caused it.
     """
     catalog = catalog_default()
     client = build_client(cfg, catalog)
@@ -378,24 +377,20 @@ def run_optimization(
         workers = cfg.eval_workers
         with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             evaluator = CandidateEvaluator(cfg, client, probe, docs, pool.map if pool else map)
-            result: EvolveResult = evolve(
-                cfg.ga, evaluator, probe.exemplar_vectors, catalog, frozen_features=frozen_features
-            )
-        record.log = result.log
-        record.front = result.front
-        record.trace = result.trace
-        record.eval_metrics = tuple(evaluator.metrics)
+            record.eval_metrics = evaluator.metrics  # so an aborted run keeps every evaluation that ran
+            result = evolve(cfg.ga, evaluator, probe.exemplar_vectors, catalog, frozen_features=frozen_features)
+        record.log, record.front, record.trace = result.log, result.front, result.trace
         record.settle_status()
         record.finals = {policy: select_final(result.front, policy) for policy in POLICIES}
         _verify_run(cfg, evaluator)
     except Exception as exc:
-        if isinstance(exc, OptimizerAbort):
-            record.log = exc.partial_log
-            record.trace = HypervolumeTrace(exc.partial_trace)
+        if isinstance(exc, OptimizerAbort):  # record the run as far as evolve got, then raise what aborted it
+            partial, exc = exc.partial, exc.__cause__
+            record.log, record.front, record.trace = partial.log, partial.front, partial.trace
         record.status = "failed"
         record.error = str(exc)
         records.write_run_record(record, run_dir)
-        raise
+        raise exc
     records.write_run_record(record, run_dir)
     report.export_report(run_dir, overwrite=True)
     return record

@@ -25,9 +25,6 @@ def parse_dimensions(scores: Mapping[str, float]) -> tuple[int, ...]:
     missing = [d for d in ALL_DIMENSIONS if d not in scores]
     if missing:
         raise ValidationError(f"missing quality dimensions: {', '.join(missing)}")
-    extra = sorted(set(scores) - set(ALL_DIMENSIONS))
-    if extra:
-        raise ValidationError(f"unknown quality dimensions: {', '.join(extra)}")
     dims = []
     for d in ALL_DIMENSIONS:
         value = float(scores[d])

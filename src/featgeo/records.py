@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .engine.ledger import CostLedger
 from .engine.types import TopicBrief
@@ -94,10 +94,10 @@ class RunRecord:
     config_snapshot: dict[str, Any] = field(default_factory=dict)
     probe: ProbeResult | None = None
     log: tuple[GenerationRecord, ...] = ()
-    front: ParetoFront | None = None
-    trace: HypervolumeTrace | None = None
+    front: ParetoFront = ParetoFront(())
+    trace: HypervolumeTrace = HypervolumeTrace(())
     finals: dict[str, Individual] = field(default_factory=dict)
-    eval_metrics: tuple[EvalMetric, ...] = ()
+    eval_metrics: Sequence[EvalMetric] = ()
     status: str = "complete"
     error: str | None = None
 
@@ -226,10 +226,9 @@ def write_run_record(record: RunRecord, run_dir: Path) -> None:
         ),
     )
 
-    front = record.front if record.front is not None else ()
-    write_jsonl(run_dir / FRONT_FILE, (_individual_to_dict(ind, catalog) for ind in front))
+    write_jsonl(run_dir / FRONT_FILE, (_individual_to_dict(ind, catalog) for ind in record.front))
 
-    write_text(run_dir / TRACE_FILE, trace_csv(record.trace.entries if record.trace is not None else ()))
+    write_text(run_dir / TRACE_FILE, trace_csv(record.trace.entries))
 
     finals = {
         policy: _individual_to_dict(ind, catalog, _mean_word_pos(record, ind.key))

@@ -14,7 +14,8 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .engine.ledger import STAGES, CostLedger
+from .engine.ledger import CostLedger
+from .engine.types import Stage
 from .errors import IntegrityError, ValidationError
 from .features import LAYERS, catalog_default
 from .records import COMPARISON_FILE, COST_FILE, COST_TABLE, FINALS_FILE, FRONT_FILE, GENERATIONS_FILE
@@ -105,7 +106,7 @@ def _cost_table(text: str, where: str) -> str:
     and total blocks of cost.json once ``CostLedger.from_dict`` has checked them against its entries."""
     cost = json.loads(text)
     CostLedger.from_dict(cost, where)
-    blocks = [(stage.value, cost["stages"][stage.value]) for stage in STAGES] + [("Total", cost["totals"])]
+    blocks = [(stage.value, cost["stages"][stage.value]) for stage in Stage] + [("Total", cost["totals"])]
     rows = [(name, f"{b['wall_time']:,.1f}", f"{b['api_calls']:,}", f"{b['prompt_tokens']:,}",
              f"{b['completion_tokens']:,}") for name, b in blocks]
     return format_table(("Pipeline Stage", "Time (s)", "API Calls", "Prompt Tok.", "Compl. Tok."), rows[:-1], rows[-1])

@@ -29,14 +29,18 @@ def write_config(directory, workers):
 
 
 class Injector:
-    """Counts the sim backend's calls and raises a fresh ``fault`` at call ``at`` (None: never)."""
+    """Counts the sim backend's calls and raises a fresh ``fault`` at call ``at`` (None: never).
+
+    ``batch_ends`` holds the number of backend calls made by the time each evaluated generation's batch returned.
+    """
 
     def __init__(self, monkeypatch, fault=None, at=None):
         self.fault, self.at = fault, at
         self.calls, self.raised, self.failed_request = 0, None, None
-        self.clients = []
+        self.clients, self.batch_ends = [], []
         self._lock = threading.Lock()
         complete, build_client = SimBackend.complete, pipeline.build_client
+        evaluate_batch = pipeline.CandidateEvaluator.evaluate_batch
 
         def injecting(backend, request):
             with self._lock:
@@ -50,8 +54,14 @@ class Injector:
             self.clients.append(build_client(cfg, catalog))
             return self.clients[-1]
 
+        def counting_evaluate_batch(evaluator, units):
+            objectives = evaluate_batch(evaluator, units)
+            self.batch_ends.append(self.calls)
+            return objectives
+
         monkeypatch.setattr(SimBackend, "complete", injecting)
         monkeypatch.setattr(pipeline, "build_client", recording_build_client)
+        monkeypatch.setattr(pipeline.CandidateEvaluator, "evaluate_batch", counting_evaluate_batch)
 
 
 def cached_digests(path):
@@ -68,6 +78,8 @@ def test_a_run_cut_at_any_backend_call_leaves_a_consistent_record_cache_and_clie
                         "--output-dir", str(tmp_path / "clean")]) == EXIT_OK
     capsys.readouterr()
     assert clean.calls > 40
+    clean_rows = (tmp_path / "clean" / "eval_metrics.jsonl").read_text().splitlines()
+    generation_0_rows = sum(json.loads(row)["generation"] == 0 for row in clean_rows)
     for k in range(clean.calls):
         point = tmp_path / f"cut{k}"
         point.mkdir()
@@ -83,6 +95,11 @@ def test_a_run_cut_at_any_backend_call_leaves_a_consistent_record_cache_and_clie
                 with pytest.raises(RuntimeError) as err:
                     run_cli(["simulate", "--config", str(config), "--output-dir", str(run_dir)])
                 assert err.value is cut.raised, k
+                # The aborted record keeps every evaluation that ran, in the uncut run's order.
+                rows = (run_dir / "eval_metrics.jsonl").read_text().splitlines()
+                assert rows == clean_rows[:len(rows)], k
+                if k >= clean.batch_ends[0]:
+                    assert len(rows) >= generation_0_rows, k
         assert cut.raised is not None, k
 
         manifest_path = run_dir / "manifest.json"

@@ -2,8 +2,9 @@
 every public name has a caller outside the tests, every stored value is read by program code,
 inputs are checked only where they enter, each module-level string constant has one owner, every
 module-level name is read somewhere, every defaulted parameter is set by some program call, only
-the records writer and remover change a run-directory file, and the readers of the response cache,
-cost.json and the record files convert no value with int, float or bool."""
+the records writer and remover change a run-directory file, only run_optimization unwraps an evolve
+abort, and the readers of the response cache, cost.json and the record files convert no value with
+int, float or bool."""
 
 import ast
 import importlib
@@ -146,6 +147,17 @@ def test_thread_pool_is_built_at_one_site_inside_run_optimization():
     sites = [site for path in sorted(PACKAGE_DIR.rglob("*.py"))
              for site in _call_sites(path, "ThreadPoolExecutor")]
     assert sites == ["pipeline.py:run_optimization"], sites
+
+
+def test_an_evolve_abort_is_unwrapped_by_run_optimization_alone():
+    """``evolve`` raises OptimizerAbort; ``run_optimization`` records the run it carries and raises its
+    cause, so no other module names it."""
+    def names_abort(node):
+        return "OptimizerAbort" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+
+    sites = [site for path in sorted(PACKAGE_DIR.rglob("*.py")) if path != PACKAGE_DIR / "optimizer.py"
+             for site in _sites(path, names_abort)]
+    assert sorted(set(sites)) == ["pipeline.py:<module>", "pipeline.py:run_optimization"], sites
 
 
 def test_replies_are_re_asked_by_one_loop_over_the_retry_limit():

@@ -547,7 +547,7 @@ def test_evolve_rejects_non_finite_objectives_naming_generation_and_slot():
         evolve(cfg, evaluator, [midpoint_vector(CATALOG)], CATALOG)
     assert isinstance(err.value.__cause__, ValidationError)
     assert "non-finite objectives (nan, 1.0) at generation 1, slot 2" in str(err.value)
-    assert len(err.value.partial_trace) == 1
+    assert len(err.value.partial.trace.entries) == 1
 
 
 def test_evolve_archive_trace_is_monotone():
@@ -598,7 +598,7 @@ def test_evolve_wraps_evaluator_failures_with_partial_state():
     with pytest.raises(OptimizerAbort) as err:
         evolve(cfg_with(population_size=8, generations=3), flaky, [midpoint_vector(CATALOG)], CATALOG)
     assert isinstance(err.value.__cause__, RuntimeError)
-    assert len(err.value.partial_trace) >= 1
+    assert len(err.value.partial.trace.entries) >= 1
 
 
 def test_ga_config_validation():

@@ -546,9 +546,9 @@ def test_a_program_fault_in_the_backend_aborts_the_run(tmp_path, monkeypatch, fa
         raise fault
 
     run_against(monkeypatch, RoleScriptBackend(world, {Role.JUDGE: broken_judge}))
-    with pytest.raises(OptimizerAbort) as err:
+    with pytest.raises(type(fault)) as err:
         run_optimization(cfg)
-    assert err.value.__cause__ is fault
+    assert err.value is fault
     manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
 
@@ -761,14 +761,37 @@ def break_evaluations_after(monkeypatch, n):
 
 
 def test_evolve_abort_persists_partial_record(tmp_path, monkeypatch):
-    cfg = small_sim_config(tmp_path)
-    break_evaluations_after(monkeypatch, 6)
-    with pytest.raises(OptimizerAbort):
+    """A bug in generation 2's batch aborts the run: run_optimization raises the bug itself, after it
+    records the generations, trace and archive front evolve reached and the rows of the batches that ran."""
+    cfg = small_sim_config(tmp_path)  # 4 slots x 2 repeats per generation
+    break_evaluations_after(monkeypatch, 16)
+    aborts, evolve = [], pipeline_module.evolve
+
+    def recording_evolve(*args, **kwargs):
+        try:
+            return evolve(*args, **kwargs)
+        except OptimizerAbort as abort:
+            aborts.append(abort)
+            raise
+
+    monkeypatch.setattr(pipeline_module, "evolve", recording_evolve)
+    with pytest.raises(RuntimeError) as err:
         run_optimization(cfg)
+    (abort,) = aborts
+    assert err.value is abort.__cause__
     manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
-    assert "hard backend bug" in manifest["error"]
-    assert (cfg.output_dir / "hv_trace.csv").exists()
+    assert manifest["error"] == "hard backend bug"
+    rows = [json.loads(line) for line in (cfg.output_dir / "eval_metrics.jsonl").read_text().splitlines()]
+    assert [(r["generation"], r["slot"], r["repeat"]) for r in rows] == [
+        (g, s, r) for g in (0, 1) for s in range(4) for r in range(2)
+    ]
+    front = [json.loads(line) for line in (cfg.output_dir / "pareto_front.jsonl").read_text().splitlines()]
+    assert front and [(m["visibility"], m["quality"]) for m in front] == abort.partial.front.objective_pairs()
+    assert [m["realized_at"] for m in front] == [list(ind.key) for ind in abort.partial.front]
+    trace = (cfg.output_dir / "hv_trace.csv").read_text()
+    assert trace == records.trace_csv(abort.partial.trace.entries) and trace.count("\n") == 3
+    assert (cfg.output_dir / "generations.jsonl").read_text().count("\n") == 8
 
 
 @pytest.mark.parametrize("aborted", [False, True])
@@ -776,7 +799,7 @@ def test_run_leaves_no_pool_thread_behind(tmp_path, monkeypatch, aborted):
     cfg = small_sim_config(tmp_path, eval_workers=3)
     probe = break_evaluations_after(monkeypatch, 6 if aborted else math.inf)
     before = threading.active_count()
-    with pytest.raises(OptimizerAbort) if aborted else contextlib.nullcontext():
+    with pytest.raises(RuntimeError) if aborted else contextlib.nullcontext():
         run_optimization(cfg)
     assert probe["threads"] > before  # the pool ran tasks before the run ended
     assert threading.active_count() == before

@@ -106,10 +106,6 @@ def test_from_raw_requires_all_seven():
     partial = {name: 3 for name in ALL_DIMENSIONS[:-1]}
     with pytest.raises(ValidationError, match="influence"):
         parse_dimensions(partial)
-    extra = {name: 3 for name in ALL_DIMENSIONS}
-    extra["novelty"] = 3
-    with pytest.raises(ValidationError, match="novelty"):
-        parse_dimensions(extra)
 
 
 def test_quality_config_validation():
