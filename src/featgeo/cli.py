@@ -23,6 +23,7 @@ from .pipeline import (
     run_optimization,
 )
 from .report import export_report
+from .schema import read_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -145,11 +146,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    path = Path(args.answer)
-    try:
-        answer = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read answer file {path}: {exc}") from exc
+    answer = read_text(Path(args.answer), "answer file")
     parse = parse_citations(answer, args.sources)
     scores = visibility_scores(parse)
     print(f"{len(parse.sentences)} sentences, {args.sources} sources, "

@@ -24,7 +24,7 @@ from .engine.cache import ResponseCache
 from .engine.client import EngineClient
 from .engine.live import ChatCompletionBackend, ENV_CACHE_DIR
 from .engine.types import SourceDocument, Stage, text_digest
-from .errors import EngineError, IntegrityError, ValidationError
+from .errors import EngineError, ValidationError
 from .features import (
     FeatureCatalog,
     FeatureVector,
@@ -43,7 +43,7 @@ from .optimizer import (
 )
 from .quality import QualityConfig, aggregate_quality
 from .records import EvalMetric, ProbeResult, RunRecord
-from .schema import read_section
+from .schema import read_section, read_text
 from .sim import SimBackend, SimConfig, SimWorld
 
 logger = logging.getLogger(__name__)
@@ -106,11 +106,7 @@ class RunConfig:
         """Load a JSON run config; relative document paths resolve against the file."""
         path = Path(path)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ValidationError(f"config file not found: {path}")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"cannot read config file {path}: {exc}")
+            raw = json.loads(read_text(path, "config file"))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config file {path} is not valid JSON: {exc}")
         cfg = read_section(cls, raw, "", path.parent)
@@ -141,10 +137,7 @@ class AblationResult:
 def load_documents(paths: Sequence[Path]) -> list[SourceDocument]:
     docs = []
     for i, path in enumerate(paths, start=1):
-        try:
-            text = Path(path).read_text(encoding="utf-8").strip()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"competitor document {path} is not UTF-8 text: {exc}") from exc
+        text = read_text(Path(path), "competitor document").strip()
         if not text:
             raise ValidationError(f"competitor document {path} is empty")
         docs.append(SourceDocument(id=i, text=text))
@@ -353,7 +346,7 @@ def run_optimization(
     frozen_features: Mapping[int, float] | None = None,
     run_dir: Path | None = None,
 ) -> RunRecord:
-    """Execute the full loop: probe, seed, evolve, select, verify, persist, report.
+    """Execute the full loop: probe, seed, evolve, select, persist, report.
 
     The report is built from the persisted run directory, exactly as
     ``featgeo report`` rebuilds it later. The record's status follows its
@@ -382,7 +375,6 @@ def run_optimization(
         record.log, record.front, record.trace = result.log, result.front, result.trace
         record.settle_status()
         record.finals = {policy: select_final(result.front, policy) for policy in POLICIES}
-        _verify_run(cfg, evaluator)
     except Exception as exc:
         if isinstance(exc, OptimizerAbort):  # record the run as far as evolve got, then raise what aborted it
             partial, exc = exc.partial, exc.__cause__
@@ -394,16 +386,6 @@ def run_optimization(
     records.write_run_record(record, run_dir)
     report.export_report(run_dir, overwrite=True)
     return record
-
-
-def _verify_run(cfg: RunConfig, evaluator: CandidateEvaluator) -> None:
-    per_candidate = cfg.ga.repeats_per_eval if cfg.regenerate_page_per_repeat else 1
-    expected = cfg.ga.population_size * (cfg.ga.generations + 1) * per_candidate
-    if evaluator.realizations != expected:
-        raise IntegrityError(
-            f"page generation accounting mismatch: expected {expected} page requests, "
-            f"evaluator asked for {evaluator.realizations}"
-        )
 
 
 def run_ablation(cfg: RunConfig, feature_keys: Sequence[str]) -> list[AblationResult]:

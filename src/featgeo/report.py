@@ -21,18 +21,18 @@ from .features import LAYERS, catalog_default
 from .records import COMPARISON_FILE, COST_FILE, COST_TABLE, FINALS_FILE, FRONT_FILE, GENERATIONS_FILE
 from .records import MANIFEST_FILE, METRICS_TABLE, REPORT_DIR_NAME, REPORT_FILES, SCATTER_FILE, TRACE_FILE
 from .records import RECORD_FILES, SCHEMA_VERSION, STATUSES, file_digest, remove, trace_csv, write_text
-from .schema import expect
+from .schema import expect, read_text
 
 
 def _read(path: Path, parse: Callable[[str, str], Any]) -> Any:
     """``parse(text, where)`` of a record file, where ``where`` labels the file's values in an error."""
     where = f"cannot read record file {path}: "
+    text = read_text(path, "record file")
     try:
-        text = path.read_text(encoding="utf-8")
         if text and not text.endswith("\n"):
             raise ValueError("no final newline: the file was cut short")
         return parse(text, where)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"{where}{exc!r}") from exc
 
 

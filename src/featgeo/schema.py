@@ -1,4 +1,5 @@
-"""One reader for every JSON value the program reads back: the config, the response cache and the record files.
+"""One reader for every text file the program takes from outside, and one for every JSON value it reads back:
+the config, the response cache and the record files.
 
 A value of the wrong JSON type is refused, never coerced into the declared one. Each error names where
 the value came from: ``config key X``, ``response cache P line N`` or ``record file F``.
@@ -17,6 +18,14 @@ from .features import FeatureVector
 
 _JSON_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false", list: "a list",
                dict: "an object"}
+
+
+def read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of ``path``; an OSError or a byte that is not UTF-8 is ``cannot read <what> <path>``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def expect(value: Any, kind: type, where: str, among: tuple = ()) -> Any:

@@ -250,7 +250,8 @@ def test_non_utf8_competitor_document_exits_with_validation_status_naming_it(tmp
         out_dir = tmp_path / command
         assert run_cli([command, "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err.startswith(f"error: competitor document {latin1} is not UTF-8 text") and err.count("\n") == 1
+        assert err.startswith(f"error: cannot read competitor document {latin1}: 'utf-8' codec ") \
+            and err.count("\n") == 1
 
 
 def test_report_reexports_and_respects_overwrite(tmp_path, small_config, capsys):

@@ -1,14 +1,19 @@
-"""Fault injection over engine calls: a run cut by a failed backend call at any point leaves a
-run directory, a response cache and a client that README's failure rules describe."""
+"""Fault injection over engine calls and run-directory writes: a run cut by a failed backend call,
+or by a failed write or removal, at any point leaves a run directory, a response cache and a client
+that README's failure rules describe."""
 
+import errno
 import json
+import os
+import shutil
 import threading
+from pathlib import Path
 
 import pytest
 
-from featgeo import pipeline
+from featgeo import pipeline, records, report
 from featgeo.bundled import default_sim_config_path
-from featgeo.cli import EXIT_ENGINE, EXIT_OK, run_cli
+from featgeo.cli import EXIT_ENGINE, EXIT_OK, EXIT_VALIDATION, run_cli
 from featgeo.engine.cache import ResponseCache
 from featgeo.engine.types import text_digest
 from featgeo.errors import EngineError
@@ -124,3 +129,67 @@ def test_a_run_cut_at_any_backend_call_leaves_a_consistent_record_cache_and_clie
         capsys.readouterr()
         called = cached_digests(cache_path)[len(stored):]
         assert len(called) == rerun.calls and not stored & set(called), k
+
+
+class WriteFaults:
+    """Counts the calls of ``records.write_text`` and ``records.remove``, also through ``report``'s copies,
+    and makes the path operation inside call ``at`` (None: never) raise ``OSError(ENOSPC)``: a file open in
+    ``write_text``, a file check in ``remove``. So each function's own mapping of the error is what runs.
+
+    ``failed`` holds the verb and path of the error the faulted call should raise.
+    """
+
+    def __init__(self, monkeypatch, at=None):
+        self.at, self.calls, self.failed = at, 0, None
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def counting(function, verb, below):
+            def call(target, *rest):
+                if verb == "remove":
+                    target = list(target)
+                k, self.calls = self.calls, self.calls + 1
+                if k != self.at:
+                    return function(target, *rest)
+                self.failed = (verb, target[0] if verb == "remove" else target)
+                with monkeypatch.context() as patch:
+                    patch.setattr(Path, below, full_disk)
+                    return function(target, *rest)
+            return call
+
+        write_text = counting(records.write_text, "write", "open")
+        remove = counting(records.remove, "remove", "is_file")
+        for module in (records, report):
+            monkeypatch.setattr(module, "write_text", write_text)
+            monkeypatch.setattr(module, "remove", remove)
+
+
+@pytest.mark.parametrize("over_a_finished_run", [False, True])
+def test_a_run_cut_at_any_run_directory_write_exits_with_one_line_and_leaves_no_unvouched_manifest(
+        tmp_path, monkeypatch, capsys, over_a_finished_run):
+    config = write_config(tmp_path, 1)
+    finished = tmp_path / "finished"
+    with monkeypatch.context() as patch:
+        clean = WriteFaults(patch)
+        assert run_cli(["simulate", "--config", str(config), "--output-dir", str(finished)]) == EXIT_OK
+    capsys.readouterr()
+    assert clean.calls > 10
+    for k in range(clean.calls):
+        run_dir = tmp_path / f"cut{k}"
+        if over_a_finished_run:
+            shutil.copytree(finished, run_dir)
+        with monkeypatch.context() as patch:
+            cut = WriteFaults(patch, k)
+            code = run_cli(["simulate", "--config", str(config), "--output-dir", str(run_dir), "--overwrite"])
+        verb, path = cut.failed
+        assert code == EXIT_VALIDATION, k
+        assert capsys.readouterr().err == f"error: cannot {verb} {path}: [Errno {errno.ENOSPC}] " \
+                                          f"{os.strerror(errno.ENOSPC)}\n", k
+        manifest_path = run_dir / "manifest.json"
+        if manifest_path.exists():
+            for name, digest in json.loads(manifest_path.read_text())["artifacts"].items():
+                assert file_digest(run_dir / name) == digest, (k, name)
+        else:  # a report is built from a vouched record only
+            assert not list((run_dir / "report").glob("*")), k
+        ResponseCache(tmp_path / "responses.jsonl")

@@ -2,9 +2,9 @@
 every public name has a caller outside the tests, every stored value is read by program code,
 inputs are checked only where they enter, each module-level string constant has one owner, every
 module-level name is read somewhere, every defaulted parameter is set by some program call, only
-the records writer and remover change a run-directory file, only run_optimization unwraps an evolve
-abort, and the readers of the response cache, cost.json and the record files convert no value with
-int, float or bool."""
+the records writer and remover change a run-directory file, one reader reads every outside text
+file, only run_optimization unwraps an evolve abort, and the readers of the response cache,
+cost.json and the record files convert no value with int, float or bool."""
 
 import ast
 import importlib
@@ -121,6 +121,30 @@ def test_run_directory_files_are_changed_only_by_the_records_writer_and_remover(
     ], sites
 
 
+def _reads_a_file(node: ast.AST) -> bool:
+    """A call of the builtin ``open`` or of a path's ``read_text``, ``read_bytes`` or ``open``. The live
+    transport's ``self.opener.open`` sends an HTTP request and does not count; neither does a call of
+    ``schema.read_text`` by its bare name."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    return isinstance(func, ast.Attribute) and func.attr in {"read_text", "read_bytes", "open"} \
+        and getattr(func.value, "attr", None) != "opener"
+
+
+def test_outside_files_are_read_only_by_the_text_reader_and_the_files_own_readers():
+    """``schema.read_text`` reads every text file the program takes from outside, so an unreadable one is
+    the same validation error wherever it is read. The response cache, the record-file digests and the
+    packaged prompt templates keep their own readers, and the records writer opens the files it writes."""
+    sites = [site for path in sorted(PACKAGE_DIR.rglob("*.py")) for site in _sites(path, _reads_a_file)]
+    assert sorted(sites) == [
+        "engine/cache.py:_load", "engine/cache.py:put", "engine/templates.py:load_template",
+        "records.py:file_digest", "records.py:write_text", "schema.py:read_text",
+    ], sites
+
+
 def _names(node: ast.AST) -> set[str]:
     """Every name and attribute name mentioned inside ``node``."""
     return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
@@ -224,6 +248,9 @@ def test_every_public_definition_is_named_outside_its_own_body():
 # Where a value enters the program, by kind of input. Everything past these
 # functions is a value the program built itself, and is not checked again.
 INPUT_BOUNDARIES = {
+    # every text file the program takes from outside: the config, the competitor documents, an answer
+    # file and the record files
+    "schema.py:read_text",
     # the config file
     "pipeline.py:RunConfig.__post_init__", "pipeline.py:RunConfig.from_file", "schema.py:read_section",
     "schema.py:expect", "schema.py:_vector", "optimizer.py:GAConfig.__post_init__",
@@ -238,7 +265,7 @@ INPUT_BOUNDARIES = {
     "engine/cache.py:ResponseCache._load", "engine/cache.py:ResponseCache.put", "records.py:write_text",
     "records.py:remove", "report.py:_read", "report.py:export_report",
     # CLI arguments and the environment
-    "cli.py:_run_config", "cli.py:_cmd_score",
+    "cli.py:_run_config",
     "features.py:FeatureCatalog.index_of",
     "engine/live.py:ChatCompletionBackend.__init__", "engine/live.py:ChatCompletionBackend.from_env",
     # README's Python API

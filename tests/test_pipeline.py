@@ -686,19 +686,21 @@ def test_run_record_files_and_report_exist(tmp_path):
     assert set(manifest["artifacts"]) >= {"probe.json", "cost.json"}
 
 
-def test_run_ledger_accounting(tmp_path):
+@pytest.mark.parametrize("regenerate", [False, True])
+def test_run_ledger_accounting(tmp_path, regenerate):
     from featgeo.engine.types import Stage
 
-    cfg = small_sim_config(tmp_path)
+    cfg = small_sim_config(tmp_path, regenerate_page_per_repeat=regenerate)
     record = run_optimization(cfg)
     CostLedger.from_dict(json.loads((cfg.output_dir / "cost.json").read_text()), "cost.json: ")
     n, g = cfg.ga.population_size, cfg.ga.generations
     m = cfg.query_count
     reps = cfg.ga.repeats_per_eval
-    assert ledger_requests(record.ledger, Role.PAGE_GEN) == n * (g + 1)
-    # stage split: N realizations at initialization, N per generation afterwards
-    assert ledger_requests(record.ledger, Role.PAGE_GEN, Stage.INITIAL_POPULATION) == n
-    assert ledger_requests(record.ledger, Role.PAGE_GEN, Stage.GA_OPTIMIZATION) == n * g
+    pages = reps if regenerate else 1  # page requests per candidate: one, or one per repeat
+    assert ledger_requests(record.ledger, Role.PAGE_GEN) == n * (g + 1) * pages
+    # stage split: N candidates' pages at initialization, N candidates' per generation afterwards
+    assert ledger_requests(record.ledger, Role.PAGE_GEN, Stage.INITIAL_POPULATION) == n * pages
+    assert ledger_requests(record.ledger, Role.PAGE_GEN, Stage.GA_OPTIMIZATION) == n * g * pages
     assert ledger_requests(record.ledger, Role.PAGE_GEN, Stage.FEATURE_EXTRACTION) == 0
     # answers: probe M, then M per (candidate, repeat)
     assert ledger_requests(record.ledger, Role.ANSWER_GEN, Stage.FEATURE_EXTRACTION) == m
@@ -707,6 +709,18 @@ def test_run_ledger_accounting(tmp_path):
     totals = ledger_sum(record.ledger)
     assert totals.api_calls > 0
     assert totals.prompt_tokens > 0
+
+
+def test_an_unreadable_competitor_document_fails_the_run_naming_it(tmp_path):
+    """A config built in Python skips the config reader's file check; the document reader names the file."""
+    cfg = small_sim_config(tmp_path)
+    missing = tmp_path / "docs" / "missing.txt"
+    cfg = dataclasses.replace(cfg, competitor_docs=(*cfg.competitor_docs[:-1], missing))
+    with pytest.raises(ValidationError) as err:
+        run_optimization(cfg)
+    assert str(err.value).startswith(f"cannot read competitor document {missing}: ")
+    manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["error"] == str(err.value)
 
 
 def test_the_profile_memo_holds_only_texts_that_carry_a_profile(tmp_path, monkeypatch):
