@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_ENGINE = 2
 EXIT_INTEGRITY = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process that Ctrl-C ended
 
 # First match wins: the validation and integrity kinds, then every other package error.
 _EXIT_CODES = (
@@ -188,6 +189,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         code, label = next((c, l) for kinds, c, l in _EXIT_CODES if isinstance(exc, kinds))
         print(f"{label}: {exc}", file=sys.stderr)
         return code
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def main() -> None:

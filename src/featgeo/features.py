@@ -249,21 +249,17 @@ def vector_from_mapping(record: Mapping[str, float], c: FeatureCatalog) -> Featu
     if unknown:
         raise ValidationError(f"record has unknown feature keys: {', '.join(unknown)}")
     values = []
-    violations = []
     for feat in c:
         raw = record[feat.key]
         try:
-            value = float(raw)
+            values.append(float(raw))
         except (TypeError, ValueError):
             raise ValidationError(f"feature {feat.key!r} has non-numeric value {raw!r}")
-        if not math.isfinite(value):
-            raise ValidationError(f"non-finite value for feature {feat.key!r}: {value!r}")
-        if not feat.lo <= value <= feat.hi:
-            violations.append(f"{feat.key}={value!r} outside [{feat.lo}, {feat.hi}]")
-        values.append(value)
+    clamped = clamp(FeatureVector(tuple(values)), c)  # a non-finite value raises here, before any warning
+    violations = [f"{f.key}={v!r} outside [{f.lo}, {f.hi}]" for f, v in zip(c, values) if not f.lo <= v <= f.hi]
     if violations:
         logger.warning("clamped out-of-range feature values: %s", "; ".join(violations))
-    return clamp(FeatureVector(tuple(values)), c)
+    return clamped
 
 
 def encode_vector(v: FeatureVector, c: FeatureCatalog) -> str:

@@ -348,22 +348,23 @@ def run_optimization(
 ) -> RunRecord:
     """Execute the full loop: probe, seed, evolve, select, persist, report.
 
-    The report is built from the persisted run directory, exactly as
-    ``featgeo report`` rebuilds it later. The record's status follows its
-    failed evaluations (``RunRecord.settle_status``). An exception writes a
-    failed record and is raised; an evolve abort raises the error that caused it.
+    Every input (config, backend settings, response cache, competitor documents) is
+    read before the first run-directory write, so an input error raises ValidationError
+    and leaves ``run_dir`` as it was. The report is built from the persisted run
+    directory, exactly as ``featgeo report`` rebuilds it later. The record's status
+    follows its failed evaluations (``RunRecord.settle_status``). A later exception
+    writes a failed record and is raised; an evolve abort raises the error that caused it.
     """
     catalog = catalog_default()
     client = build_client(cfg, catalog)
+    docs = load_documents(cfg.competitor_docs)
     run_dir = Path(run_dir) if run_dir is not None else Path(cfg.output_dir)
-    record = RunRecord(ledger=client.ledger)
+    record = RunRecord(ledger=client.ledger, config_snapshot=_config_snapshot(cfg, docs))
+    if frozen_features:
+        record.config_snapshot["frozen_features"] = {
+            catalog.features[i].key: v for i, v in sorted(frozen_features.items())
+        }
     try:
-        docs = load_documents(cfg.competitor_docs)
-        record.config_snapshot = _config_snapshot(cfg, docs)
-        if frozen_features:
-            record.config_snapshot["frozen_features"] = {
-                catalog.features[i].key: v for i, v in sorted(frozen_features.items())
-            }
         probe = probe_topic(cfg, client, docs)
         record.probe = probe
         # One pool for the whole run; at one worker the builtin map runs inline, with no hand-off.

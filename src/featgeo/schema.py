@@ -52,14 +52,6 @@ def _items(value: Any, kind: type, where: str) -> list[Any]:
     return [expect(item, kind, f"{where}[{i}]") for i, item in enumerate(expect(value, list, where))]
 
 
-def _doc_paths(value: Any, where: str, base: Path) -> tuple[Path, ...]:
-    paths = tuple(base / entry for entry in _items(value, str, where))
-    for path in paths:
-        if not path.is_file():
-            raise ValidationError(f"competitor document is not an existing file: {path}")
-    return paths
-
-
 def _vector(value: Any, where: str) -> FeatureVector:
     values = tuple(_items(value, float, where))
     try:
@@ -70,7 +62,7 @@ def _vector(value: Any, where: str) -> FeatureVector:
 
 # Config field types whose JSON form differs from the field value, with their readers.
 _CONVERTERS: dict[Any, Callable[[Any, str, Path], Any]] = {
-    tuple[Path, ...]: _doc_paths,
+    tuple[Path, ...]: lambda value, where, base: tuple(base / entry for entry in _items(value, str, where)),
     Path: lambda value, where, base: Path(expect(value, str, where)),
     Path | None: lambda value, where, base: None if value in (None, "") else Path(expect(value, str, where)),
     tuple[float, ...]: lambda value, where, base: tuple(float(x) for x in _items(value, float, where)),

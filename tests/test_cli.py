@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from featgeo.bundled import default_sim_config_path
 from featgeo.engine.client import EngineClient
 from featgeo.engine.live import ENV_BASE_URL, ENV_CACHE_DIR, ENV_MODEL, ChatCompletionBackend
 from featgeo.engine.types import Role
-from featgeo.errors import EngineError
+from featgeo.errors import EngineError, ValidationError
 from featgeo import pipeline
 from featgeo.features import catalog_default
 from featgeo.pipeline import CandidateEvaluator
@@ -181,8 +182,6 @@ def test_probe_writes_probe_file(tmp_path, small_config, capsys):
     (lambda raw: {**raw, "query_count": True}, "query_count must be an integer"),
     (lambda raw: {**raw, "regenerate_page_per_repeat": "false"}, "regenerate_page_per_repeat must be true or false"),
     (lambda raw: {**raw, "competitor_docs": raw["competitor_docs"][0]}, "competitor_docs must be a list"),
-    (lambda raw: {**raw, "competitor_docs": [str(Path(raw["competitor_docs"][0]).parent)]},
-     "competitor document is not an existing file"),
     (lambda raw: {**raw, "sim": {**raw["sim"], "competitor_vectors": [["a"] * 13]}},
      "sim.competitor_vectors[0][0] must be a number"),
     (lambda raw: {**raw, "sim": {**raw["sim"], "competitor_vectors": [[1.0] * 12] + raw["sim"]["competitor_vectors"][1:]}},
@@ -217,7 +216,7 @@ def test_probe_writes_probe_file(tmp_path, small_config, capsys):
     (lambda raw: {**raw, "eval_workers": 0}, "eval workers must be >= 1, got 0"),
     (lambda raw: {**raw, "competitor_docs": []}, "run config needs at least one competitor document"),
 ], ids=["unknown-section-key", "unknown-key", "string-int", "string-count", "bool-int", "string-bool",
-        "string-list", "directory-doc", "string-float", "short-vector", "missing-key", "list-section",
+        "string-list", "string-float", "short-vector", "missing-key", "list-section",
         "list-file", "nan-scalar", "infinite-scalar", "nan-sigma", "infinite-weight", "nan-vector",
         "huge-int-scalar", "huge-int-weight", "huge-negative-int-sigma", "negative-ga-seed", "negative-sim-seed",
         "blank-topic", "zero-queries", "zero-exemplars", "unknown-position", "unknown-judge-target",
@@ -240,18 +239,74 @@ def test_a_negative_seed_flag_exits_with_validation_status_before_the_run_direct
     assert not out_dir.exists()
 
 
-def test_non_utf8_competitor_document_exits_with_validation_status_naming_it(tmp_path, small_config, capsys):
-    raw = json.loads(small_config.read_text())
-    latin1 = tmp_path / "latin1.txt"
-    latin1.write_bytes(b"Caf\xe9 meal plans for busy weeks.\n")
-    raw["competitor_docs"][2] = str(latin1)
+@pytest.mark.parametrize("over_a_finished_run", [False, True], ids=["fresh", "finished"])
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: None, f"cannot read competitor document {{}}: [Errno {errno.ENOENT}] "),
+    (lambda path: path.mkdir(), f"cannot read competitor document {{}}: [Errno {errno.EISDIR}] "),
+    (lambda path: path.write_text(""), "competitor document {} is empty"),
+    (lambda path: path.write_bytes(b"Caf\xe9 meal plans for busy weeks.\n"),
+     "cannot read competitor document {}: 'utf-8' codec "),
+], ids=["missing", "directory", "empty", "non-utf8"])
+def test_an_unreadable_competitor_document_exits_with_validation_status_naming_it(
+    tmp_path, small_config, request, capsys, make, reason, over_a_finished_run
+):
+    """A document is read before the run's first write: a fresh directory stays empty, a finished run intact."""
+    finished = request.getfixturevalue("run_dir") if over_a_finished_run else None
+    before = tree(finished) if finished else {}
+    good = small_config.read_text()
+    raw = json.loads(good)
+    bad = tmp_path / "bad.txt"
+    make(bad)
+    raw["competitor_docs"][2] = str(bad)
     small_config.write_text(json.dumps(raw))
+    capsys.readouterr()
     for command in ("probe", "optimize"):
-        out_dir = tmp_path / command
-        assert run_cli([command, "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_VALIDATION
+        out_dir = finished or tmp_path / command
+        args = [command, "--config", str(small_config), "--output-dir", str(out_dir), "--overwrite"]
+        assert run_cli(args) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot read competitor document {latin1}: 'utf-8' codec ") \
-            and err.count("\n") == 1
+        assert err.startswith("error: " + reason.format(bad)) and err.count("\n") == 1
+        assert tree(out_dir) == before
+        assert finished or list(out_dir.iterdir()) == []
+    if finished:  # the finished run is still vouched for by its manifest
+        assert run_cli(["report", str(finished), "--overwrite"]) == EXIT_OK
+        assert tree(finished) == before
+    else:  # the empty directory takes the mended run without --overwrite
+        small_config.write_text(good)
+        assert run_cli(["probe", "--config", str(small_config), "--output-dir", str(tmp_path / "probe")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("spoil, message", [
+    ("config-key", "error: unknown config key query_cnt\n"),
+    ("cache-line", "error: response cache {cache} line 1 is corrupt: "),
+    ("live-env", f"error: live backend needs {ENV_BASE_URL} and {ENV_MODEL} set in the environment\n"),
+], ids=["config-key", "cache-line", "live-env"])
+def test_an_input_error_over_a_finished_run_exits_with_validation_status_and_leaves_it_as_it_was(
+    run_dir, small_config, tmp_path, monkeypatch, capsys, spoil, message
+):
+    before = tree(run_dir)
+    cache = tmp_path / "cache" / "responses.jsonl"
+    flags, overrides = [], {}
+    if spoil == "config-key":
+        small_config.write_text(json.dumps({**json.loads(small_config.read_text()), "query_cnt": 2}))
+    elif spoil == "cache-line":
+        cache.parent.mkdir()
+        cache.write_text("not json\n")
+        monkeypatch.setenv(ENV_CACHE_DIR, str(cache.parent))
+    else:
+        monkeypatch.delenv(ENV_BASE_URL, raising=False)
+        flags, overrides = ["--backend", "live"], {"backend": "live"}
+    capsys.readouterr()
+    args = ["optimize", "--config", str(small_config), "--output-dir", str(run_dir), "--overwrite", *flags]
+    assert run_cli(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(cache=cache)) and err.count("\n") == 1
+    assert tree(run_dir) == before
+    if spoil != "config-key":  # the Python API raises the same error and writes nothing either
+        cfg = pipeline.RunConfig.from_file(small_config, output_dir=run_dir, **overrides)
+        with pytest.raises(ValidationError, match=re.escape(err[len("error: "):].strip())):
+            pipeline.run_optimization(cfg)
+        assert tree(run_dir) == before
 
 
 def test_report_reexports_and_respects_overwrite(tmp_path, small_config, capsys):
@@ -592,31 +647,36 @@ def test_a_report_directory_that_is_a_file_exits_with_validation_status_and_keep
     assert tree(run_dir) == before
 
 
-def test_a_failed_rerun_beside_a_report_file_exits_by_its_own_error(run_dir, small_config, tmp_path, capsys):
+def fail_theme_extraction(monkeypatch):
+    """Make the sim backend fail the run's first call, its theme extraction, with an EngineError."""
+    complete = SimBackend.complete
+
+    def theme_extraction_down(self, request):
+        if request.role is Role.THEME_EXTRACT:
+            raise EngineError("theme extraction backend down")
+        return complete(self, request)
+
+    monkeypatch.setattr(SimBackend, "complete", theme_extraction_down)
+
+
+def test_a_failed_rerun_beside_a_report_file_exits_by_its_own_error(run_dir, small_config, monkeypatch, capsys):
     shutil.rmtree(run_dir / "report")
     (run_dir / "report").write_text("not a directory\n")
-    empty = tmp_path / "empty.txt"
-    empty.write_text("")
-    raw = json.loads(small_config.read_text())
-    raw["competitor_docs"][4] = str(empty)
-    small_config.write_text(json.dumps(raw))
+    fail_theme_extraction(monkeypatch)
     args = ["simulate", "--config", str(small_config), "--output-dir", str(run_dir), "--overwrite"]
-    assert run_cli(args) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: competitor document {empty}") and err.count("\n") == 1
+    assert run_cli(args) == EXIT_ENGINE
+    assert capsys.readouterr().err == "engine error: theme extraction backend down\n"
     assert (run_dir / "report").read_text() == "not a directory\n"
     assert json.loads((run_dir / "manifest.json").read_text())["status"] == "failed"
 
 
-def test_a_failed_rerun_leaves_no_report_of_the_earlier_run(tmp_path, capsys):
-    topic = tmp_path / "sim_topic"
-    shutil.copytree(default_sim_config_path().parent, topic)
+def test_a_failed_rerun_leaves_no_report_of_the_earlier_run(tmp_path, monkeypatch, capsys):
     out_dir = tmp_path / "run"
-    args = ["simulate", "--config", str(topic / "config.json"), "--seed", "7", "--output-dir", str(out_dir)]
+    args = ["simulate", "--config", str(default_sim_config_path()), "--seed", "7", "--output-dir", str(out_dir)]
     assert run_cli(args) == EXIT_OK
     assert (out_dir / "report" / "solution_comparison.txt").exists()
-    (topic / "docs" / "competitor5.txt").write_text("")
-    assert run_cli(args + ["--overwrite"]) == EXIT_VALIDATION
+    fail_theme_extraction(monkeypatch)
+    assert run_cli(args + ["--overwrite"]) == EXIT_ENGINE
     assert not (out_dir / "report" / "solution_comparison.txt").exists()
     assert tree(out_dir / "report") == {}
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "failed"
@@ -673,19 +733,14 @@ def test_a_record_rewrite_that_fails_leaves_no_manifest_of_the_earlier_run(run_d
 
 
 def test_a_run_that_fails_before_its_probe_beside_a_probe_directory_exits_by_its_own_error(
-    run_dir, small_config, tmp_path, capsys
+    run_dir, small_config, monkeypatch, capsys
 ):
     (run_dir / "probe.json").unlink()
     (run_dir / "probe.json").mkdir()
-    empty = tmp_path / "empty.txt"
-    empty.write_text("")
-    raw = json.loads(small_config.read_text())
-    raw["competitor_docs"][4] = str(empty)
-    small_config.write_text(json.dumps(raw))
+    fail_theme_extraction(monkeypatch)
     args = ["simulate", "--config", str(small_config), "--output-dir", str(run_dir), "--overwrite"]
-    assert run_cli(args) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: competitor document {empty}") and err.count("\n") == 1
+    assert run_cli(args) == EXIT_ENGINE
+    assert capsys.readouterr().err == "engine error: theme extraction backend down\n"
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["status"] == "failed" and "probe.json" not in manifest["artifacts"]
 

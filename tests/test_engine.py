@@ -3,6 +3,7 @@ import http.client
 import http.server
 import io
 import json
+import logging
 import socket
 import sys
 import threading
@@ -460,6 +461,17 @@ def test_an_empty_theme_reply_is_asked_for_again():
     assert len(backend.requests) == 2
     assert "theme extraction" in backend.requests[1].prompt
     assert backend.requests[1].prompt.startswith(backend.requests[0].prompt)
+
+
+def test_a_brief_over_the_word_limit_logs_one_warning_and_is_kept_whole(caplog):
+    limit = client_module.BRIEF_WORD_LIMIT
+    at_limit, over = " ".join(["word"] * limit), " ".join(["word"] * (limit + 1))
+    for reply, warnings in ((at_limit, 0), (over, 1)):
+        client, _ = make_client([reply])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="featgeo.engine.client"):
+            assert client.extract_theme(docs(5), "fitness").strategy_text == reply
+        assert [r.getMessage() for r in caplog.records] == [f"ad strategy brief exceeds {limit} words (soft limit)"] * warnings
 
 
 def test_theme_prompt_states_the_real_document_count():

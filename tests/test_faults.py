@@ -1,6 +1,6 @@
 """Fault injection over engine calls and run-directory writes: a run cut by a failed backend call,
-or by a failed write or removal, at any point leaves a run directory, a response cache and a client
-that README's failure rules describe."""
+by an interrupt, or by a failed write or removal, at any point leaves a run directory, a response
+cache and a client that README's failure rules describe."""
 
 import errno
 import json
@@ -13,7 +13,7 @@ import pytest
 
 from featgeo import pipeline, records, report
 from featgeo.bundled import default_sim_config_path
-from featgeo.cli import EXIT_ENGINE, EXIT_OK, EXIT_VALIDATION, run_cli
+from featgeo.cli import EXIT_ENGINE, EXIT_INTERRUPTED, EXIT_OK, EXIT_VALIDATION, run_cli
 from featgeo.engine.cache import ResponseCache
 from featgeo.engine.types import text_digest
 from featgeo.errors import EngineError
@@ -73,6 +73,10 @@ def cached_digests(path):
     return [json.loads(line)["digest"] for line in path.read_text().splitlines()] if path.exists() else []
 
 
+def tree(run_dir):
+    return {str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("fault", [EngineError, RuntimeError])
 def test_a_run_cut_at_any_backend_call_leaves_a_consistent_record_cache_and_client(
@@ -129,6 +133,46 @@ def test_a_run_cut_at_any_backend_call_leaves_a_consistent_record_cache_and_clie
         capsys.readouterr()
         called = cached_digests(cache_path)[len(stored):]
         assert len(called) == rerun.calls and not stored & set(called), k
+
+
+@pytest.mark.parametrize("workers, every", [(1, 1), (2, 8)])
+def test_an_interrupt_at_any_backend_call_exits_130_and_leaves_the_run_directory_as_it_was(
+        tmp_path, monkeypatch, capsys, workers, every):
+    finished = tmp_path / "finished"
+    with monkeypatch.context() as patch:
+        clean = Injector(patch)
+        assert run_cli(["simulate", "--config", str(write_config(tmp_path, workers)),
+                        "--output-dir", str(finished)]) == EXIT_OK
+    capsys.readouterr()
+    assert clean.calls > 40
+    before, threads = tree(finished), threading.active_count()
+    for k in range(0, clean.calls, every):
+        point = tmp_path / f"cut{k}"
+        point.mkdir()
+        config = write_config(point, workers)
+        run_dir = point / "run"
+        shutil.copytree(finished, run_dir)
+        with monkeypatch.context() as patch:
+            cut = Injector(patch, KeyboardInterrupt, k)
+            try:
+                code = run_cli(["simulate", "--config", str(config), "--output-dir", str(run_dir), "--overwrite"])
+            except KeyboardInterrupt:
+                pytest.fail(f"the interrupt at backend call {k} escaped run_cli")
+        assert cut.raised is not None, k
+        assert code == EXIT_INTERRUPTED and capsys.readouterr().err == "interrupted\n", k
+        # The running units finish and the queued ones are cancelled: no pool thread outlives the run.
+        assert threading.active_count() == threads, k
+        assert tree(run_dir) == before, k
+
+        cache_path = point / "responses.jsonl"
+        ResponseCache(cache_path)
+        stored = set(cached_digests(cache_path))
+        with monkeypatch.context() as patch:
+            rerun = Injector(patch)
+            assert run_cli(["simulate", "--config", str(config), "--output-dir", str(point / "rerun")]) == EXIT_OK
+        capsys.readouterr()
+        called = cached_digests(cache_path)[len(stored):]
+        assert len(called) == rerun.calls == clean.calls - len(stored) and not stored & set(called), k
 
 
 class WriteFaults:

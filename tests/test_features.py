@@ -243,12 +243,13 @@ def test_decode_rejects_non_json_and_non_object():
     ("NaN", "non-finite value for feature 'statistics_level': nan"),
     ("1e400", "non-finite value for feature 'statistics_level': inf"),
 ], ids=["string", "null", "nan", "overflow"])
-def test_decode_rejects_a_non_numeric_or_non_finite_value(value, message):
+def test_decode_rejects_a_non_numeric_or_non_finite_value(value, message, caplog):
     record = json.dumps({f.key: (f.lo + f.hi) / 2 for f in CATALOG})
     text = record.replace('"statistics_level": 1.5', f'"statistics_level": {value}')
     assert text != record
-    with pytest.raises(ValidationError, match=message):
+    with caplog.at_level(logging.WARNING, logger="featgeo.features"), pytest.raises(ValidationError, match=message):
         decode_vector(text, CATALOG)
+    assert caplog.records == []  # a rejected value is not also reported as clamped
 
 
 def test_feature_vector_requires_thirteen_values():

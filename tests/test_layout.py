@@ -256,7 +256,7 @@ INPUT_BOUNDARIES = {
     "schema.py:expect", "schema.py:_vector", "optimizer.py:GAConfig.__post_init__",
     "quality.py:QualityConfig.__post_init__", "sim.py:SimConfig.__post_init__", "features.py:FeatureVector.__post_init__",
     # competitor documents, and the sim config's document-to-vector match
-    "schema.py:_doc_paths", "pipeline.py:load_documents", "sim.py:SimWorld.source_state",
+    "pipeline.py:load_documents", "sim.py:SimWorld.source_state",
     # engine replies, parsed by the client's callbacks
     "engine/client.py:_non_empty", "engine/client.py:EngineClient.generate_queries.parse",
     "quality.py:parse_dimensions", "features.py:vector_from_mapping", "features.py:decode_vector",

@@ -115,12 +115,17 @@ def test_config_seed_override_drives_both_seeds():
 
 
 def test_config_missing_doc_is_validation_error(tmp_path):
+    """The config reader only resolves a document's path; the run reads it before it writes anything."""
     raw = json.loads(default_sim_config_path().read_text())
     raw["competitor_docs"] = ["nope.txt"]
+    raw["output_dir"] = "run"
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(raw))
-    with pytest.raises(ValidationError, match="nope.txt"):
-        RunConfig.from_file(p)
+    cfg = RunConfig.from_file(p)
+    assert cfg.competitor_docs == (tmp_path / "nope.txt",)
+    with pytest.raises(ValidationError, match=f"cannot read competitor document {re.escape(str(tmp_path))}/nope.txt: "):
+        run_optimization(cfg, run_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_output_dir_override_is_a_path():
@@ -712,15 +717,14 @@ def test_run_ledger_accounting(tmp_path, regenerate):
 
 
 def test_an_unreadable_competitor_document_fails_the_run_naming_it(tmp_path):
-    """A config built in Python skips the config reader's file check; the document reader names the file."""
+    """A config built in Python meets the same document reader, before the run writes anything."""
     cfg = small_sim_config(tmp_path)
     missing = tmp_path / "docs" / "missing.txt"
     cfg = dataclasses.replace(cfg, competitor_docs=(*cfg.competitor_docs[:-1], missing))
     with pytest.raises(ValidationError) as err:
         run_optimization(cfg)
     assert str(err.value).startswith(f"cannot read competitor document {missing}: ")
-    manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
-    assert manifest["status"] == "failed" and manifest["error"] == str(err.value)
+    assert not cfg.output_dir.exists()
 
 
 def test_the_profile_memo_holds_only_texts_that_carry_a_profile(tmp_path, monkeypatch):
@@ -882,24 +886,27 @@ def test_run_replays_a_cache_whose_last_record_was_cut_short(tmp_path):
     assert (again.output_dir / finals).read_bytes() == (cfg.output_dir / finals).read_bytes()
 
 
-def test_failed_run_persists_partial_record(tmp_path):
+def theme_extraction_down(request):
+    raise EngineError("theme extraction backend down")
+
+
+def test_failed_run_persists_partial_record(tmp_path, monkeypatch):
     cfg = small_sim_config(tmp_path)
-    bad_docs = tuple(list(cfg.competitor_docs[:-1]) + [tmp_path / "empty.txt"])
-    (tmp_path / "empty.txt").write_text("")
-    cfg = dataclasses.replace(cfg, competitor_docs=bad_docs)
-    with pytest.raises(ValidationError):
+    run_against(monkeypatch, RoleScriptBackend(SimWorld(cfg.sim, CATALOG), {Role.THEME_EXTRACT: theme_extraction_down}))
+    with pytest.raises(EngineError):
         run_optimization(cfg)
     manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"]
 
 
-def test_failed_rerun_lists_only_its_own_files(tmp_path):
+def test_failed_rerun_lists_only_its_own_files(tmp_path, monkeypatch):
     cfg = small_sim_config(tmp_path)
     assert run_optimization(cfg).status == "complete"
     assert (cfg.output_dir / records.PROBE_FILE).exists()
-    cfg.competitor_docs[-1].write_text("")  # the rerun fails before it probes
-    with pytest.raises(ValidationError):
+    # the rerun fails before it probes
+    run_against(monkeypatch, RoleScriptBackend(SimWorld(cfg.sim, CATALOG), {Role.THEME_EXTRACT: theme_extraction_down}))
+    with pytest.raises(EngineError):
         run_optimization(cfg)
     manifest = json.loads((cfg.output_dir / records.MANIFEST_FILE).read_text())
     assert manifest["status"] == "failed"

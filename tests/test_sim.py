@@ -15,12 +15,14 @@ from featgeo.features import (
     FeatureVector,
     catalog_default,
     clamp,
+    encode_vector,
     render_guidelines,
 )
 from featgeo.optimizer import GAConfig, evolve
 from featgeo.pipeline import RunConfig, load_documents, run_optimization
 from featgeo.quality import QualityConfig, aggregate_quality
 from featgeo.sim import (
+    PROFILE_MARKER,
     SimBackend,
     SimConfig,
     SimWorld,
@@ -239,6 +241,28 @@ def test_latent_fallback_uses_competitor_vectors():
     unknown = SourceDocument(id=2, text="no profile here")
     with pytest.raises(ValidationError):
         world.source_state(unknown)
+
+
+def test_a_profile_marker_inside_a_line_is_no_profile():
+    """Only a line that starts with the marker carries a profile; otherwise the configured vector stands in."""
+    competitor = midpoint_vector(CATALOG)
+    world = make_world(competitors=[competitor])
+    record = f"{PROFILE_MARKER} {encode_vector(with_value(competitor, 0, 1.0), CATALOG)}"
+    assert extract_profile(f"Summary line.\n  {record}", CATALOG) is not None
+    text = f"Summary line, then {record}"
+    assert extract_profile(text, CATALOG) is None
+    assert world.profile_of(text) is None
+    assert world.source_state(SourceDocument(id=1, text=text)) == (competitor, world.competitor_propensities[0])
+
+
+def test_each_bundled_document_profile_equals_its_configured_vector():
+    """A bundled competitor's latent vector is written twice: in the document's profile line, which the sim
+    reads, and in the config's row, which README's API example seeds evolve from. The two must agree."""
+    cfg = RunConfig.from_file(default_sim_config_path())
+    docs = load_documents(cfg.competitor_docs)
+    assert len(docs) == len(cfg.sim.competitor_vectors) == 5
+    for doc, vector in zip(docs, cfg.sim.competitor_vectors):
+        assert extract_profile(doc.text, CATALOG) == vector, cfg.competitor_docs[doc.id - 1].name
 
 
 # -- brute-force oracle ------------------------------------------------------------
