@@ -89,15 +89,16 @@ def _build_parser() -> _Parser:
 
 
 def _run_config(args) -> RunConfig:
-    """Load the config with only the flags given and create its run directory, refusing an occupied one."""
+    """Load the config with only the flags given, refusing an occupied run directory; the first write makes it."""
     given = {k: v for k, v in vars(args).items() if k in ("seed", "backend", "output_dir") and v is not None}
     cfg = RunConfig.from_file(args.config or bundled.default_sim_config_path(), **given)
     if args.command == "simulate" and cfg.backend != BACKEND_SIM:
         raise ValidationError("simulate always runs against the sim backend")
     run_dir = Path(cfg.output_dir)
     try:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        occupied = any(run_dir.iterdir())
+        # Only the run directory itself can be occupied; listing the nearest existing path fails on a file.
+        nearest = next(p for p in (run_dir, *run_dir.parents) if p.exists())
+        occupied = any(nearest.iterdir()) and nearest == run_dir
     except OSError as exc:
         raise ValidationError(f"cannot use {run_dir} as a run directory: {exc}") from exc
     if occupied and not args.overwrite:

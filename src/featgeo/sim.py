@@ -12,6 +12,7 @@ exposes the exact Pareto front for comparison against the optimizer.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -183,15 +184,9 @@ def sim_propensity(x: FeatureVector, w: SimWorld) -> float:
     return _propensity_and_base(x, w)[0]
 
 
-def _dims_from_base(base) -> np.ndarray:
-    """Affine map of the quality base onto seven integer dimensions in [1, 5]."""
-    v = 3.0 + 2.0 * np.asarray(base, dtype=float)
-    staggered = v[..., None] + np.asarray(_DIMENSION_OFFSETS)
-    return np.clip(np.floor(staggered + 0.5), 1, 5).astype(int)
-
-
 def _dim_ints(base: float) -> tuple[int, ...]:
-    """``_dims_from_base`` of one base in float arithmetic; clipping before the floor keeps the integers."""
+    """Affine map of the quality base onto seven integer dimensions in [1, 5], one per staggered
+    offset, in float arithmetic; clipping before the floor keeps the integers."""
     v = 3.0 + 2.0 * base
     return tuple([math.floor(min(max(v + o + 0.5, 1.0), 5.0)) for o in _DIMENSION_OFFSETS])
 
@@ -247,27 +242,13 @@ def sim_answer(
 BRUTE_FORCE_BUDGET = 10**6
 
 
-def _evaluate_grid(
-    matrix: np.ndarray, w: SimWorld, quality_cfg: QualityConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized exact objectives (visibility %, quality %) for rows of feature values."""
-    x_norm = (matrix - np.array(w.catalog.lows)) / np.array(w.catalog.widths)
-    prop = _logistic(x_norm @ w._vis_weights + w.config.visibility_bias)
-    base = x_norm @ w._qual_weights - w.config.tradeoff_strength * prop
-    dims = _dims_from_base(base)
-    normalized = (dims - 1) / 4.0
-    content = 100.0 * normalized[:, :4].mean(axis=1)
-    appeal = 100.0 * normalized[:, 4:].mean(axis=1)
-    quality = quality_cfg.alpha * content + (1.0 - quality_cfg.alpha) * appeal
-    return 100.0 * prop, quality
-
-
 def brute_force_pareto(grid_levels: int, active_features: Sequence[str], w: SimWorld) -> ParetoFront:
     """Exact Pareto front over a grid of the active features.
 
-    Inactive features sit at their range midpoints. Every grid point is
-    evaluated in closed form (no citation noise), and the non-dominated set is
-    found by a sort-and-sweep; exact objective ties collapse to the first point.
+    Inactive features sit at their range midpoints. Every grid point is scored
+    by ``direct_evaluator``, the closed form (no citation noise) that ``evolve``
+    sees, and the non-dominated set is found by a sort-and-sweep; exact
+    objective ties collapse to the first point.
     """
     if grid_levels < 2:
         raise ValidationError(f"grid levels must be >= 2, got {grid_levels}")
@@ -282,28 +263,21 @@ def brute_force_pareto(grid_levels: int, active_features: Sequence[str], w: SimW
             f"grid of {total} points exceeds the {BRUTE_FORCE_BUDGET} evaluation budget"
         )
 
-    matrix = np.tile(np.array(w.catalog.midpoint_values()), (total, 1))
-    axes = [
-        np.linspace(w.catalog.features[i].lo, w.catalog.features[i].hi, grid_levels)
-        for i in indices
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    for column, grid in zip(indices, mesh):
-        matrix[:, column] = grid.reshape(-1)
+    evaluate, midpoints = direct_evaluator(w), w.catalog.midpoint_values()
+    ranges = [w.catalog.features[i] for i in indices]
+    grid = []
+    for point in itertools.product(*(np.linspace(f.lo, f.hi, grid_levels).tolist() for f in ranges)):
+        active = dict(zip(indices, point))
+        x = FeatureVector(tuple(active.get(i, mid) for i, mid in enumerate(midpoints)))
+        grid.append(Individual(x=x, objectives=evaluate(x)))
 
-    vis, qual = _evaluate_grid(matrix, w, QualityConfig())
-    order = np.lexsort((-qual, -vis))
     members: list[Individual] = []
-    best_quality = -np.inf
-    for idx in order:
-        if qual[idx] > best_quality:
-            best_quality = qual[idx]
-            members.append(
-                Individual(
-                    x=FeatureVector(tuple(matrix[idx])),
-                    objectives=(float(vis[idx]), float(qual[idx])),
-                )
-            )
+    best_quality = -math.inf
+    # A stable sort, so an exact objective tie keeps the first grid point.
+    for ind in sorted(grid, key=lambda ind: (-ind.objectives[0], -ind.objectives[1])):
+        if ind.objectives[1] > best_quality:
+            best_quality = ind.objectives[1]
+            members.append(ind)
     return ParetoFront(tuple(members))
 
 

@@ -250,7 +250,7 @@ def test_a_negative_seed_flag_exits_with_validation_status_before_the_run_direct
 def test_an_unreadable_competitor_document_exits_with_validation_status_naming_it(
     tmp_path, small_config, request, capsys, make, reason, over_a_finished_run
 ):
-    """A document is read before the run's first write: a fresh directory stays empty, a finished run intact."""
+    """A document is read before the run's first write: a fresh directory is not made, a finished run stays intact."""
     finished = request.getfixturevalue("run_dir") if over_a_finished_run else None
     before = tree(finished) if finished else {}
     good = small_config.read_text()
@@ -267,11 +267,11 @@ def test_an_unreadable_competitor_document_exits_with_validation_status_naming_i
         err = capsys.readouterr().err
         assert err.startswith("error: " + reason.format(bad)) and err.count("\n") == 1
         assert tree(out_dir) == before
-        assert finished or list(out_dir.iterdir()) == []
+        assert finished or not out_dir.exists()
     if finished:  # the finished run is still vouched for by its manifest
         assert run_cli(["report", str(finished), "--overwrite"]) == EXIT_OK
         assert tree(finished) == before
-    else:  # the empty directory takes the mended run without --overwrite
+    else:  # the mended run needs no --overwrite where the failed one left nothing
         small_config.write_text(good)
         assert run_cli(["probe", "--config", str(small_config), "--output-dir", str(tmp_path / "probe")]) == EXIT_OK
 
@@ -606,7 +606,7 @@ def test_an_unusable_response_cache_exits_with_validation_status_before_any_requ
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot use {cache_dir / 'responses.jsonl'} as a response cache: ")
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert not list(out_dir.iterdir())
+    assert not out_dir.exists()
 
 
 def test_a_cached_reply_whose_text_is_not_a_string_exits_with_validation_status_before_any_request(

@@ -267,6 +267,27 @@ def test_each_bundled_document_profile_equals_its_configured_vector():
 
 # -- brute-force oracle ------------------------------------------------------------
 
+ORACLE_ACTIVE_FEATURES = ["statistics_level", "cite_sources_level", "quotation_level",
+                          "list_density", "length_level"]  # criterion 5's grid
+
+
+def dims_from_base(base) -> np.ndarray:
+    """Vectorized reference for the sim's quantization: the quality base onto seven integers in [1, 5]."""
+    v = 3.0 + 2.0 * np.asarray(base, dtype=float)
+    staggered = v[..., None] + np.asarray(sim_module._DIMENSION_OFFSETS)
+    return np.clip(np.floor(staggered + 0.5), 1, 5).astype(int)
+
+
+def evaluate_grid(matrix: np.ndarray, world, quality_cfg: QualityConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized reference for the closed form: exact (visibility %, quality %) for rows of feature values."""
+    x_norm = (matrix - np.array(world.catalog.lows)) / np.array(world.catalog.widths)
+    prop = 1.0 / (1.0 + np.exp(-(x_norm @ world._vis_weights + world.config.visibility_bias)))
+    base = x_norm @ world._qual_weights - world.config.tradeoff_strength * prop
+    normalized = (dims_from_base(base) - 1) / 4.0
+    content = 100.0 * normalized[:, :4].mean(axis=1)
+    appeal = 100.0 * normalized[:, 4:].mean(axis=1)
+    return 100.0 * prop, quality_cfg.alpha * content + (1.0 - quality_cfg.alpha) * appeal
+
 
 def test_single_monotone_feature_yields_single_front_point():
     world = make_world(vis_weights=weights_on("statistics_level", 2.0))
@@ -286,13 +307,11 @@ def test_opposing_weights_yield_full_grid_line():
 
 def test_front_members_are_grid_points_and_undominated():
     world = bundled_world()
-    active = ["statistics_level", "cite_sources_level", "quotation_level",
-              "list_density", "length_level"]
+    active = ORACLE_ACTIVE_FEATURES
     front = brute_force_pareto(3, active, world)
     assert 1 <= len(front) <= 243
 
-    # independent pairwise-dominance recheck over the very values the sweep saw
-    from featgeo.sim import _evaluate_grid
+    # independent pairwise-dominance recheck over the very values the sweep saw: direct_evaluator's
     from itertools import product
     axes = {key: np.linspace(CATALOG.features[CATALOG.index_of(key)].lo,
                              CATALOG.features[CATALOG.index_of(key)].hi, 3)
@@ -303,9 +322,9 @@ def test_front_members_are_grid_points_and_undominated():
         for key, value in zip(active, combo):
             v = with_value(v, CATALOG.index_of(key), float(value))
         rows.append(v.values)
-    vis, qual = _evaluate_grid(np.array(rows), world, QualityConfig())
-    assert len(vis) == 243
-    grid_points = list(zip(vis.tolist(), qual.tolist()))
+    evaluate = direct_evaluator(world)
+    grid_points = [evaluate(FeatureVector(row)) for row in rows]
+    assert len(grid_points) == 243
     front_points = {m.objectives for m in front}
     assert front_points <= set(grid_points)
     for mv, mq in front_points:
@@ -318,15 +337,35 @@ def test_front_members_are_grid_points_and_undominated():
         assert any(mv >= gv and mq >= gq and (mv > gv or mq > gq) for mv, mq in front_points)
 
 
+def test_grid_front_objectives_equal_the_closed_form_evolve_sees_bit_for_bit():
+    world = bundled_world()
+    evaluate = direct_evaluator(world)
+    front = brute_force_pareto(3, ORACLE_ACTIVE_FEATURES, world)
+    # 11 members: (86.98915256370023, 40.625) sits 1 ulp above an exact visibility tie and is kept.
+    assert len(front) == 11
+    for member in front:
+        assert member.objectives == evaluate(member.x), member.x
+
+
+def test_an_exact_objective_tie_collapses_to_the_first_grid_point():
+    active = ["statistics_level", "list_density"]
+    front = brute_force_pareto(3, active, make_world())  # all weights 0: every grid point scores the same
+    assert len(front) == 1
+    first = midpoint_vector(CATALOG)
+    for key in active:
+        first = with_value(first, CATALOG.index_of(key), CATALOG.features[CATALOG.index_of(key)].lo)
+    assert front.members[0].x == first
+    assert front.members[0].objectives == (50.0, 50.0)
+
+
 def test_scalar_and_vectorized_evaluation_agree():
     world = bundled_world()
     evaluate = direct_evaluator(world)
     rng = np.random.default_rng(2)
-    from featgeo.sim import _evaluate_grid
     for _ in range(25):
         v = clamp(FeatureVector(tuple(rng.uniform(0, 3, size=13))), CATALOG)
         vis_s, qual_s = evaluate(v)
-        vis_v, qual_v = _evaluate_grid(np.array([v.values]), world, QualityConfig())
+        vis_v, qual_v = evaluate_grid(np.array([v.values]), world, QualityConfig())
         assert vis_s == pytest.approx(float(vis_v[0]), abs=1e-12)
         assert qual_s == pytest.approx(float(qual_v[0]), abs=1e-12)
 
@@ -375,7 +414,7 @@ def test_scalar_quantization_matches_the_vectorized_one():
     bases += [-1e300, 1e300] + list(np.random.default_rng(4).uniform(-3.0, 3.0, size=500))
     for base in bases:
         assert sim_module._dim_ints(float(base)) == tuple(
-            int(s) for s in sim_module._dims_from_base(base)
+            int(s) for s in dims_from_base(base)
         ), base
 
 
