@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -89,16 +90,18 @@ def _build_parser() -> _Parser:
 
 
 def _run_config(args) -> RunConfig:
-    """Load the config with only the flags given, refusing an occupied run directory; the first write makes it."""
+    """Load the config with only the flags given, refusing a run directory that is occupied or that the first
+    write cannot make: the nearest path at or above it (a dangling link too) must be a writable directory."""
     given = {k: v for k, v in vars(args).items() if k in ("seed", "backend", "output_dir") and v is not None}
     cfg = RunConfig.from_file(args.config or bundled.default_sim_config_path(), **given)
     if args.command == "simulate" and cfg.backend != BACKEND_SIM:
         raise ValidationError("simulate always runs against the sim backend")
     run_dir = Path(cfg.output_dir)
+    nearest = next(p for p in (run_dir, *run_dir.parents) if os.path.lexists(p))
     try:
-        # Only the run directory itself can be occupied; listing the nearest existing path fails on a file.
-        nearest = next(p for p in (run_dir, *run_dir.parents) if p.exists())
-        occupied = any(nearest.iterdir()) and nearest == run_dir
+        if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+            raise NotADirectoryError(f"{nearest} is not a writable directory")
+        occupied = nearest == run_dir and any(run_dir.iterdir())
     except OSError as exc:
         raise ValidationError(f"cannot use {run_dir} as a run directory: {exc}") from exc
     if occupied and not args.overwrite:

@@ -239,7 +239,7 @@ def sim_answer(
 
 # -- brute-force oracle --------------------------------------------------------
 
-BRUTE_FORCE_BUDGET = 10**6
+BRUTE_FORCE_BUDGET = 10**5  # grid points, each one scalar direct_evaluator call
 
 
 def brute_force_pareto(grid_levels: int, active_features: Sequence[str], w: SimWorld) -> ParetoFront:
@@ -259,25 +259,24 @@ def brute_force_pareto(grid_levels: int, active_features: Sequence[str], w: SimW
         raise ValidationError("active features must be distinct")
     total = grid_levels ** len(indices)
     if total > BRUTE_FORCE_BUDGET:
-        raise BudgetError(
-            f"grid of {total} points exceeds the {BRUTE_FORCE_BUDGET} evaluation budget"
-        )
+        raise BudgetError(f"grid of {total} points exceeds the {BRUTE_FORCE_BUDGET} evaluation budget")
 
     evaluate, midpoints = direct_evaluator(w), w.catalog.midpoint_values()
-    ranges = [w.catalog.features[i] for i in indices]
-    grid = []
-    for point in itertools.product(*(np.linspace(f.lo, f.hi, grid_levels).tolist() for f in ranges)):
+
+    def vector(point: tuple[float, ...]) -> FeatureVector:
         active = dict(zip(indices, point))
-        x = FeatureVector(tuple(active.get(i, mid) for i, mid in enumerate(midpoints)))
-        grid.append(Individual(x=x, objectives=evaluate(x)))
+        return FeatureVector(tuple(active.get(i, mid) for i, mid in enumerate(midpoints)))
+
+    axes = [np.linspace(w.catalog.features[i].lo, w.catalog.features[i].hi, grid_levels).tolist() for i in indices]
+    scored = [(evaluate(vector(point)), point) for point in itertools.product(*axes)]
 
     members: list[Individual] = []
     best_quality = -math.inf
     # A stable sort, so an exact objective tie keeps the first grid point.
-    for ind in sorted(grid, key=lambda ind: (-ind.objectives[0], -ind.objectives[1])):
-        if ind.objectives[1] > best_quality:
-            best_quality = ind.objectives[1]
-            members.append(ind)
+    for (vis, qual), point in sorted(scored, key=lambda s: (-s[0][0], -s[0][1])):
+        if qual > best_quality:
+            best_quality = qual
+            members.append(Individual(x=vector(point), objectives=(vis, qual)))
     return ParetoFront(tuple(members))
 
 

@@ -8,6 +8,15 @@ from featgeo.engine.types import Role, Stage
 from featgeo.features import FeatureCatalog, FeatureVector
 from featgeo.optimizer import Individual
 
+# Acceptance criterion 5's grid: the features the brute-force oracle spans, the rest at their midpoints.
+ORACLE_ACTIVE_FEATURES = (
+    "statistics_level",
+    "cite_sources_level",
+    "quotation_level",
+    "list_density",
+    "length_level",
+)
+
 
 def midpoint_vector(c: FeatureCatalog) -> FeatureVector:
     """Vector with every feature at the middle of its range."""

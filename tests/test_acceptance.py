@@ -12,7 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ledger_requests, ledger_sum, load_example_solutions, midpoint_vector, with_value
+from conftest import (
+    ORACLE_ACTIVE_FEATURES,
+    ledger_requests,
+    ledger_sum,
+    load_example_solutions,
+    midpoint_vector,
+    with_value,
+)
 from featgeo.bundled import default_sim_config_path
 from featgeo.citations import parse_citations, visibility_scores
 from featgeo.cli import EXIT_OK, run_cli
@@ -148,15 +155,6 @@ def test_criterion_4_hypervolume_exact_and_monte_carlo():
         worst = max(worst, abs(exact - estimate))
         assert abs(exact - estimate) <= 0.005
     ok(4, f"hand values exact to 1e-12; 50 Monte-Carlo fronts agree (worst gap {worst:.4f})")
-
-
-ORACLE_ACTIVE_FEATURES = (
-    "statistics_level",
-    "cite_sources_level",
-    "quotation_level",
-    "list_density",
-    "length_level",
-)
 
 
 def test_criterion_5_ga_attains_brute_force_front():

@@ -575,6 +575,23 @@ def test_an_output_dir_at_or_under_a_file_exits_with_validation_status_before_an
     assert err.startswith(f"error: cannot use {out_dir} as a run directory") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["probe"]], ids=["simulate", "probe"])
+@pytest.mark.parametrize("under", ["", "run"], ids=["a-dangling-link", "under-a-dangling-link"])
+def test_an_output_dir_at_or_under_a_dangling_link_exits_with_validation_status_before_any_request(
+    tmp_path, small_config, monkeypatch, capsys, command, under
+):
+    def no_request(self, request):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr(SimBackend, "complete", no_request)
+    (tmp_path / "link").symlink_to(tmp_path / "missing")
+    out_dir = tmp_path / "link" / under
+    assert run_cli([*command, "--config", str(small_config), "--output-dir", str(out_dir)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot use {out_dir} as a run directory") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("live_via", ["flag", "config"])
 def test_simulate_refuses_a_live_backend_before_the_run_directory(tmp_path, small_config, capsys, live_via):
     flags = ["--backend", "live"]

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import ledger_sum, midpoint_vector, with_value
+from conftest import ORACLE_ACTIVE_FEATURES, ledger_sum, midpoint_vector, with_value
 import featgeo.sim as sim_module
 from featgeo.bundled import default_sim_config_path
 from featgeo.citations import parse_citations
@@ -267,10 +267,6 @@ def test_each_bundled_document_profile_equals_its_configured_vector():
 
 # -- brute-force oracle ------------------------------------------------------------
 
-ORACLE_ACTIVE_FEATURES = ["statistics_level", "cite_sources_level", "quotation_level",
-                          "list_density", "length_level"]  # criterion 5's grid
-
-
 def dims_from_base(base) -> np.ndarray:
     """Vectorized reference for the sim's quantization: the quality base onto seven integers in [1, 5]."""
     v = 3.0 + 2.0 * np.asarray(base, dtype=float)
@@ -335,6 +331,11 @@ def test_front_members_are_grid_points_and_undominated():
         if (gv, gq) in front_points:
             continue
         assert any(mv >= gv and mq >= gq and (mv > gv or mq > gq) for mv, mq in front_points)
+    # each member is a grid row, and the vectorized reference scores that row alike
+    assert {m.x.values for m in front} <= set(rows)
+    vis, qual = evaluate_grid(np.array([m.x.values for m in front]), world, QualityConfig())
+    for member, v, q in zip(front, vis.tolist(), qual.tolist()):
+        assert member.objectives == pytest.approx((v, q), abs=1e-12), member.x
 
 
 def test_grid_front_objectives_equal_the_closed_form_evolve_sees_bit_for_bit():
