@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import bundled, records
 from .citations import parse_citations, visibility_scores
-from .errors import BudgetError, FeatGeoError, IntegrityError, ValidationError
+from .errors import FeatGeoError, IntegrityError, ValidationError
 from .features import catalog_default
 from .optimizer import POLICIES
 from .pipeline import (
@@ -34,7 +34,7 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process that Ctrl-C
 
 # First match wins: the validation and integrity kinds, then every other package error.
 _EXIT_CODES = (
-    ((ValidationError, BudgetError), EXIT_VALIDATION, "error"),
+    (ValidationError, EXIT_VALIDATION, "error"),
     (IntegrityError, EXIT_INTEGRITY, "integrity error"),
     (FeatGeoError, EXIT_ENGINE, "engine error"),
 )

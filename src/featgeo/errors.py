@@ -15,7 +15,3 @@ class EngineError(FeatGeoError):
 
 class IntegrityError(FeatGeoError):
     """Internal bookkeeping disagrees with recomputed ground truth (ledger, records)."""
-
-
-class BudgetError(FeatGeoError):
-    """An enumeration or evaluation budget would be exceeded."""

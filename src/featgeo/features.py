@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import le, sub, truediv
+from operator import getitem, le, sub, truediv
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
@@ -34,6 +34,8 @@ TIER_NAMES = ("low", "medium", "high")
 # Equal-width bands over [1, 3].
 TIER_LOW_UPPER = 5.0 / 3.0
 TIER_MEDIUM_UPPER = 7.0 / 3.0
+# What a faithful writer realizes from each band's directive: the band's middle.
+TIER_MIDDLES = (4.0 / 3.0, 2.0, 8.0 / 3.0)
 
 BOOLEAN_THRESHOLD = 0.5
 
@@ -74,6 +76,8 @@ class FeatureCatalog:
 
     The bounds are derived once, as the per-feature tuples ``lows``, ``highs``
     and ``widths``, for the per-candidate paths (clamp, normalized_values).
+    So is ``realized``: per feature, a dict from each directive the renderer
+    can emit to the value a faithful writer realizes from it (realized_vector).
     """
 
     features: tuple[FeatureDefinition, ...]
@@ -82,6 +86,11 @@ class FeatureCatalog:
         object.__setattr__(self, "lows", tuple(f.lo for f in self.features))
         object.__setattr__(self, "highs", tuple(f.hi for f in self.features))
         object.__setattr__(self, "widths", tuple(f.hi - f.lo for f in self.features))
+        density_scale = KIND_RANGES[KIND_DENSITY][1]
+        grids = {KIND_BOOLEAN: (0.0, 1.0), KIND_TIERED: TIER_MIDDLES,
+                 KIND_DENSITY: tuple(density_scale * pct / 100.0 for pct in range(101))}
+        object.__setattr__(self, "realized", tuple(
+            {_directive(f, value): value for value in grids[f.kind]} for f in self.features))
 
     def __iter__(self):
         return iter(self.features)
@@ -197,31 +206,29 @@ def tier_of(value: float) -> str:
 
 def density_percent(value: float) -> int:
     """Linear map of a density value in [0, 3] to a whole percentage."""
-    return round_half_up(100.0 * value / 3.0)
+    return round_half_up(100.0 * value / KIND_RANGES[KIND_DENSITY][1])
 
 
-def _density_line(feat: FeatureDefinition, value: float) -> str:
-    pct = density_percent(value)
-    return f"Target a {pct}% density of {feat.density_label} (0% = none, 100% = saturated)."
+def _directive(feat: FeatureDefinition, value: float) -> str:
+    """The writing directive for one feature's in-range value: the boolean's include/omit directive
+    at threshold 0.5, a tiered feature's band directive, or a density feature's target percentage."""
+    if feat.kind == KIND_BOOLEAN:
+        return INTRO_INCLUDE_DIRECTIVE if value >= BOOLEAN_THRESHOLD else INTRO_OMIT_DIRECTIVE
+    if feat.kind == KIND_TIERED:
+        return feat.tier_directives[TIER_NAMES.index(tier_of(value))]
+    return f"Target a {density_percent(value)}% density of {feat.density_label} (0% = none, 100% = saturated)."
 
 
 def render_guidelines(v: FeatureVector, c: FeatureCatalog) -> tuple[str, ...]:
-    """Render one writing directive per feature for a clamped vector, in catalog order.
+    """Render one writing directive per feature for a clamped vector, in catalog order."""
+    return tuple(map(_directive, c, v.values))
 
-    Boolean features include/omit their directive at threshold 0.5, tiered
-    features emit the directive of their band, and density features state a
-    target density percentage.
-    """
-    lines: list[str] = []
-    for value, feat in zip(v.values, c):
-        if feat.kind == KIND_BOOLEAN:
-            line = INTRO_INCLUDE_DIRECTIVE if value >= BOOLEAN_THRESHOLD else INTRO_OMIT_DIRECTIVE
-        elif feat.kind == KIND_TIERED:
-            line = feat.tier_directives[TIER_NAMES.index(tier_of(value))]
-        else:
-            line = _density_line(feat, value)
-        lines.append(line)
-    return tuple(lines)
+
+def realized_vector(lines: Sequence[str], c: FeatureCatalog) -> FeatureVector:
+    """The vector a faithful writer realizes from directives that ``render_guidelines`` rendered
+    over ``c``: 0 or 1, a tier's band middle, or the stated percent of the density range.
+    A line the renderer cannot emit raises KeyError."""
+    return FeatureVector(tuple(map(getitem, c.realized, lines)))
 
 
 def guidelines_text(lines: Sequence[str], c: FeatureCatalog) -> str:

@@ -21,18 +21,16 @@ from typing import Sequence
 import numpy as np
 
 from .draws import Draws
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError
 from .features import (
     FeatureCatalog,
     FeatureVector,
-    INTRO_INCLUDE_DIRECTIVE,
-    KIND_BOOLEAN,
-    KIND_TIERED,
     catalog_default,
-    clamp,
+    clamp,  # unread here: perfbench's tracing patches sim.clamp
     decode_vector,
     encode_vector,
     normalized_values,
+    realized_vector,
 )
 from .optimizer import Individual, ParetoFront
 from .quality import ALL_DIMENSIONS, QualityConfig, aggregate_quality
@@ -55,9 +53,6 @@ SOFTMAX_TEMPERATURE = 0.1
 
 # Staggered quantization offsets, one per quality dimension in canonical order.
 _DIMENSION_OFFSETS = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
-
-# Tier band representatives used when reconstructing a vector from guidelines.
-_TIER_VALUES = (4.0 / 3.0, 2.0, 8.0 / 3.0)
 
 _FILLER_VOCAB = (
     "routine plan balance energy focus progress habit fuel recovery strength "
@@ -259,7 +254,7 @@ def brute_force_pareto(grid_levels: int, active_features: Sequence[str], w: SimW
         raise ValidationError("active features must be distinct")
     total = grid_levels ** len(indices)
     if total > BRUTE_FORCE_BUDGET:
-        raise BudgetError(f"grid of {total} points exceeds the {BRUTE_FORCE_BUDGET} evaluation budget")
+        raise ValidationError(f"grid of {total} points exceeds the {BRUTE_FORCE_BUDGET} evaluation budget")
 
     evaluate, midpoints = direct_evaluator(w), w.catalog.midpoint_values()
 
@@ -301,27 +296,6 @@ def direct_evaluator(w: SimWorld):
         return 100.0 * propensity, quality
 
     return evaluate
-
-
-# -- guideline-to-vector realization model -------------------------------------
-
-
-def reconstruct_from_guidelines(lines: Sequence[str], catalog: FeatureCatalog) -> FeatureVector:
-    """Invert rendered guidelines into the vector a faithful writer would realize.
-
-    Density percentages invert almost exactly; tiered directives map to their
-    band representative; the boolean maps to 0 or 1. The lines are ones that
-    ``render_guidelines`` rendered over ``catalog``.
-    """
-    values = []
-    for line, feat in zip(lines, catalog):
-        if feat.kind == KIND_BOOLEAN:
-            values.append(1.0 if line == INTRO_INCLUDE_DIRECTIVE else 0.0)
-        elif feat.kind == KIND_TIERED:
-            values.append(_TIER_VALUES[feat.tier_directives.index(line)])
-        else:  # "Target a {pct}% density of ...", as features._density_line writes it
-            values.append(3.0 * int(line.split()[2][:-1]) / 100.0)
-    return clamp(FeatureVector(tuple(values)), catalog)
 
 
 # -- engine backend -------------------------------------------------------------
@@ -394,7 +368,7 @@ class SimBackend:
     def _page(self, request: EngineRequest) -> str:
         brief = request.payload["brief"]
         catalog = self.world.catalog
-        realized = reconstruct_from_guidelines(request.payload["guidelines"], catalog)
+        realized = realized_vector(request.payload["guidelines"], catalog)
         record = encode_vector(realized, catalog)
         brand = brief.strategy_text.split("position ", 1)[-1].split(" ", 1)[0].rstrip(",.")
         length_value = realized.values[catalog.index_of("length_level")]

@@ -30,6 +30,11 @@ def with_value(v: FeatureVector, index: int, value: float) -> FeatureVector:
     return FeatureVector(tuple(values))
 
 
+def run_tree(run_dir: Path) -> dict[str, bytes]:
+    """The bytes of every file under ``run_dir`` (none if it is absent), by path relative to it."""
+    return {str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
 def load_example_solutions() -> dict:
     """Two labeled extreme trade-off solutions with their recorded objectives."""
     path = Path(__file__).parent / "example_solutions.json"

@@ -5,9 +5,7 @@ Run with: pytest tests/test_acceptance.py -v -s
 
 import hashlib
 import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +16,7 @@ from conftest import (
     ledger_sum,
     load_example_solutions,
     midpoint_vector,
+    run_tree,
     with_value,
 )
 from featgeo.bundled import default_sim_config_path
@@ -317,15 +316,6 @@ def test_criterion_8_ablation_sign_oracle(tmp_path):
           f"within band {ABLATION_NOISE_BAND}")
 
 
-def _tree(run_dir):
-    out = {}
-    for root, _, files in os.walk(run_dir):
-        for f in files:
-            p = Path(root) / f
-            out[str(p.relative_to(run_dir))] = p.read_bytes()
-    return out
-
-
 # sha256 of every file `featgeo simulate --seed 7` writes, taken with numpy
 # 2.4.6. The sim draws from numpy's generators, so another numpy release may
 # change these bytes with featgeo unchanged; a rewrite of a hot path may not.
@@ -351,7 +341,7 @@ def test_criterion_9_simulate_seed_7_determinism(tmp_path):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     assert run_cli(["simulate", "--seed", "7", "--output-dir", str(dir_a)]) == EXIT_OK
     assert run_cli(["simulate", "--seed", "7", "--output-dir", str(dir_b)]) == EXIT_OK
-    tree_a, tree_b = _tree(dir_a), _tree(dir_b)
+    tree_a, tree_b = run_tree(dir_a), run_tree(dir_b)
     assert tree_a == tree_b
     assert json.loads(tree_a["manifest.json"])["artifacts"] == SEED_7_ARTIFACTS
     assert json.loads(tree_a["manifest.json"])["status"] == "complete"
@@ -362,7 +352,7 @@ def test_criterion_9_simulate_seed_7_determinism(tmp_path):
         default_sim_config_path(), seed=7, output_dir=tmp_path / "c", eval_workers=4
     )
     run_optimization(cfg)
-    tree_c = _tree(tmp_path / "c")
+    tree_c = run_tree(tmp_path / "c")
     for name in ("pareto_front.jsonl", "hv_trace.csv", "manifest.json"):
         assert tree_a[name] == tree_c[name], name
     ok(9, "seed-7 sim runs byte-identical (fronts, traces, manifests), "

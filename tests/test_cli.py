@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_tree
 from featgeo.cli import EXIT_ENGINE, EXIT_INTEGRITY, EXIT_OK, EXIT_VALIDATION, run_cli
 from featgeo.bundled import default_sim_config_path
 from featgeo.engine.client import EngineClient
@@ -38,22 +39,13 @@ def small_config(tmp_path):
     return write_small_config(tmp_path)
 
 
-def tree(run_dir):
-    out = {}
-    for root, _, files in os.walk(run_dir):
-        for f in files:
-            p = Path(root) / f
-            out[str(p.relative_to(run_dir))] = p.read_bytes()
-    return out
-
-
 def test_simulate_replay_produces_identical_run_directories(tmp_path, small_config, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli(["simulate", "--config", str(small_config), "--seed", "7",
                     "--output-dir", str(a)]) == EXIT_OK
     assert run_cli(["simulate", "--config", str(small_config), "--seed", "7",
                     "--output-dir", str(b)]) == EXIT_OK
-    assert tree(a) == tree(b)
+    assert run_tree(a) == run_tree(b)
     out = capsys.readouterr().out
     assert "run complete" in out
 
@@ -62,7 +54,7 @@ def test_simulate_different_seed_changes_results(tmp_path, small_config):
     a, b = tmp_path / "a", tmp_path / "b"
     run_cli(["simulate", "--config", str(small_config), "--seed", "7", "--output-dir", str(a)])
     run_cli(["simulate", "--config", str(small_config), "--seed", "8", "--output-dir", str(b)])
-    assert tree(a) != tree(b)
+    assert run_tree(a) != run_tree(b)
 
 
 def test_shared_cache_dir_does_not_replay_one_seed_into_another(tmp_path, small_config, monkeypatch):
@@ -70,7 +62,7 @@ def test_shared_cache_dir_does_not_replay_one_seed_into_another(tmp_path, small_
         monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / cache_dir))
         assert run_cli(["simulate", "--config", str(small_config), "--seed", seed,
                         "--output-dir", str(tmp_path / out)]) == EXIT_OK
-        return tree(tmp_path / out)
+        return run_tree(tmp_path / out)
 
     clean = simulate("8", "clean8", "clean_cache")
     simulate("7", "shared7", "shared_cache")
@@ -252,7 +244,7 @@ def test_an_unreadable_competitor_document_exits_with_validation_status_naming_i
 ):
     """A document is read before the run's first write: a fresh directory is not made, a finished run stays intact."""
     finished = request.getfixturevalue("run_dir") if over_a_finished_run else None
-    before = tree(finished) if finished else {}
+    before = run_tree(finished) if finished else {}
     good = small_config.read_text()
     raw = json.loads(good)
     bad = tmp_path / "bad.txt"
@@ -266,11 +258,11 @@ def test_an_unreadable_competitor_document_exits_with_validation_status_naming_i
         assert run_cli(args) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: " + reason.format(bad)) and err.count("\n") == 1
-        assert tree(out_dir) == before
+        assert run_tree(out_dir) == before
         assert finished or not out_dir.exists()
     if finished:  # the finished run is still vouched for by its manifest
         assert run_cli(["report", str(finished), "--overwrite"]) == EXIT_OK
-        assert tree(finished) == before
+        assert run_tree(finished) == before
     else:  # the mended run needs no --overwrite where the failed one left nothing
         small_config.write_text(good)
         assert run_cli(["probe", "--config", str(small_config), "--output-dir", str(tmp_path / "probe")]) == EXIT_OK
@@ -284,7 +276,7 @@ def test_an_unreadable_competitor_document_exits_with_validation_status_naming_i
 def test_an_input_error_over_a_finished_run_exits_with_validation_status_and_leaves_it_as_it_was(
     run_dir, small_config, tmp_path, monkeypatch, capsys, spoil, message
 ):
-    before = tree(run_dir)
+    before = run_tree(run_dir)
     cache = tmp_path / "cache" / "responses.jsonl"
     flags, overrides = [], {}
     if spoil == "config-key":
@@ -301,21 +293,21 @@ def test_an_input_error_over_a_finished_run_exits_with_validation_status_and_lea
     assert run_cli(args) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(message.format(cache=cache)) and err.count("\n") == 1
-    assert tree(run_dir) == before
+    assert run_tree(run_dir) == before
     if spoil != "config-key":  # the Python API raises the same error and writes nothing either
         cfg = pipeline.RunConfig.from_file(small_config, output_dir=run_dir, **overrides)
         with pytest.raises(ValidationError, match=re.escape(err[len("error: "):].strip())):
             pipeline.run_optimization(cfg)
-        assert tree(run_dir) == before
+        assert run_tree(run_dir) == before
 
 
 def test_report_reexports_and_respects_overwrite(tmp_path, small_config, capsys):
     out_dir = tmp_path / "run"
     run_cli(["simulate", "--config", str(small_config), "--output-dir", str(out_dir)])
-    before = tree(out_dir / "report")
+    before = run_tree(out_dir / "report")
     assert run_cli(["report", str(out_dir)]) == EXIT_VALIDATION  # report already present
     assert run_cli(["report", str(out_dir), "--overwrite"]) == EXIT_OK
-    assert tree(out_dir / "report") == before
+    assert run_tree(out_dir / "report") == before
 
 
 def test_probe_file_matches_the_run_record_for_a_non_ascii_topic(tmp_path, small_config):
@@ -342,15 +334,15 @@ def test_failing_report_creates_no_report_file(run_dir, capsys):
         p.unlink()
     (run_dir / "final_solutions.json").write_text("{}\n")
     assert run_cli(["report", str(run_dir)]) == EXIT_VALIDATION
-    assert tree(run_dir / "report") == {}
+    assert run_tree(run_dir / "report") == {}
 
 
 def test_a_corrupt_record_beside_a_report_exits_by_its_own_error_without_overwrite(run_dir, capsys):
     (run_dir / "final_solutions.json").write_text("{}\n")
-    before = tree(run_dir / "report")
+    before = run_tree(run_dir / "report")
     assert run_cli(["report", str(run_dir)]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"error: cannot read record file {run_dir / 'final_solutions.json'}")
-    assert tree(run_dir / "report") == before
+    assert run_tree(run_dir / "report") == before
 
 
 @pytest.mark.parametrize("tamper", ["entry", "totals"])
@@ -365,10 +357,10 @@ def test_report_rejects_tampered_ledger_and_changes_no_report_file(run_dir, tamp
     cost_path.write_text(json.dumps(cost) + "\n")
     for p in (run_dir / "report").iterdir():
         p.write_text("stale\n")
-    before = tree(run_dir / "report")
+    before = run_tree(run_dir / "report")
     assert run_cli(["report", str(run_dir), "--overwrite"]) == EXIT_INTEGRITY
     assert "integrity error" in capsys.readouterr().err
-    assert tree(run_dir / "report") == before
+    assert run_tree(run_dir / "report") == before
 
 
 def keep_first_lines(count):
@@ -386,11 +378,11 @@ def test_report_rejects_a_record_file_that_differs_from_its_manifest_digest(run_
     damage(run_dir / name)
     for p in (run_dir / "report").iterdir():
         p.write_text("stale\n")
-    before = tree(run_dir / "report")
+    before = run_tree(run_dir / "report")
     assert run_cli(["report", str(run_dir), "--overwrite"]) == EXIT_INTEGRITY
     err = capsys.readouterr().err
     assert "integrity error" in err and name in err
-    assert tree(run_dir / "report") == before
+    assert run_tree(run_dir / "report") == before
 
 
 def truncate(path):
@@ -448,10 +440,10 @@ def test_report_on_malformed_record_file_names_it_and_changes_no_report_file(
             p.unlink()
         else:
             p.write_text("stale\n")
-    before = tree(run_dir / "report")
+    before = run_tree(run_dir / "report")
     assert run_cli(["report", str(run_dir), "--overwrite"]) == EXIT_VALIDATION
     assert name in capsys.readouterr().err
-    assert tree(run_dir / "report") == before
+    assert run_tree(run_dir / "report") == before
 
 
 def test_simulate_exits_with_validation_status_when_the_evaluator_returns_nan(
@@ -655,13 +647,13 @@ def test_a_report_directory_that_is_a_file_exits_with_validation_status_and_keep
 ):
     shutil.rmtree(run_dir / "report")
     (run_dir / "report").write_text("not a directory\n")
-    before = tree(run_dir)
+    before = run_tree(run_dir)
     args = [str(run_dir)] if command == ["report"] else ["--config", str(small_config), "--output-dir", str(run_dir)]
     assert run_cli([*command, *args]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {run_dir / 'report' / 'metrics_table.txt'}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert tree(run_dir) == before
+    assert run_tree(run_dir) == before
 
 
 def fail_theme_extraction(monkeypatch):
@@ -695,7 +687,7 @@ def test_a_failed_rerun_leaves_no_report_of_the_earlier_run(tmp_path, monkeypatc
     fail_theme_extraction(monkeypatch)
     assert run_cli(args + ["--overwrite"]) == EXIT_ENGINE
     assert not (out_dir / "report" / "solution_comparison.txt").exists()
-    assert tree(out_dir / "report") == {}
+    assert run_tree(out_dir / "report") == {}
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "failed"
 
 
@@ -776,7 +768,7 @@ def test_a_probe_over_a_finished_run_withdraws_its_manifest_and_report(run_dir, 
 def test_a_manifest_that_cannot_be_removed_exits_with_validation_status_before_any_record_write(
     run_dir, small_config, monkeypatch, capsys
 ):
-    before = tree(run_dir)
+    before = run_tree(run_dir)
     real_unlink = Path.unlink
 
     def unlink(self, *args, **kwargs):
@@ -789,7 +781,7 @@ def test_a_manifest_that_cannot_be_removed_exits_with_validation_status_before_a
     assert run_cli(args) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot remove {run_dir / 'manifest.json'}: ") and err.count("\n") == 1
-    assert tree(run_dir) == before
+    assert run_tree(run_dir) == before
 
 
 @pytest.mark.parametrize("workers", [1, 2])

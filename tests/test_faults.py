@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_tree
 from featgeo import pipeline, records, report
 from featgeo.bundled import default_sim_config_path
 from featgeo.cli import EXIT_ENGINE, EXIT_INTERRUPTED, EXIT_OK, EXIT_VALIDATION, run_cli
@@ -71,10 +72,6 @@ class Injector:
 
 def cached_digests(path):
     return [json.loads(line)["digest"] for line in path.read_text().splitlines()] if path.exists() else []
-
-
-def tree(run_dir):
-    return {str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -145,7 +142,7 @@ def test_an_interrupt_at_any_backend_call_exits_130_and_leaves_the_run_directory
                         "--output-dir", str(finished)]) == EXIT_OK
     capsys.readouterr()
     assert clean.calls > 40
-    before, threads = tree(finished), threading.active_count()
+    before, threads = run_tree(finished), threading.active_count()
     for k in range(0, clean.calls, every):
         point = tmp_path / f"cut{k}"
         point.mkdir()
@@ -162,7 +159,7 @@ def test_an_interrupt_at_any_backend_call_exits_130_and_leaves_the_run_directory
         assert code == EXIT_INTERRUPTED and capsys.readouterr().err == "interrupted\n", k
         # The running units finish and the queued ones are cancelled: no pool thread outlives the run.
         assert threading.active_count() == threads, k
-        assert tree(run_dir) == before, k
+        assert run_tree(run_dir) == before, k
 
         cache_path = point / "responses.jsonl"
         ResponseCache(cache_path)

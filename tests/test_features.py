@@ -135,6 +135,14 @@ def test_density_percent_endpoints_and_monotonicity():
     assert all(b >= a for a, b in zip(percents, percents[1:]))
 
 
+def test_every_rendered_directive_has_a_realized_value():
+    """A reworded directive whose realized table was not rebuilt from the renderer fails here."""
+    for i, feat in enumerate(CATALOG):
+        lines = {render_guidelines(with_value(midpoint_vector(CATALOG), i, value), CATALOG)[i]
+                 for value in np.linspace(feat.lo, feat.hi, 601)}
+        assert lines == set(CATALOG.realized[i]), feat.key
+
+
 def test_render_medium_fluency_directive():
     idx = CATALOG.index_of("fluency_level")
     v = with_value(midpoint_vector(CATALOG), idx, 2.17)

@@ -1,10 +1,11 @@
 """Source-layout guards: imports live at module top, the record modules stay below the pipeline,
 every public name has a caller outside the tests, every stored value is read by program code,
 inputs are checked only where they enter, each module-level string constant has one owner, every
-module-level name is read somewhere, every defaulted parameter is set by some program call, only
-the records writer and remover change a run-directory file, one reader reads every outside text
-file, only run_optimization unwraps an evolve abort, and the readers of the response cache,
-cost.json and the record files convert no value with int, float or bool."""
+module-level name is read somewhere, every import is read by its own module, every defaulted
+parameter is set by some program call, only the records writer and remover change a run-directory
+file, one reader reads every outside text file, only run_optimization unwraps an evolve abort, and
+the readers of the response cache, cost.json and the record files convert no value with int, float
+or bool."""
 
 import ast
 import importlib
@@ -296,7 +297,7 @@ def _raisers(path: Path, names: set[str]) -> set[str]:
 
 def test_validation_errors_are_raised_only_at_boundaries():
     """An input is checked once, where it enters; a new check of a value the program built fails here."""
-    raisers = set().union(*(_raisers(path, {"ValidationError", "BudgetError"})
+    raisers = set().union(*(_raisers(path, {"ValidationError"})
                             for path in sorted(PACKAGE_DIR.rglob("*.py"))))
     assert raisers == INPUT_BOUNDARIES, (
         f"raise outside the input boundaries: {sorted(raisers - INPUT_BOUNDARIES)}; "
@@ -423,6 +424,34 @@ def test_every_module_level_name_is_read_by_program_code():
     assert unread == UNREAD_MODULE_NAMES, (
         f"module-level names nothing reads: {sorted(unread - UNREAD_MODULE_NAMES)}; "
         f"allowed but now read or gone: {sorted(UNREAD_MODULE_NAMES - unread)}"
+    )
+
+
+# Module-level imports that their own module does not read, each with its reason.
+UNREAD_IMPORTS = {
+    "sim.py:clamp",  # perfbench's tracing patches it
+}
+
+
+def test_every_import_is_read_by_its_own_module():
+    """An import that its module never reads is dead weight, and goes. A package's ``__init__.py``
+    imports names to re-export them, so it is left out."""
+    unread = set()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread.update(
+            f"{path.relative_to(PACKAGE_DIR).as_posix()}:{bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for bound in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            if bound not in loaded
+        )
+    assert unread == UNREAD_IMPORTS, (
+        f"imports their module never reads: {sorted(unread - UNREAD_IMPORTS)}; "
+        f"allowed but now read or gone: {sorted(UNREAD_IMPORTS - unread)}"
     )
 
 

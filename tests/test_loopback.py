@@ -16,7 +16,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from test_cli import small_config, tree  # noqa: F401 (small_config is a fixture)
+from conftest import run_tree
+from test_cli import small_config  # noqa: F401 (small_config is a fixture)
 import featgeo.pipeline as pipeline_module
 from featgeo.cli import EXIT_OK, run_cli
 from featgeo.engine.live import ChatCompletionBackend
@@ -141,7 +142,7 @@ def _live_run_matches_sim_run(tmp_path, small_config, workers):
     live_config.write_text(json.dumps({**json.loads(small_config.read_text()), "eval_workers": workers}))
     args = ["optimize", "--config", str(live_config), "--backend", "live", "--output-dir", str(live_dir)]
     assert run_cli(args) == EXIT_OK
-    sim, live = tree(sim_dir), tree(live_dir)
+    sim, live = run_tree(sim_dir), run_tree(live_dir)
     assert sim.keys() == live.keys()
     # Only real wall time differs: cost.json, its digest and the report's cost table.
     assert {name for name in sim if sim[name] != live[name]} <= {

@@ -2,7 +2,6 @@ import contextlib
 import dataclasses
 import json
 import math
-import os
 import re
 import threading
 import time
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import dominates, ledger_requests, ledger_sum, midpoint_vector, with_value
+from conftest import dominates, ledger_requests, ledger_sum, midpoint_vector, run_tree, with_value
 import featgeo.pipeline as pipeline_module
 import featgeo.records as records
 import featgeo.report as report_module
@@ -612,15 +611,6 @@ def test_advertiser_position_first_keeps_last_id(tmp_path):
 
 
 # -- full runs -------------------------------------------------------------------------
-
-
-def run_tree(run_dir):
-    out = {}
-    for root, _, files in os.walk(run_dir):
-        for f in files:
-            p = Path(root) / f
-            out[str(p.relative_to(run_dir))] = p.read_bytes()
-    return out
 
 
 @pytest.mark.parametrize("judge_target, regenerate", [

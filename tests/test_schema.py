@@ -14,7 +14,8 @@ from featgeo.engine.live import ENV_CACHE_DIR
 from featgeo.engine.types import EngineResponse, Role
 from featgeo.errors import EngineError
 from featgeo.sim import SimBackend
-from test_cli import tree, write_small_config
+from conftest import run_tree
+from test_cli import write_small_config
 
 CACHE = "cache"  # rows that corrupt the response cache; the others corrupt a run-directory file
 
@@ -139,11 +140,11 @@ def test_a_persisted_value_of_the_wrong_json_type_is_refused_with_its_location(
         change(run_dir / name)
         where = f"cannot read record file {run_dir / name}: "
         args = ["report", str(run_dir), "--overwrite"]
-    before = tree(run_dir)
+    before = run_tree(run_dir)
     assert run_cli(args) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}{message}") and err.count("\n") == 1, err
-    assert tree(run_dir) == before
+    assert run_tree(run_dir) == before
 
 
 def converting_reader(data):

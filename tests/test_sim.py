@@ -10,12 +10,16 @@ from featgeo.bundled import default_sim_config_path
 from featgeo.citations import parse_citations
 from featgeo.engine.client import EngineClient
 from featgeo.engine.types import Role, SourceDocument, TopicBrief, build_request
-from featgeo.errors import BudgetError, ValidationError
+from featgeo.errors import ValidationError
 from featgeo.features import (
+    INTRO_INCLUDE_DIRECTIVE,
+    TIER_LOW_UPPER,
+    TIER_MEDIUM_UPPER,
     FeatureVector,
     catalog_default,
     clamp,
     encode_vector,
+    realized_vector,
     render_guidelines,
 )
 from featgeo.optimizer import GAConfig, evolve
@@ -29,7 +33,6 @@ from featgeo.sim import (
     brute_force_pareto,
     direct_evaluator,
     extract_profile,
-    reconstruct_from_guidelines,
     sim_answer,
     sim_propensity,
     sim_quality_dims,
@@ -430,7 +433,7 @@ def test_brute_force_pareto_rejects_a_malformed_grid(grid_levels, active, messag
 
 
 def test_budget_exceeded_raises():
-    with pytest.raises(BudgetError):
+    with pytest.raises(ValidationError, match="grid of 1030301 points exceeds the 100000 evaluation budget"):
         brute_force_pareto(101, ["statistics_level", "list_density", "quotation_level"],
                            make_world())
 
@@ -447,12 +450,26 @@ def test_ablating_positive_feature_lowers_max_propensity():
 # -- guideline reconstruction --------------------------------------------------------
 
 
+def reconstruct_from_guidelines(lines, catalog):
+    """Reference inverse of the rendered directives, by parsing their text: the boolean maps to
+    0 or 1, a tier directive to its band middle, and a density line to its stated percent of 3."""
+    values = []
+    for line, feat in zip(lines, catalog):
+        if feat.kind == "boolean":
+            values.append(1.0 if line == INTRO_INCLUDE_DIRECTIVE else 0.0)
+        elif feat.kind == "tiered":
+            values.append((4.0 / 3.0, 2.0, 8.0 / 3.0)[feat.tier_directives.index(line)])
+        else:  # "Target a {pct}% density of ..."
+            values.append(3.0 * int(line.split()[2][:-1]) / 100.0)
+    return clamp(FeatureVector(tuple(values)), catalog)
+
+
 def test_reconstruction_inverts_density_almost_exactly():
     rng = np.random.default_rng(3)
     for _ in range(50):
         v = clamp(FeatureVector(tuple(rng.uniform(0, 3, size=13))), CATALOG)
         block = render_guidelines(v, CATALOG)
-        rebuilt = reconstruct_from_guidelines(block, CATALOG)
+        rebuilt = realized_vector(block, CATALOG)
         for i, feat in enumerate(CATALOG):
             if feat.kind == "density":
                 assert abs(rebuilt[i] - v[i]) <= 0.015 + 1e-9
@@ -460,6 +477,23 @@ def test_reconstruction_inverts_density_almost_exactly():
                 assert rebuilt[i] == (1.0 if v[i] >= 0.5 else 0.0)
             else:
                 assert rebuilt[i] in (4 / 3, 2.0, 8 / 3)
+
+
+def test_realized_vector_matches_the_text_parsing_reference():
+    """Every density percent, tier and boolean value, the band edges, and random clamped vectors."""
+    kinds = [feat.kind for feat in CATALOG]
+    grid = {"boolean": [0.0, 0.49, 0.5, 1.0],
+            "tiered": [1.0, 4 / 3, TIER_LOW_UPPER, 2.0, TIER_MEDIUM_UPPER, 8 / 3, 3.0],
+            "density": [3.0 * pct / 100.0 for pct in range(101)]}
+    vectors = [FeatureVector(tuple(grid[kind][min(j, len(grid[kind]) - 1)] for kind in kinds))
+               for j in range(len(grid["density"]))]
+    rng = np.random.default_rng(11)
+    vectors += [clamp(FeatureVector(tuple(rng.uniform(f.lo, f.hi) for f in CATALOG)), CATALOG) for _ in range(500)]
+    for v in vectors:
+        block = render_guidelines(v, CATALOG)
+        assert realized_vector(block, CATALOG).values == reconstruct_from_guidelines(block, CATALOG).values
+    density = CATALOG.index_of("list_density")
+    assert len({render_guidelines(v, CATALOG)[density] for v in vectors[:101]}) == 101  # every percent is visited
 
 
 # -- backend roles ---------------------------------------------------------------
@@ -518,7 +552,7 @@ def test_backend_page_embeds_realized_profile():
     guidelines = render_guidelines(midpoint_vector(CATALOG), CATALOG)
     page = client.generate_page(brief, guidelines)
     embedded = extract_profile(page, CATALOG)
-    assert embedded == reconstruct_from_guidelines(guidelines, CATALOG)
+    assert embedded == realized_vector(guidelines, CATALOG)
     assert client.generate_page(brief, guidelines) == page
 
 
