@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -90,36 +89,21 @@ def _build_parser() -> _Parser:
 
 
 def _run_config(args) -> RunConfig:
-    """Load the config with only the flags given, refusing a run directory that is occupied or that the first
-    write cannot make: the nearest path at or above it (a dangling link too) must be a writable directory."""
+    """Load the config with only the flags given, and refuse its run directory as ``records.check_run_dir`` does."""
     given = {k: v for k, v in vars(args).items() if k in ("seed", "backend", "output_dir") and v is not None}
     cfg = RunConfig.from_file(args.config or bundled.default_sim_config_path(), **given)
     if args.command == "simulate" and cfg.backend != BACKEND_SIM:
         raise ValidationError("simulate always runs against the sim backend")
-    run_dir = Path(cfg.output_dir)
-    nearest = next(p for p in (run_dir, *run_dir.parents) if os.path.lexists(p))
-    try:
-        if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
-            raise NotADirectoryError(f"{nearest} is not a writable directory")
-        occupied = nearest == run_dir and any(run_dir.iterdir())
-    except OSError as exc:
-        raise ValidationError(f"cannot use {run_dir} as a run directory: {exc}") from exc
-    if occupied and not args.overwrite:
-        raise ValidationError(
-            f"run directory {run_dir} already exists; pass --overwrite to write into it"
-        )
+    records.check_run_dir(Path(cfg.output_dir), args.overwrite)
     return cfg
 
 
 def _cmd_probe(args) -> int:
     cfg = _run_config(args)
-    catalog = catalog_default()
-    client = build_client(cfg, catalog)
+    client = build_client(cfg, catalog_default())
     docs = load_documents(cfg.competitor_docs)
     probe = probe_topic(cfg, client, docs)
-    out = Path(cfg.output_dir) / records.PROBE_FILE
-    records.withdraw(out.parent)  # an earlier run's manifest and report vouch for the probe.json replaced here
-    records.write_json(out, records.probe_to_dict(probe, catalog))
+    out = records.write_probe(Path(cfg.output_dir), probe)
     print(f"probed {len(probe.queries)} queries; exemplars: {list(probe.exemplar_ids)}")
     print(f"wrote {out}")
     return EXIT_OK
@@ -130,7 +114,7 @@ def _cmd_optimize(args) -> int:
     record = run_optimization(cfg)
     best = record.finals[args.policy]
     print(f"run {record.status}: {cfg.output_dir}")
-    print(f"front size: {len(record.front)}  final HV: {record.trace.entries[-1][1]:.4f}")
+    print(f"front size: {len(record.result.front)}  final HV: {record.result.trace.entries[-1][1]:.4f}")
     print(f"{args.policy}: visibility {best.objectives[0]:.2f}  quality {best.objectives[1]:.2f}")
     failed = sum(m.failed for m in record.eval_metrics)
     if failed:

@@ -14,9 +14,7 @@ import threading
 from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 from ..errors import EngineError, ValidationError
-from ..features import (
-    KIND_BOOLEAN, KIND_TIERED, FeatureCatalog, FeatureVector, guidelines_text, vector_from_mapping,
-)
+from ..features import FeatureCatalog, FeatureVector, format_feature_definitions, guidelines_text, vector_from_mapping
 from ..quality import ALL_DIMENSIONS, parse_dimensions
 from .cache import ResponseCache
 from .ledger import CostLedger
@@ -55,20 +53,6 @@ class EngineBackend(Protocol):
     identity: str
 
     def complete(self, request: EngineRequest) -> EngineResponse: ...
-
-
-def format_feature_definitions(catalog: FeatureCatalog) -> str:
-    """Human-readable property list embedded in the feature-extraction prompt."""
-    lines = []
-    for feat in catalog:
-        if feat.kind == KIND_BOOLEAN:
-            detail = "1 if present, 0 if absent"
-        elif feat.kind == KIND_TIERED:
-            detail = "1 = low, 2 = medium, 3 = high"
-        else:
-            detail = f"density of {feat.density_label}, 0 = none, 3 = saturated"
-        lines.append(f"- {feat.key} ({feat.layer}; range {feat.lo:g} to {feat.hi:g}): {detail}")
-    return "\n".join(lines)
 
 
 def format_source_documents(docs: Sequence[SourceDocument]) -> str:

@@ -1,9 +1,9 @@
 """The 13-feature page catalog: bounded vectors and guideline-text rendering.
 
-Pages are described by 13 bounded real-valued properties organized in three
-semantic layers (Structure, Content, Language). A vector over these features is
-the decision variable of the optimizer; rendering turns it into qualitative
-writing directives that steer LLM page generation.
+Pages are described by 13 bounded real-valued properties organized in three semantic layers (Structure,
+Content, Language). A vector over these features is the decision variable of the optimizer; rendering
+turns it into writing directives that steer LLM page generation, and the feature definitions tell the
+extraction prompt what each kind's scale means when a page is read.
 """
 
 from __future__ import annotations
@@ -217,6 +217,20 @@ def _directive(feat: FeatureDefinition, value: float) -> str:
     if feat.kind == KIND_TIERED:
         return feat.tier_directives[TIER_NAMES.index(tier_of(value))]
     return f"Target a {density_percent(value)}% density of {feat.density_label} (0% = none, 100% = saturated)."
+
+
+def format_feature_definitions(catalog: FeatureCatalog) -> str:
+    """Human-readable property list embedded in the feature-extraction prompt."""
+    lines = []
+    for feat in catalog:
+        if feat.kind == KIND_BOOLEAN:
+            detail = "1 if present, 0 if absent"
+        elif feat.kind == KIND_TIERED:
+            detail = "1 = low, 2 = medium, 3 = high"
+        else:
+            detail = f"density of {feat.density_label}, 0 = none, 3 = saturated"
+        lines.append(f"- {feat.key} ({feat.layer}; range {feat.lo:g} to {feat.hi:g}): {detail}")
+    return "\n".join(lines)
 
 
 def render_guidelines(v: FeatureVector, c: FeatureCatalog) -> tuple[str, ...]:

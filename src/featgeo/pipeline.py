@@ -372,14 +372,12 @@ def run_optimization(
         with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             evaluator = CandidateEvaluator(cfg, client, probe, docs, pool.map if pool else map)
             record.eval_metrics = evaluator.metrics  # so an aborted run keeps every evaluation that ran
-            result = evolve(cfg.ga, evaluator, probe.exemplar_vectors, catalog, frozen_features=frozen_features)
-        record.log, record.front, record.trace = result.log, result.front, result.trace
+            record.result = evolve(cfg.ga, evaluator, probe.exemplar_vectors, catalog, frozen_features=frozen_features)
         record.settle_status()
-        record.finals = {policy: select_final(result.front, policy) for policy in POLICIES}
+        record.finals = {policy: select_final(record.result.front, policy) for policy in POLICIES}
     except Exception as exc:
         if isinstance(exc, OptimizerAbort):  # record the run as far as evolve got, then raise what aborted it
-            partial, exc = exc.partial, exc.__cause__
-            record.log, record.front, record.trace = partial.log, partial.front, partial.trace
+            record.result, exc = exc.partial, exc.__cause__
         record.status = "failed"
         record.error = str(exc)
         records.write_run_record(record, run_dir)

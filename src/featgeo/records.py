@@ -1,28 +1,30 @@
-"""Run records and their run directory: the types, the file names, and the one writer and remover.
+"""Run records and their run directory: the types, the layout, each file's format both ways, and the one
+writer, reader and remover.
 
-A run is recorded as line-delimited record files plus a digest manifest. Every
-file is written deterministically (fixed key order, repr floats, "\n"
-newlines), so a re-run of the same config under the sim backend reproduces the
-record byte for byte. The manifest carries the sha256 of every record file: it
-and the report are withdrawn before any record file is rewritten, and the
-manifest is written last, so a directory without one holds no vouched record.
-Reports are built from the persisted record only, never from the in-memory
-objects that produced it.
+A run is recorded as line-delimited record files plus a digest manifest. Every file is written
+deterministically (fixed key order, repr floats, "\n" newlines), so a re-run of the same config under the
+sim backend reproduces the record byte for byte. The manifest carries the sha256 of every record file: it
+and the report are withdrawn before any record file is rewritten, and the manifest is written last, so a
+directory without one holds no vouched record. ``read_run`` reads the record back for the report, checking
+each file, and ``write_report`` writes the report's files all or none.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .engine.ledger import CostLedger
 from .engine.types import TopicBrief
-from .errors import ValidationError
+from .errors import IntegrityError, ValidationError
 from .features import FeatureCatalog, FeatureVector, catalog_default
-from .optimizer import GenerationRecord, HypervolumeTrace, Individual, ParetoFront
+from .optimizer import EvolveResult, HypervolumeTrace, Individual, ParetoFront
+from .schema import expect, read_text
 
 SCHEMA_VERSION = 1
 STATUSES = ("complete", "degraded", "failed")  # a run's status, as the manifest records it
@@ -93,9 +95,7 @@ class RunRecord:
     ledger: CostLedger
     config_snapshot: dict[str, Any] = field(default_factory=dict)
     probe: ProbeResult | None = None
-    log: tuple[GenerationRecord, ...] = ()
-    front: ParetoFront = ParetoFront(())
-    trace: HypervolumeTrace = HypervolumeTrace(())
+    result: EvolveResult = EvolveResult(ParetoFront(()), HypervolumeTrace(()), (), 0)
     finals: dict[str, Individual] = field(default_factory=dict)
     eval_metrics: Sequence[EvalMetric] = ()
     status: str = "complete"
@@ -111,6 +111,20 @@ class RunRecord:
             self.error = f"{failed} of {len(self.eval_metrics)} evaluations failed"
         else:
             self.status = "degraded" if failed else "complete"
+
+
+def check_run_dir(run_dir: Path, overwrite: bool) -> None:
+    """Refuse a run directory that is occupied (unless ``overwrite``) or that the first write cannot make:
+    the nearest path at or above it (a dangling link too) must be a writable directory."""
+    nearest = next(p for p in (run_dir, *run_dir.parents) if os.path.lexists(p))
+    try:
+        if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+            raise NotADirectoryError(f"{nearest} is not a writable directory")
+        occupied = nearest == run_dir and any(run_dir.iterdir())
+    except OSError as exc:
+        raise ValidationError(f"cannot use {run_dir} as a run directory: {exc}") from exc
+    if occupied and not overwrite:
+        raise ValidationError(f"run directory {run_dir} already exists; pass --overwrite to write into it")
 
 
 def write_text(path: Path, text: str) -> None:
@@ -153,7 +167,7 @@ def file_digest(path: Path) -> str:
 
 
 def feature_record(values: Iterable[float], catalog: FeatureCatalog) -> dict[str, float]:
-    return {feat.key: float(v) for feat, v in zip(catalog, values)}
+    return {feat.key: v for feat, v in zip(catalog, values)}
 
 
 def trace_csv(entries: Iterable[tuple[int, float]]) -> str:
@@ -162,7 +176,7 @@ def trace_csv(entries: Iterable[tuple[int, float]]) -> str:
 
 
 def _crowding_out(value: float) -> float | None:
-    return None if value == float("inf") else value
+    return None if value == math.inf else value
 
 
 def probe_to_dict(probe: ProbeResult, catalog: FeatureCatalog) -> dict[str, Any]:
@@ -174,6 +188,13 @@ def probe_to_dict(probe: ProbeResult, catalog: FeatureCatalog) -> dict[str, Any]
         "exemplar_ids": list(probe.exemplar_ids),
         "exemplar_vectors": [feature_record(v.values, catalog) for v in probe.exemplar_vectors],
     }
+
+
+def write_probe(run_dir: Path, probe: ProbeResult) -> Path:
+    """Write ``probe.json`` alone, once the manifest and report that vouch for the one it replaces are withdrawn."""
+    withdraw(run_dir)
+    write_json(run_dir / PROBE_FILE, probe_to_dict(probe, catalog_default()))
+    return run_dir / PROBE_FILE
 
 
 def _individual_to_dict(
@@ -222,13 +243,13 @@ def write_run_record(record: RunRecord, run_dir: Path) -> None:
                 "rank": r.rank,
                 "crowding": _crowding_out(r.crowding),
             }
-            for r in record.log
+            for r in record.result.log
         ),
     )
 
-    write_jsonl(run_dir / FRONT_FILE, (_individual_to_dict(ind, catalog) for ind in record.front))
+    write_jsonl(run_dir / FRONT_FILE, (_individual_to_dict(ind, catalog) for ind in record.result.front))
 
-    write_text(run_dir / TRACE_FILE, trace_csv(record.trace.entries))
+    write_text(run_dir / TRACE_FILE, trace_csv(record.result.trace.entries))
 
     finals = {
         policy: _individual_to_dict(ind, catalog, _mean_word_pos(record, ind.key))
@@ -250,3 +271,110 @@ def write_run_record(record: RunRecord, run_dir: Path) -> None:
         "artifacts": artifacts,
     }
     write_json(run_dir / MANIFEST_FILE, manifest, indent=2)
+
+
+def _read(path: Path, parse: Callable[[str, str], Any]) -> Any:
+    """``parse(text, where)`` of a record file, where ``where`` labels the file's values in an error."""
+    where = f"cannot read record file {path}: "
+    text = read_text(path, "record file")
+    try:
+        if text and not text.endswith("\n"):
+            raise ValueError("no final newline: the file was cut short")
+        return parse(text, where)
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValidationError(f"{where}{exc!r}") from exc
+
+
+def _parse_manifest(text: str, where: str) -> tuple[str, Any, dict[str, str]]:
+    """The run's status, its recorded error and the sha256 of each record file the manifest lists."""
+    manifest = json.loads(text)
+    expect(manifest["schema_version"], int, where + "schema_version", (SCHEMA_VERSION,))
+    artifacts = expect(manifest["artifacts"], dict, where + "artifacts")
+    for name, digest in artifacts.items():
+        expect(name, str, where + "artifacts key", RECORD_FILES)
+        expect(digest, str, f"{where}artifacts.{name}")
+    return expect(manifest["status"], str, where + "status", STATUSES), manifest["error"], artifacts
+
+
+def _parse_finals(text: str, where: str) -> dict[str, dict[str, Any]]:
+    """Final solutions by policy, every value the tables print a finite number."""
+    finals = json.loads(text)
+    for policy, entry in finals.items():
+        values = {name: entry[name] for name in ("visibility", "quality")}
+        values.update((name, entry[name]) for name in ("word", "pos") if entry.get(name) is not None)
+        values.update((f"features.{key}", entry["features"][key]) for key in catalog_default().keys())
+        for name, value in values.items():
+            expect(value, float, f"{where}{policy}.{name}")
+    return finals
+
+
+def _parse_objectives(text: str, where: str) -> list[tuple[float, float]]:
+    rows = ((number, json.loads(line)) for number, line in enumerate(text.splitlines(), start=1) if line)
+    return [tuple(expect(row[name], float, f"{where}line {number} {name}") for name in ("visibility", "quality"))
+            for number, row in rows]
+
+
+def _parse_trace(text: str, where: str) -> list[tuple[int, float]]:
+    """(generation, hypervolume) rows; each cell is a JSON number, as ``repr`` writes it."""
+    rows = enumerate((line.split(",") for line in text.splitlines()[1:]), start=2)
+    return [(expect(json.loads(gen), int, f"{where}line {number} generation"),
+             expect(json.loads(hv), float, f"{where}line {number} hypervolume")) for number, (gen, hv) in rows]
+
+
+def _parse_cost(text: str, where: str) -> dict[str, Any]:
+    """cost.json, once ``CostLedger.from_dict`` has checked its stage and total blocks against its entries."""
+    cost = json.loads(text)
+    CostLedger.from_dict(cost, where)
+    return cost
+
+
+class SavedRun(NamedTuple):
+    """What a report renders: finals, front and generations (visibility, quality), trace and cost.json."""
+
+    finals: dict[str, dict[str, Any]]
+    front: list[tuple[float, float]]
+    generations: list[tuple[float, float]]
+    trace: list[tuple[int, float]]
+    cost: dict[str, Any]
+
+
+def read_run(run_dir: Path) -> SavedRun:
+    """Read back what a report renders, checking each record file as it is read, the manifest first, then
+    against its digest. A file that is missing, cut short, not valid JSON, short of a field or holding a
+    value of the wrong JSON type is a ValidationError naming it, and so is a failed run that chose no final
+    solutions; a cost ledger that disagrees with its entries, or a listed file off its sha256, is an
+    IntegrityError."""
+    status, error, artifacts = _read(run_dir / MANIFEST_FILE, _parse_manifest)
+    finals = _read(run_dir / FINALS_FILE, _parse_finals)
+    if not {"max_visibility", "max_quality"} <= finals.keys():
+        if status == "failed" and not finals:
+            raise ValidationError(f"run {run_dir} has status failed and chose no final solutions, "
+                                  f"so it has no report: {error}")
+        raise ValidationError(f"cannot read record file {run_dir / FINALS_FILE}: "
+                              "the comparison table needs max_visibility and max_quality")
+    run = SavedRun(finals, _read(run_dir / FRONT_FILE, _parse_objectives),
+                   _read(run_dir / GENERATIONS_FILE, _parse_objectives), _read(run_dir / TRACE_FILE, _parse_trace),
+                   _read(run_dir / COST_FILE, _parse_cost))
+    for name, digest in artifacts.items():
+        try:
+            actual = file_digest(run_dir / name)
+        except OSError as exc:
+            raise IntegrityError(f"listed record file {name} is unreadable: {exc!r}") from exc
+        if actual != digest:
+            raise IntegrityError(f"record file {name} does not match its sha256 in {MANIFEST_FILE}")
+    return run
+
+
+def write_report(run_dir: Path, texts: dict[str, str], overwrite: bool) -> list[Path]:
+    """Write each report file ``texts`` maps by name under ``run_dir/report``. Existing report files are
+    replaced only with ``overwrite``. A write that fails removes the report files."""
+    report_dir = run_dir / REPORT_DIR_NAME
+    if not overwrite and any((report_dir / name).exists() for name in REPORT_FILES):
+        raise ValidationError(f"report files already exist under {report_dir}; pass --overwrite to re-export")
+    try:
+        for name, text in texts.items():
+            write_text(report_dir / name, text)
+    except ValidationError:
+        remove(report_dir / name for name in texts)
+        raise
+    return [report_dir / name for name in texts]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import run_tree
-from featgeo import pipeline, records, report
+from featgeo import pipeline, records
 from featgeo.bundled import default_sim_config_path
 from featgeo.cli import EXIT_ENGINE, EXIT_INTERRUPTED, EXIT_OK, EXIT_VALIDATION, run_cli
 from featgeo.engine.cache import ResponseCache
@@ -173,9 +173,10 @@ def test_an_interrupt_at_any_backend_call_exits_130_and_leaves_the_run_directory
 
 
 class WriteFaults:
-    """Counts the calls of ``records.write_text`` and ``records.remove``, also through ``report``'s copies,
-    and makes the path operation inside call ``at`` (None: never) raise ``OSError(ENOSPC)``: a file open in
-    ``write_text``, a file check in ``remove``. So each function's own mapping of the error is what runs.
+    """Counts the calls of ``records.write_text`` and ``records.remove``, the one writer and remover of
+    run-directory files, and makes the path operation inside call ``at`` (None: never) raise
+    ``OSError(ENOSPC)``: a file open in ``write_text``, a file check in ``remove``. So each function's own
+    mapping of the error is what runs.
 
     ``failed`` holds the verb and path of the error the faulted call should raise.
     """
@@ -199,11 +200,8 @@ class WriteFaults:
                     return function(target, *rest)
             return call
 
-        write_text = counting(records.write_text, "write", "open")
-        remove = counting(records.remove, "remove", "is_file")
-        for module in (records, report):
-            monkeypatch.setattr(module, "write_text", write_text)
-            monkeypatch.setattr(module, "remove", remove)
+        monkeypatch.setattr(records, "write_text", counting(records.write_text, "write", "open"))
+        monkeypatch.setattr(records, "remove", counting(records.remove, "remove", "is_file"))
 
 
 @pytest.mark.parametrize("over_a_finished_run", [False, True])

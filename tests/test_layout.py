@@ -3,9 +3,10 @@ every public name has a caller outside the tests, every stored value is read by 
 inputs are checked only where they enter, each module-level string constant has one owner, every
 module-level name is read somewhere, every import is read by its own module, every defaulted
 parameter is set by some program call, only the records writer and remover change a run-directory
-file, one reader reads every outside text file, only run_optimization unwraps an evolve abort, and
-the readers of the response cache, cost.json and the record files convert no value with int, float
-or bool."""
+file, one reader reads every outside text file, the report renders and leaves every file to the
+records, only run_optimization unwraps an evolve abort, the readers of the response cache, cost.json
+and the record files convert no value with int, float or bool, and the package stays under its line
+ceiling."""
 
 import ast
 import importlib
@@ -146,6 +147,20 @@ def test_outside_files_are_read_only_by_the_text_reader_and_the_files_own_reader
     ], sites
 
 
+def test_the_report_renders_and_leaves_every_file_to_the_records():
+    """``records`` alone knows a run directory's layout, its file formats both ways and its write policy, so
+    ``report.py`` neither reads nor writes a file and takes ``records`` as a module, not name by name."""
+    path = PACKAGE_DIR / "report.py"
+    file_calls = ("open", "read_text", "read_bytes", "write_text", "write_bytes", "remove", "unlink", "exists",
+                  "file_digest")
+    sites = [f"{site} calls {name}" for name in file_calls for site in _call_sites(path, name)]
+    assert sites == [], sites
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [node.lineno for node in imports if (node.module or "").rsplit(".", 1)[-1] == "records"] == []
+    assert any(alias.name == "records" for node in imports if not node.module for alias in node.names)
+
+
 def _names(node: ast.AST) -> set[str]:
     """Every name and attribute name mentioned inside ``node``."""
     return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
@@ -162,7 +177,7 @@ def test_the_readers_of_persisted_values_convert_nothing():
     a value of the wrong JSON type; a call of the builtin ``int``, ``float`` or ``bool`` there would convert
     it instead."""
     converts = {"int", "float", "bool"}
-    sites = [site for rel in ("engine/types.py", "engine/cache.py", "engine/ledger.py", "report.py")
+    sites = [site for rel in ("engine/types.py", "engine/cache.py", "engine/ledger.py", "records.py")
              for site in _sites(PACKAGE_DIR / rel, lambda node: isinstance(node, ast.Call)
                                 and getattr(node.func, "id", None) in converts)]
     assert sites == [], sites
@@ -264,9 +279,9 @@ INPUT_BOUNDARIES = {
     # the prompt template files, the response cache file and the run directory
     "engine/templates.py:render_prompt", "engine/cache.py:ResponseCache.__init__",
     "engine/cache.py:ResponseCache._load", "engine/cache.py:ResponseCache.put", "records.py:write_text",
-    "records.py:remove", "report.py:_read", "report.py:export_report",
+    "records.py:remove", "records.py:_read", "records.py:read_run", "records.py:write_report",
     # CLI arguments and the environment
-    "cli.py:_run_config",
+    "cli.py:_run_config", "records.py:check_run_dir",
     "features.py:FeatureCatalog.index_of",
     "engine/live.py:ChatCompletionBackend.__init__", "engine/live.py:ChatCompletionBackend.from_env",
     # README's Python API
@@ -538,4 +553,18 @@ def test_every_optional_parameter_is_set_by_program_code():
     assert unset == SET_BY_TESTS_ONLY, (
         f"defaulted but never set: {sorted(unset - SET_BY_TESTS_ONLY)}; "
         f"allowed but now set or gone: {sorted(SET_BY_TESTS_ONLY - unset)}"
+    )
+
+
+# The package's line count after its last change. ROADMAP's line ratchet (aim 2) says when a change may
+# raise it; a change that cuts lines lowers it to the new count.
+SRC_LINE_CEILING = 3457
+
+
+def test_the_package_stays_under_its_line_ceiling():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in PACKAGE_DIR.rglob("*.py"))
+    assert lines <= SRC_LINE_CEILING, (
+        f"src/featgeo holds {lines} lines of Python, over its ceiling of {SRC_LINE_CEILING}. ROADMAP.md's line "
+        "ratchet (aim 2): a change may end above its parent's count only within a stated cap or to pay for a "
+        "measured gain in an ab.py entry; raise SRC_LINE_CEILING then, and state the src/ line delta in CHANGES.md."
     )

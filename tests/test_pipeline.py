@@ -816,7 +816,7 @@ def test_run_leaves_no_pool_thread_behind(tmp_path, monkeypatch, aborted):
 def test_run_front_members_are_mutually_nondominated(tmp_path):
     cfg = small_sim_config(tmp_path, vis_weights=weights_on("statistics_level", 3.0))
     record = run_optimization(cfg)
-    members = list(record.front)
+    members = list(record.result.front)
     for i, a in enumerate(members):
         for b in members[i + 1:]:
             assert not dominates(a, b)
@@ -919,7 +919,7 @@ def test_ablated_run_freezes_feature_at_minimum(tmp_path):
     for line in lines:
         row = json.loads(line)
         assert row["features"]["statistics_level"] == 0.0
-    for member in record.front:
+    for member in record.result.front:
         assert member.x[idx] == 0.0
 
 
@@ -976,7 +976,7 @@ def test_cost_table_renders_known_stage_numbers():
         },
         "totals": stats_dict(1720.8, 366, 1007157, 150467),
     }
-    table = report_module._cost_table(json.dumps(data), "cost.json: ")
+    table = report_module._cost_table(data)
     assert "Feature Extraction" in table
     assert "Initial Population" in table
     assert "GA Optimization" in table
@@ -987,7 +987,7 @@ def test_cost_table_renders_known_stage_numbers():
 
 
 def test_cost_table_of_an_empty_ledger_is_all_zero():
-    table = report_module._cost_table(json.dumps(CostLedger().to_dict()), "cost.json: ")
+    table = report_module._cost_table(CostLedger().to_dict())
     assert table.count("0") >= 8
 
 
