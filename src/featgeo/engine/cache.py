@@ -21,6 +21,9 @@ from ..errors import ValidationError
 from ..schema import expect, field_spec
 from .types import EngineResponse, Role
 
+# The directory whose responses.jsonl serves a run of either backend that names no cache_path.
+ENV_CACHE_DIR = "FEATGEO_CACHE_DIR"
+
 
 class ResponseCache:
     """In-memory map over a persistent JSONL record file."""

@@ -32,7 +32,6 @@ from .types import EngineRequest, EngineResponse, Role, estimate_tokens
 ENV_BASE_URL = "FEATGEO_ENGINE_BASE_URL"
 ENV_MODEL = "FEATGEO_ENGINE_MODEL"
 ENV_API_KEY = "FEATGEO_ENGINE_API_KEY"
-ENV_CACHE_DIR = "FEATGEO_CACHE_DIR"
 
 # Sampling temperature per role: creative for writing, none for extraction and judging.
 _TEMPERATURES = {

@@ -3,18 +3,19 @@
 Pages are described by 13 bounded real-valued properties organized in three semantic layers (Structure,
 Content, Language). A vector over these features is the decision variable of the optimizer; rendering
 turns it into writing directives that steer LLM page generation, and the feature definitions tell the
-extraction prompt what each kind's scale means when a page is read.
+extraction prompt what each kind's scale means when a page is read. A vector and its key-value record
+convert both ways (``feature_record``, ``vector_from_mapping``); reading or writing any text form of a
+record is left to its format's owner.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import getitem, le, sub, truediv
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -256,7 +257,7 @@ def guidelines_text(lines: Sequence[str], c: FeatureCatalog) -> str:
 
 
 def vector_from_mapping(record: Mapping[str, float], c: FeatureCatalog) -> FeatureVector:
-    """Build a vector from a key-value record over exactly the 13 catalog keys.
+    """Build a vector from a record of numbers over exactly the 13 catalog keys; inverse of feature_record.
 
     Out-of-range values are clamped into range by :func:`clamp` and listed in
     one WARNING log line. Missing or unknown keys and non-finite values raise.
@@ -269,34 +270,17 @@ def vector_from_mapping(record: Mapping[str, float], c: FeatureCatalog) -> Featu
         raise ValidationError(f"record is missing feature keys: {', '.join(missing)}")
     if unknown:
         raise ValidationError(f"record has unknown feature keys: {', '.join(unknown)}")
-    values = []
-    for feat in c:
-        raw = record[feat.key]
-        try:
-            values.append(float(raw))
-        except (TypeError, ValueError):
-            raise ValidationError(f"feature {feat.key!r} has non-numeric value {raw!r}")
-    clamped = clamp(FeatureVector(tuple(values)), c)  # a non-finite value raises here, before any warning
-    violations = [f"{f.key}={v!r} outside [{f.lo}, {f.hi}]" for f, v in zip(c, values) if not f.lo <= v <= f.hi]
+    vector = FeatureVector(tuple(record[feat.key] for feat in c))
+    clamped = clamp(vector, c)  # a non-finite value raises here, before any warning
+    violations = [f"{f.key}={v!r} outside [{f.lo}, {f.hi}]" for f, v in zip(c, vector.values) if not f.lo <= v <= f.hi]
     if violations:
         logger.warning("clamped out-of-range feature values: %s", "; ".join(violations))
     return clamped
 
 
-def encode_vector(v: FeatureVector, c: FeatureCatalog) -> str:
-    """Serialize a vector as a single-line JSON record in canonical key order."""
-    return json.dumps({feat.key: value for feat, value in zip(c, v.values)})
-
-
-def decode_vector(text: str, c: FeatureCatalog) -> FeatureVector:
-    """Parse a key-value JSON record back into a vector; inverse of encode_vector."""
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"vector record is not valid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise ValidationError("vector record must be a JSON object")
-    return vector_from_mapping(record, c)
+def feature_record(values: Iterable[float], c: FeatureCatalog) -> dict[str, float]:
+    """The key-value record of a vector's values, in catalog order."""
+    return {feat.key: v for feat, v in zip(c, values)}
 
 
 def normalized_values(v: FeatureVector, c: FeatureCatalog) -> tuple[float, ...]:

@@ -20,9 +20,9 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import records, report
 from .citations import citation_frequency, parse_citations, select_exemplars, visibility_scores
-from .engine.cache import ResponseCache
+from .engine.cache import ENV_CACHE_DIR, ResponseCache
 from .engine.client import EngineClient
-from .engine.live import ChatCompletionBackend, ENV_CACHE_DIR
+from .engine.live import ChatCompletionBackend
 from .engine.types import SourceDocument, Stage, text_digest
 from .errors import EngineError, ValidationError
 from .features import (

@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 from .engine.ledger import CostLedger
 from .engine.types import TopicBrief
 from .errors import IntegrityError, ValidationError
-from .features import FeatureCatalog, FeatureVector, catalog_default
+from .features import FeatureCatalog, FeatureVector, catalog_default, feature_record
 from .optimizer import EvolveResult, HypervolumeTrace, Individual, ParetoFront
 from .schema import expect, read_text
 
@@ -164,10 +164,6 @@ def write_jsonl(path: Path, rows: Iterable[Any]) -> None:
 def file_digest(path: Path) -> str:
     """The sha256 the manifest records for a record file."""
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def feature_record(values: Iterable[float], catalog: FeatureCatalog) -> dict[str, float]:
-    return {feat.key: v for feat, v in zip(catalog, values)}
 
 
 def trace_csv(entries: Iterable[tuple[int, float]]) -> str:

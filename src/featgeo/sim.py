@@ -7,6 +7,9 @@ construction. Randomness enters only the per-sentence citation draw inside
 answers, via streams seeded from (world seed, query, documents, salt), which
 makes every output a pure function of its inputs. A brute-force grid oracle
 exposes the exact Pareto front for comparison against the optimizer.
+
+Only this module writes (``profile_line``) and reads (``extract_profile``) the
+``feature-profile:`` line of a page or document; each value on it must be a JSON number.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ from .features import (
     FeatureVector,
     catalog_default,
     clamp,  # unread here: perfbench's tracing patches sim.clamp
-    decode_vector,
-    encode_vector,
+    feature_record,
     normalized_values,
     realized_vector,
+    vector_from_mapping,
 )
 from .optimizer import Individual, ParetoFront
 from .quality import ALL_DIMENSIONS, QualityConfig, aggregate_quality
+from .schema import expect
 from .engine.types import (
     EngineRequest,
     EngineResponse,
@@ -153,12 +157,22 @@ class SimWorld:
         )
 
 
+def profile_line(v: FeatureVector, catalog: FeatureCatalog) -> str:
+    """The marker, then the vector as a one-line JSON object in catalog key order."""
+    return f"{PROFILE_MARKER} {json.dumps(feature_record(v.values, catalog))}"
+
+
 def extract_profile(text: str, catalog: FeatureCatalog) -> FeatureVector | None:
-    """Parse the first embedded feature record line out of a page, if any."""
+    """The vector on a text's first profile line, if any: a JSON object of numbers over the catalog keys."""
     for line in text.splitlines():
         stripped = line.strip()
         if stripped.startswith(PROFILE_MARKER):
-            return decode_vector(stripped[len(PROFILE_MARKER):].strip(), catalog)
+            try:
+                record = expect(json.loads(stripped[len(PROFILE_MARKER):].strip()), dict, "feature profile")
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"feature profile is not valid JSON: {exc}") from exc
+            values = {key: expect(value, float, f"feature profile {key}") for key, value in record.items()}
+            return vector_from_mapping(values, catalog)
     return None
 
 
@@ -369,7 +383,6 @@ class SimBackend:
         brief = request.payload["brief"]
         catalog = self.world.catalog
         realized = realized_vector(request.payload["guidelines"], catalog)
-        record = encode_vector(realized, catalog)
         brand = brief.strategy_text.split("position ", 1)[-1].split(" ", 1)[0].rstrip(",.")
         length_value = realized.values[catalog.index_of("length_level")]
         paragraphs = 2 + int(length_value)
@@ -380,7 +393,7 @@ class SimBackend:
                 f"fits your routine and what results to expect. Act now and get started today."
             )
         return "\n\n".join(
-            [f"Sponsored insights on {brief.topic} from {brand}.", f"{PROFILE_MARKER} {record}"]
+            [f"Sponsored insights on {brief.topic} from {brand}.", profile_line(realized, catalog)]
             + body
         )
 

@@ -26,7 +26,6 @@ from featgeo.engine.ledger import CostLedger
 from featgeo.engine.types import Role
 from featgeo.features import (
     catalog_default,
-    encode_vector,
     render_guidelines,
     vector_from_mapping,
 )
@@ -42,7 +41,7 @@ from featgeo.optimizer import (
 )
 from featgeo.pipeline import RunConfig, run_ablation, run_optimization
 from featgeo.quality import QualityConfig, aggregate_quality
-from featgeo.sim import PROFILE_MARKER, SimConfig, SimWorld, brute_force_pareto, direct_evaluator
+from featgeo.sim import SimConfig, SimWorld, brute_force_pareto, direct_evaluator, profile_line
 
 CATALOG = catalog_default()
 
@@ -274,7 +273,7 @@ def _ablation_config(tmp_path, stats_weight, seed):
     for i, v in enumerate(competitors):
         p = tmp_path / f"doc{i}.txt"
         p.write_text(
-            f"Competitor {i + 1} article.\n\n{PROFILE_MARKER} {encode_vector(v, CATALOG)}\n"
+            f"Competitor {i + 1} article.\n\n{profile_line(v, CATALOG)}\n"
         )
         docs.append(p)
     sim = SimConfig(

@@ -11,8 +11,9 @@ import pytest
 from conftest import run_tree
 from featgeo.cli import EXIT_ENGINE, EXIT_INTEGRITY, EXIT_OK, EXIT_VALIDATION, run_cli
 from featgeo.bundled import default_sim_config_path
+from featgeo.engine.cache import ENV_CACHE_DIR
 from featgeo.engine.client import EngineClient
-from featgeo.engine.live import ENV_BASE_URL, ENV_CACHE_DIR, ENV_MODEL, ChatCompletionBackend
+from featgeo.engine.live import ENV_BASE_URL, ENV_MODEL, ChatCompletionBackend
 from featgeo.engine.types import Role
 from featgeo.errors import EngineError, ValidationError
 from featgeo import pipeline

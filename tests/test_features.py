@@ -1,10 +1,9 @@
-import json
 import logging
 
 import numpy as np
 import pytest
 
-from conftest import load_example_solutions, midpoint_vector, with_value
+from conftest import midpoint_vector, with_value
 from featgeo.errors import ValidationError
 from featgeo.features import (
     BOOLEAN_THRESHOLD,
@@ -16,9 +15,7 @@ from featgeo.features import (
     LAYER_STRUCTURE,
     catalog_default,
     clamp,
-    decode_vector,
     density_percent,
-    encode_vector,
     guidelines_text,
     render_guidelines,
     tier_of,
@@ -186,22 +183,6 @@ def test_guideline_text_groups_by_layer():
     assert s < c < l
 
 
-def test_encode_decode_round_trip_of_recorded_solution():
-    record = load_example_solutions()["solution_a"]["features"]
-    v = vector_from_mapping(record, CATALOG)
-    assert v[CATALOG.index_of("quotation_level")] == 2.84
-    assert v[CATALOG.index_of("fluency_level")] == 2.17
-    decoded = decode_vector(encode_vector(v, CATALOG), CATALOG)
-    assert all(abs(a - b) <= 1e-9 for a, b in zip(decoded.values, v.values))
-
-
-def test_encode_of_decode_is_identity_for_canonical_text():
-    rng = np.random.default_rng(4)
-    v = random_vector(rng)
-    text = encode_vector(v, CATALOG)
-    assert encode_vector(decode_vector(text, CATALOG), CATALOG) == text
-
-
 def test_decode_rejects_missing_key():
     record = {f.key: 1.0 for f in CATALOG}
     record.pop("keyword_focus_level")
@@ -236,28 +217,6 @@ def test_decode_logs_one_warning_naming_every_clamped_value(caplog):
     assert entry.levelno == logging.WARNING
     assert "statistics_level=5.0" in entry.getMessage()
     assert "has_intro_summary=-1.0" in entry.getMessage()
-
-
-def test_decode_rejects_non_json_and_non_object():
-    with pytest.raises(ValidationError):
-        decode_vector("not json", CATALOG)
-    with pytest.raises(ValidationError):
-        decode_vector(json.dumps([1, 2, 3]), CATALOG)
-
-
-@pytest.mark.parametrize("value, message", [
-    ('"high"', "feature 'statistics_level' has non-numeric value 'high'"),
-    ("null", "feature 'statistics_level' has non-numeric value None"),
-    ("NaN", "non-finite value for feature 'statistics_level': nan"),
-    ("1e400", "non-finite value for feature 'statistics_level': inf"),
-], ids=["string", "null", "nan", "overflow"])
-def test_decode_rejects_a_non_numeric_or_non_finite_value(value, message, caplog):
-    record = json.dumps({f.key: (f.lo + f.hi) / 2 for f in CATALOG})
-    text = record.replace('"statistics_level": 1.5', f'"statistics_level": {value}')
-    assert text != record
-    with caplog.at_level(logging.WARNING, logger="featgeo.features"), pytest.raises(ValidationError, match=message):
-        decode_vector(text, CATALOG)
-    assert caplog.records == []  # a rejected value is not also reported as clamped
 
 
 def test_feature_vector_requires_thirteen_values():

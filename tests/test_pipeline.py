@@ -15,7 +15,7 @@ import featgeo.pipeline as pipeline_module
 import featgeo.records as records
 import featgeo.report as report_module
 from featgeo.bundled import default_sim_config_path
-from featgeo.engine.cache import ResponseCache
+from featgeo.engine.cache import ENV_CACHE_DIR, ResponseCache
 from featgeo.engine.client import EngineClient
 from featgeo.engine.ledger import CostLedger
 from featgeo.engine.types import (
@@ -26,7 +26,7 @@ from featgeo.engine.types import (
     estimate_tokens,
 )
 from featgeo.errors import EngineError, ValidationError
-from featgeo.features import FeatureVector, catalog_default, encode_vector
+from featgeo.features import FeatureVector, catalog_default
 from featgeo.optimizer import GAConfig, OptimizerAbort
 from featgeo.pipeline import (
     CandidateEvaluator,
@@ -39,7 +39,7 @@ from featgeo.pipeline import (
     run_optimization,
 )
 from featgeo.quality import QualityConfig
-from featgeo.sim import PROFILE_MARKER, SimBackend, SimConfig, SimWorld
+from featgeo.sim import PROFILE_MARKER, SimBackend, SimConfig, SimWorld, profile_line
 
 CATALOG = catalog_default()
 
@@ -50,7 +50,7 @@ def write_docs(tmp_path, vectors=None, with_profiles=True):
     for i in range(n):
         body = f"Competitor article number {i + 1} about planning meals at home.\n"
         if with_profiles and vectors is not None:
-            body += f"\n{PROFILE_MARKER} {encode_vector(vectors[i], CATALOG)}\n"
+            body += f"\n{profile_line(vectors[i], CATALOG)}\n"
         p = tmp_path / f"doc{i + 1}.txt"
         p.write_text(body, encoding="utf-8")
         paths.append(p)
@@ -855,7 +855,6 @@ def test_run_survives_transient_candidate_failures(tmp_path, monkeypatch):
 
 
 def test_cache_dir_env_var_enables_cache(tmp_path, monkeypatch):
-    from featgeo.engine.live import ENV_CACHE_DIR
     monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "cachedir"))
     cfg = small_sim_config(tmp_path)
     run_optimization(cfg)

@@ -9,8 +9,7 @@ import shutil
 import pytest
 
 from featgeo.cli import EXIT_ENGINE, EXIT_OK, EXIT_VALIDATION, run_cli
-from featgeo.engine.cache import ResponseCache
-from featgeo.engine.live import ENV_CACHE_DIR
+from featgeo.engine.cache import ENV_CACHE_DIR, ResponseCache
 from featgeo.engine.types import EngineResponse, Role
 from featgeo.errors import EngineError
 from featgeo.sim import SimBackend

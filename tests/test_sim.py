@@ -1,10 +1,13 @@
+import json
+import logging
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from conftest import ORACLE_ACTIVE_FEATURES, ledger_sum, midpoint_vector, with_value
+from conftest import ORACLE_ACTIVE_FEATURES, ledger_sum, load_example_solutions, midpoint_vector, with_value
 import featgeo.sim as sim_module
 from featgeo.bundled import default_sim_config_path
 from featgeo.citations import parse_citations
@@ -18,9 +21,9 @@ from featgeo.features import (
     FeatureVector,
     catalog_default,
     clamp,
-    encode_vector,
     realized_vector,
     render_guidelines,
+    vector_from_mapping,
 )
 from featgeo.optimizer import GAConfig, evolve
 from featgeo.pipeline import RunConfig, load_documents, run_optimization
@@ -33,6 +36,7 @@ from featgeo.sim import (
     brute_force_pareto,
     direct_evaluator,
     extract_profile,
+    profile_line,
     sim_answer,
     sim_propensity,
     sim_quality_dims,
@@ -67,8 +71,7 @@ def weights_on(key, value):
 
 def doc_with_intro(doc_id, intro):
     v = with_value(midpoint_vector(CATALOG), CATALOG.index_of("has_intro_summary"), intro)
-    from featgeo.features import encode_vector
-    return SourceDocument(id=doc_id, text=f"Body.\nfeature-profile: {encode_vector(v, CATALOG)}")
+    return SourceDocument(id=doc_id, text=f"Body.\n{profile_line(v, CATALOG)}")
 
 
 # -- propensity -----------------------------------------------------------------
@@ -250,7 +253,7 @@ def test_a_profile_marker_inside_a_line_is_no_profile():
     """Only a line that starts with the marker carries a profile; otherwise the configured vector stands in."""
     competitor = midpoint_vector(CATALOG)
     world = make_world(competitors=[competitor])
-    record = f"{PROFILE_MARKER} {encode_vector(with_value(competitor, 0, 1.0), CATALOG)}"
+    record = profile_line(with_value(competitor, 0, 1.0), CATALOG)
     assert extract_profile(f"Summary line.\n  {record}", CATALOG) is not None
     text = f"Summary line, then {record}"
     assert extract_profile(text, CATALOG) is None
@@ -266,6 +269,64 @@ def test_each_bundled_document_profile_equals_its_configured_vector():
     assert len(docs) == len(cfg.sim.competitor_vectors) == 5
     for doc, vector in zip(docs, cfg.sim.competitor_vectors):
         assert extract_profile(doc.text, CATALOG) == vector, cfg.competitor_docs[doc.id - 1].name
+
+
+# -- the profile line --------------------------------------------------------------
+
+
+def test_encode_decode_round_trip_of_recorded_solution():
+    record = load_example_solutions()["solution_a"]["features"]
+    v = vector_from_mapping(record, CATALOG)
+    assert v[CATALOG.index_of("quotation_level")] == 2.84
+    assert v[CATALOG.index_of("fluency_level")] == 2.17
+    decoded = extract_profile(profile_line(v, CATALOG), CATALOG)
+    assert all(abs(a - b) <= 1e-9 for a, b in zip(decoded.values, v.values))
+
+
+def test_encode_of_decode_is_identity_for_canonical_text():
+    rng = np.random.default_rng(4)
+    v = FeatureVector(tuple(rng.uniform(f.lo, f.hi) for f in CATALOG))
+    text = profile_line(v, CATALOG)
+    assert text == f"{PROFILE_MARKER} {json.dumps({f.key: value for f, value in zip(CATALOG, v.values)})}"
+    assert profile_line(extract_profile(text, CATALOG), CATALOG) == text
+
+
+def test_decode_rejects_non_json_and_non_object():
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        extract_profile(f"{PROFILE_MARKER} not json", CATALOG)
+    with pytest.raises(ValidationError, match=re.escape("feature profile must be an object, got [1, 2, 3]")):
+        extract_profile(f"{PROFILE_MARKER} {json.dumps([1, 2, 3])}", CATALOG)
+
+
+@pytest.mark.parametrize("drop, add, message", [
+    ("keyword_focus_level", None, "missing feature keys: keyword_focus_level"),
+    (None, "brand_mentions", "unknown feature keys: brand_mentions"),
+], ids=["missing", "unknown"])
+def test_decode_rejects_a_missing_or_unknown_key(drop, add, message):
+    record = {f.key: 1.0 for f in CATALOG if f.key != drop}
+    if add:
+        record[add] = 2.0
+    with pytest.raises(ValidationError, match=message):
+        extract_profile(f"{PROFILE_MARKER} {json.dumps(record)}", CATALOG)
+
+
+@pytest.mark.parametrize("value, message", [
+    ('"high"', "must be a number, got 'high'"),
+    ("null", "must be a number, got None"),
+    ("NaN", "must be a finite number, got nan"),
+    ("1e400", "must be a finite number, got inf"),
+    ('"1.5"', "must be a number, got '1.5'"),
+    ("true", "must be a number, got True"),
+], ids=["string", "null", "nan", "overflow", "numeric-string", "bool"])
+def test_decode_rejects_a_non_numeric_or_non_finite_value(value, message, caplog):
+    """Each value on the line is read as the strict reader reads a config value: a JSON number, never converted."""
+    line = profile_line(midpoint_vector(CATALOG), CATALOG)
+    text = line.replace('"statistics_level": 1.5', f'"statistics_level": {value}')
+    assert text != line
+    with caplog.at_level(logging.WARNING, logger="featgeo.features"), \
+            pytest.raises(ValidationError, match=re.escape(f"feature profile statistics_level {message}")):
+        extract_profile(text, CATALOG)
+    assert caplog.records == []  # a rejected value is not also reported as clamped
 
 
 # -- brute-force oracle ------------------------------------------------------------
