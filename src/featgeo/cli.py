@@ -100,8 +100,8 @@ def _run_config(args) -> RunConfig:
 
 def _cmd_probe(args) -> int:
     cfg = _run_config(args)
-    client = build_client(cfg, catalog_default())
     docs = load_documents(cfg.competitor_docs)
+    client = build_client(cfg, catalog_default(), docs)
     probe = probe_topic(cfg, client, docs)
     out = records.write_probe(Path(cfg.output_dir), probe)
     print(f"probed {len(probe.queries)} queries; exemplars: {list(probe.exemplar_ids)}")

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .draws import Draws
-from .errors import FeatGeoError, ValidationError
+from .errors import ValidationError
 from .features import FeatureCatalog, FeatureVector, clamp
 
 EvalKey = tuple[int, int, int]  # (generation, slot, repeat); generation 0 = initial population
@@ -127,14 +127,6 @@ class EvolveResult:
     trace: HypervolumeTrace
     log: tuple[GenerationRecord, ...]
     evaluations: int
-
-
-class OptimizerAbort(FeatGeoError):
-    """Evaluator failure, chained to it as ``__cause__``; ``partial`` is the result ``evolve`` had reached."""
-
-    def __init__(self, message: str, partial: EvolveResult):
-        super().__init__(message)
-        self.partial = partial
 
 
 # -- sorting and diversity ---------------------------------------------------
@@ -401,6 +393,7 @@ def evolve(
     seed_vectors: Sequence[FeatureVector],
     catalog: FeatureCatalog,
     frozen_features: Mapping[int, float] | None = None,
+    on_generation: Callable[[EvolveResult], None] = lambda result: None,
 ) -> EvolveResult:
     """Run the (mu+lambda) NSGA-II loop.
 
@@ -408,48 +401,45 @@ def evolve(
     keyed by (generation, slot, repeat), and the results averaged (see
     ``_evaluate_generation``). The returned front is the non-dominated set
     over every individual ever evaluated; the trace holds that archive's
-    hypervolume after initialization and after each generation. An exception in
-    the loop is raised as OptimizerAbort, whose ``partial`` is the result so far.
+    hypervolume after initialization and after each generation. After each
+    generation is logged, ``on_generation`` gets the result so far, so a caller
+    keeps it when an exception in the loop propagates.
     """
     log: list[GenerationRecord] = []
     trace: list[tuple[int, float]] = []
     archive = ParetoFront(())
     evaluations = 0
 
-    def record(generation: int, evaluated: Sequence[Individual]) -> None:
+    def record(generation: int, evaluated: Sequence[Individual], population: Sequence[Individual]) -> EvolveResult:
         nonlocal archive
         archive = pareto_front_of(archive.members + tuple(evaluated))
         trace.append((generation, hypervolume(archive)))
+        log.extend(_log_population(population, generation))
+        result = EvolveResult(archive, HypervolumeTrace(tuple(trace)), tuple(log), evaluations)
+        on_generation(result)
+        return result
 
-    def result() -> EvolveResult:
-        return EvolveResult(archive, HypervolumeTrace(tuple(trace)), tuple(log), evaluations)
+    init_rng = _rng_for(cfg.seed, 0, 0)
+    population = seed_population(seed_vectors, cfg, catalog, init_rng, frozen=frozen_features)
+    evaluations += _evaluate_generation(population, cfg, evaluator, 0)
+    for front in non_dominated_sort(population):
+        crowding_distance(front)
+    result = record(0, population, population)
 
-    try:
-        init_rng = _rng_for(cfg.seed, 0, 0)
-        population = seed_population(seed_vectors, cfg, catalog, init_rng, frozen=frozen_features)
-        evaluations += _evaluate_generation(population, cfg, evaluator, 0)
-        for front in non_dominated_sort(population):
-            crowding_distance(front)
-        record(0, population)
-        log.extend(_log_population(population, 0))
-
-        for generation in range(1, cfg.generations + 1):
-            offspring: list[Individual] = []
-            for pair in range(cfg.population_size // 2):
-                rng = _rng_for(cfg.seed, generation, pair)
-                draws = Draws(rng)  # the pair's two tournaments share its kept half-word
-                parent_a = _tournament(population, cfg, rng, draws)
-                parent_b = _tournament(population, cfg, rng, draws)
-                child_a, child_b = uniform_crossover(
-                    parent_a.x, parent_b.x, cfg, rng, frozen=frozen_features
-                )
-                for child in (child_a, child_b):
-                    mutated = gaussian_mutate(child, cfg, catalog, rng, frozen=frozen_features)
-                    offspring.append(Individual(x=mutated))
-            evaluations += _evaluate_generation(offspring, cfg, evaluator, generation)
-            population = _environmental_selection(population + offspring, cfg.population_size)
-            record(generation, offspring)
-            log.extend(_log_population(population, generation))
-    except Exception as exc:
-        raise OptimizerAbort(f"evaluator failed during evolution: {exc}", result()) from exc
-    return result()
+    for generation in range(1, cfg.generations + 1):
+        offspring: list[Individual] = []
+        for pair in range(cfg.population_size // 2):
+            rng = _rng_for(cfg.seed, generation, pair)
+            draws = Draws(rng)  # the pair's two tournaments share its kept half-word
+            parent_a = _tournament(population, cfg, rng, draws)
+            parent_b = _tournament(population, cfg, rng, draws)
+            child_a, child_b = uniform_crossover(
+                parent_a.x, parent_b.x, cfg, rng, frozen=frozen_features
+            )
+            for child in (child_a, child_b):
+                mutated = gaussian_mutate(child, cfg, catalog, rng, frozen=frozen_features)
+                offspring.append(Individual(x=mutated))
+        evaluations += _evaluate_generation(offspring, cfg, evaluator, generation)
+        population = _environmental_selection(population + offspring, cfg.population_size)
+        result = record(generation, offspring, population)
+    return result

@@ -36,7 +36,6 @@ from .optimizer import (
     EvalKey,
     EvalUnit,
     GAConfig,
-    OptimizerAbort,
     POLICIES,
     evolve,
     select_final,
@@ -144,9 +143,13 @@ def load_documents(paths: Sequence[Path]) -> list[SourceDocument]:
     return docs
 
 
-def build_client(cfg: RunConfig, catalog: FeatureCatalog) -> EngineClient:
+def build_client(cfg: RunConfig, catalog: FeatureCatalog, docs: Sequence[SourceDocument] = ()) -> EngineClient:
+    """The run's client. Under the sim, the world built here first finds each of ``docs``' latent vector."""
     if cfg.backend == BACKEND_SIM:
-        backend = SimBackend(SimWorld(cfg.sim, catalog))
+        world = SimWorld(cfg.sim, catalog)
+        for doc in docs:
+            world.source_state(doc)
+        backend = SimBackend(world)
     else:
         backend = ChatCompletionBackend.from_env()
     cache_path = cfg.cache_path
@@ -348,16 +351,16 @@ def run_optimization(
 ) -> RunRecord:
     """Execute the full loop: probe, seed, evolve, select, persist, report.
 
-    Every input (config, backend settings, response cache, competitor documents) is
-    read before the first run-directory write, so an input error raises ValidationError
-    and leaves ``run_dir`` as it was. The report is built from the persisted run
-    directory, exactly as ``featgeo report`` rebuilds it later. The record's status
-    follows its failed evaluations (``RunRecord.settle_status``). A later exception
-    writes a failed record and is raised; an evolve abort raises the error that caused it.
+    Every input (config, competitor documents and, under the sim, their latent vectors,
+    backend settings, response cache) is read before the first run-directory write, so
+    an input error raises ValidationError and leaves ``run_dir`` as it was. The report is
+    built from the persisted run directory, exactly as ``featgeo report`` rebuilds it
+    later. The record's status follows its failed evaluations (``RunRecord.settle_status``).
+    A later exception writes a failed record, as far as the run got, and is raised.
     """
     catalog = catalog_default()
-    client = build_client(cfg, catalog)
     docs = load_documents(cfg.competitor_docs)
+    client = build_client(cfg, catalog, docs)
     run_dir = Path(run_dir) if run_dir is not None else Path(cfg.output_dir)
     record = RunRecord(ledger=client.ledger, config_snapshot=_config_snapshot(cfg, docs))
     if frozen_features:
@@ -372,16 +375,15 @@ def run_optimization(
         with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             evaluator = CandidateEvaluator(cfg, client, probe, docs, pool.map if pool else map)
             record.eval_metrics = evaluator.metrics  # so an aborted run keeps every evaluation that ran
-            record.result = evolve(cfg.ga, evaluator, probe.exemplar_vectors, catalog, frozen_features=frozen_features)
+            evolve(cfg.ga, evaluator, probe.exemplar_vectors, catalog, frozen_features=frozen_features,
+                   on_generation=lambda result: setattr(record, "result", result))  # a failed run keeps the last one
         record.settle_status()
         record.finals = {policy: select_final(record.result.front, policy) for policy in POLICIES}
     except Exception as exc:
-        if isinstance(exc, OptimizerAbort):  # record the run as far as evolve got, then raise what aborted it
-            record.result, exc = exc.partial, exc.__cause__
         record.status = "failed"
         record.error = str(exc)
         records.write_run_record(record, run_dir)
-        raise exc
+        raise
     records.write_run_record(record, run_dir)
     report.export_report(run_dir, overwrite=True)
     return record

@@ -269,6 +269,38 @@ def test_an_unreadable_competitor_document_exits_with_validation_status_naming_i
         assert run_cli(["probe", "--config", str(small_config), "--output-dir", str(tmp_path / "probe")]) == EXIT_OK
 
 
+@pytest.mark.parametrize("over_a_finished_run", [False, True], ids=["fresh", "finished"])
+@pytest.mark.parametrize("spoil, reason", [
+    ("string-value", "feature profile statistics_level must be a number, got '1.5'"),
+    ("no-vector", "document 6 has no embedded feature profile and no configured latent vector"),
+], ids=["string-value", "no-vector"])
+def test_a_competitor_document_without_a_latent_vector_exits_with_validation_status_before_any_write(
+    tmp_path, small_config, request, capsys, spoil, reason, over_a_finished_run
+):
+    """Under the sim, each document's latent vector is found before the run's first write."""
+    finished = request.getfixturevalue("run_dir") if over_a_finished_run else None
+    before = run_tree(finished) if finished else {}
+    raw = json.loads(small_config.read_text())
+    bad = tmp_path / "bad.txt"
+    if spoil == "string-value":
+        text = Path(raw["competitor_docs"][0]).read_text()
+        bad.write_text(text.replace('"statistics_level": 1.2,', '"statistics_level": "1.5",', 1))
+        raw["competitor_docs"][0] = str(bad)
+    else:  # a sixth document: no profile line, and competitor_vectors holds five
+        bad.write_text("Meal plans for busy weeks, with no profile line.\n")
+        raw["competitor_docs"].append(str(bad))
+    small_config.write_text(json.dumps(raw))
+    capsys.readouterr()
+    for command in ("probe", "optimize"):
+        out_dir = finished or tmp_path / command
+        args = [command, "--config", str(small_config), "--output-dir", str(out_dir), "--overwrite"]
+        assert run_cli(args) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: {reason}\n"
+        assert run_tree(out_dir) == before
+        assert finished or not out_dir.exists()
+
+
 @pytest.mark.parametrize("spoil, message", [
     ("config-key", "error: unknown config key query_cnt\n"),
     ("cache-line", "error: response cache {cache} line 1 is corrupt: "),

@@ -56,8 +56,8 @@ class Injector:
                 raise self.raised
             return complete(backend, request)
 
-        def recording_build_client(cfg, catalog):
-            self.clients.append(build_client(cfg, catalog))
+        def recording_build_client(cfg, catalog, docs=()):
+            self.clients.append(build_client(cfg, catalog, docs))
             return self.clients[-1]
 
         def counting_evaluate_batch(evaluator, units):

@@ -215,17 +215,6 @@ def test_thread_pool_is_built_at_one_site_inside_run_optimization():
     assert sites == ["pipeline.py:run_optimization"], sites
 
 
-def test_an_evolve_abort_is_unwrapped_by_run_optimization_alone():
-    """``evolve`` raises OptimizerAbort; ``run_optimization`` records the run it carries and raises its
-    cause, so no other module names it."""
-    def names_abort(node):
-        return "OptimizerAbort" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
-
-    sites = [site for path in sorted(PACKAGE_DIR.rglob("*.py")) if path != PACKAGE_DIR / "optimizer.py"
-             for site in _sites(path, names_abort)]
-    assert sorted(set(sites)) == ["pipeline.py:<module>", "pipeline.py:run_optimization"], sites
-
-
 def test_replies_are_re_asked_by_one_loop_over_the_retry_limit():
     def bounded_by_retry_limit(node):
         if isinstance(node, (ast.For, ast.comprehension)):
@@ -584,7 +573,7 @@ def test_every_optional_parameter_is_set_by_program_code():
 
 # The package's line count after its last change. ROADMAP's line ratchet (aim 2) says when a change may
 # raise it; a change that cuts lines lowers it to the new count.
-SRC_LINE_CEILING = 3452
+SRC_LINE_CEILING = 3444
 
 
 def test_the_package_stays_under_its_line_ceiling():

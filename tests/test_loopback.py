@@ -112,7 +112,8 @@ def loopback(monkeypatch, small_config):
 
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     server.daemon_threads = True
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval, so shutdown() at teardown does not wait out the default 0.5 s.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     base_url = f"http://127.0.0.1:{server.server_port}/v1"
 

@@ -4,14 +4,13 @@ import pytest
 from conftest import dominates, load_example_solutions, midpoint_vector, with_value
 from featgeo import optimizer
 from featgeo.draws import Draws
-from featgeo.errors import ValidationError
+from featgeo.errors import FeatGeoError, ValidationError
 from featgeo.features import FeatureVector, catalog_default, vector_from_mapping
 from featgeo.sim import _FILLER_VOCAB
 from featgeo.optimizer import (
     GAConfig,
     HypervolumeTrace,
     Individual,
-    OptimizerAbort,
     ParetoFront,
     _tournament,
     crowding_distance,
@@ -543,11 +542,11 @@ def test_evolve_rejects_non_finite_objectives_naming_generation_and_slot():
         return (float("nan"), 1.0) if key == (1, 2, 1) else sphere_landscape(x)
 
     cfg = cfg_with(population_size=4, generations=2, repeats_per_eval=2)
-    with pytest.raises(OptimizerAbort) as err:
-        evolve(cfg, evaluator, [midpoint_vector(CATALOG)], CATALOG)
-    assert isinstance(err.value.__cause__, ValidationError)
+    results = []
+    with pytest.raises(ValidationError) as err:
+        evolve(cfg, evaluator, [midpoint_vector(CATALOG)], CATALOG, on_generation=results.append)
     assert "non-finite objectives (nan, 1.0) at generation 1, slot 2" in str(err.value)
-    assert len(err.value.partial.trace.entries) == 1
+    assert len(results[-1].trace.entries) == 1
 
 
 def test_evolve_archive_trace_is_monotone():
@@ -586,7 +585,7 @@ def test_evolve_honors_frozen_features():
         assert member.x[4] == 0.0
 
 
-def test_evolve_wraps_evaluator_failures_with_partial_state():
+def test_evolve_raises_evaluator_failures_as_themselves_after_handing_over_partial_state():
     calls = {"n": 0}
 
     def flaky(x, key):
@@ -595,10 +594,33 @@ def test_evolve_wraps_evaluator_failures_with_partial_state():
             raise RuntimeError("backend down")
         return (50.0, 50.0)
 
-    with pytest.raises(OptimizerAbort) as err:
-        evolve(cfg_with(population_size=8, generations=3), flaky, [midpoint_vector(CATALOG)], CATALOG)
-    assert isinstance(err.value.__cause__, RuntimeError)
-    assert len(err.value.partial.trace.entries) >= 1
+    results = []
+    with pytest.raises(RuntimeError, match="backend down"):
+        evolve(cfg_with(population_size=8, generations=3), flaky, [midpoint_vector(CATALOG)], CATALOG,
+               on_generation=results.append)
+    assert len(results[-1].trace.entries) >= 1
+
+
+def test_an_internal_bug_in_an_evaluator_leaves_evolve_as_itself_not_as_a_featgeo_error():
+    def buggy(x, key):
+        return (1 / 0, 0.0) if key[0] == 1 else sphere_landscape(x)
+
+    with pytest.raises(ZeroDivisionError) as err:
+        evolve(cfg_with(population_size=4, generations=2), buggy, [midpoint_vector(CATALOG)], CATALOG)
+    assert not isinstance(err.value, FeatGeoError)
+
+
+def test_on_generation_gets_the_result_after_each_generation_and_the_last_is_returned():
+    cfg = cfg_with(population_size=6, generations=4, repeats_per_eval=2)
+    results = []
+    final = evolve(cfg, lambda x, k: sphere_landscape(x), [midpoint_vector(CATALOG)], CATALOG,
+                   on_generation=results.append)
+    assert len(results) == cfg.generations + 1
+    assert results[-1] == final
+    for generation, result in enumerate(results):
+        assert [gen for gen, _ in result.trace.entries] == list(range(generation + 1))
+        assert len(result.log) == (generation + 1) * cfg.population_size
+        assert result.evaluations == (generation + 1) * cfg.population_size * cfg.repeats_per_eval
 
 
 def test_ga_config_validation():

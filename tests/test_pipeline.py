@@ -27,7 +27,7 @@ from featgeo.engine.types import (
 )
 from featgeo.errors import EngineError, ValidationError
 from featgeo.features import FeatureVector, catalog_default
-from featgeo.optimizer import GAConfig, OptimizerAbort
+from featgeo.optimizer import GAConfig
 from featgeo.pipeline import (
     CandidateEvaluator,
     ProbeResult,
@@ -280,7 +280,7 @@ def run_against(monkeypatch, backend):
     """Make run_optimization build its client around ``backend``."""
     monkeypatch.setattr(
         pipeline_module, "build_client",
-        lambda c, cat: EngineClient(backend, cat),
+        lambda c, cat, docs=(): EngineClient(backend, cat),
     )
 
 
@@ -586,8 +586,8 @@ def test_the_client_holds_no_key_lock_after_a_cached_run_or_its_replay(tmp_path,
     clients = []
     build_client = pipeline_module.build_client
 
-    def recording_build_client(cfg, catalog):
-        clients.append(build_client(cfg, catalog))
+    def recording_build_client(cfg, catalog, docs=()):
+        clients.append(build_client(cfg, catalog, docs))
         return clients[-1]
 
     monkeypatch.setattr(pipeline_module, "build_client", recording_build_client)
@@ -768,25 +768,30 @@ def break_evaluations_after(monkeypatch, n):
     return probe
 
 
-def test_evolve_abort_persists_partial_record(tmp_path, monkeypatch):
+def test_evolve_failure_persists_partial_record(tmp_path, monkeypatch):
     """A bug in generation 2's batch aborts the run: run_optimization raises the bug itself, after it
     records the generations, trace and archive front evolve reached and the rows of the batches that ran."""
     cfg = small_sim_config(tmp_path)  # 4 slots x 2 repeats per generation
     break_evaluations_after(monkeypatch, 16)
-    aborts, evolve = [], pipeline_module.evolve
+    results, raised, evolve = [], [], pipeline_module.evolve
 
-    def recording_evolve(*args, **kwargs):
+    def recording_evolve(*args, on_generation, **kwargs):
+        def record(result):
+            results.append(result)
+            on_generation(result)
+
         try:
-            return evolve(*args, **kwargs)
-        except OptimizerAbort as abort:
-            aborts.append(abort)
+            return evolve(*args, on_generation=record, **kwargs)
+        except Exception as exc:
+            raised.append(exc)
             raise
 
     monkeypatch.setattr(pipeline_module, "evolve", recording_evolve)
     with pytest.raises(RuntimeError) as err:
         run_optimization(cfg)
-    (abort,) = aborts
-    assert err.value is abort.__cause__
+    (bug,) = raised
+    assert err.value is bug and type(bug) is RuntimeError
+    partial = results[-1]
     manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"] == "hard backend bug"
@@ -795,10 +800,10 @@ def test_evolve_abort_persists_partial_record(tmp_path, monkeypatch):
         (g, s, r) for g in (0, 1) for s in range(4) for r in range(2)
     ]
     front = [json.loads(line) for line in (cfg.output_dir / "pareto_front.jsonl").read_text().splitlines()]
-    assert front and [(m["visibility"], m["quality"]) for m in front] == abort.partial.front.objective_pairs()
-    assert [m["realized_at"] for m in front] == [list(ind.key) for ind in abort.partial.front]
+    assert front and [(m["visibility"], m["quality"]) for m in front] == partial.front.objective_pairs()
+    assert [m["realized_at"] for m in front] == [list(ind.key) for ind in partial.front]
     trace = (cfg.output_dir / "hv_trace.csv").read_text()
-    assert trace == records.trace_csv(abort.partial.trace.entries) and trace.count("\n") == 3
+    assert trace == records.trace_csv(partial.trace.entries) and trace.count("\n") == 3
     assert (cfg.output_dir / "generations.jsonl").read_text().count("\n") == 8
 
 
