@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .draws import Draws
+from .draws import Draws, pcg64_streams
 from .errors import ValidationError
 from .features import FeatureCatalog, FeatureVector, clamp
 
@@ -51,10 +51,10 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2 or self.population_size % 2 != 0:
-            raise ValidationError(f"population size must be even and >= 2, got {self.population_size}")
-        if self.generations < 1:
-            raise ValidationError(f"generations must be >= 1, got {self.generations}")
+        if not (2 <= self.population_size < 2**33 and self.population_size % 2 == 0):
+            raise ValidationError(f"population size must be even and in [2, 2**33), got {self.population_size}")
+        if not 1 <= self.generations < 2**32:  # generation and pair indices are uint32 words of pcg64_streams' seeds
+            raise ValidationError(f"generations must lie in [1, 2**32), got {self.generations}")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ValidationError(f"mutation probability must lie in [0, 1], got {self.mutation_prob}")
         if not 0.0 <= self.crossover_prob <= 1.0:
@@ -335,12 +335,6 @@ def select_final(front: ParetoFront, policy: str) -> Individual:
 # -- main loop -------------------------------------------------------------------
 
 
-def _rng_for(seed: int, generation: int, unit: int) -> np.random.Generator:
-    # Split streams per (generation, unit) so evaluation order can never
-    # perturb the variation sequence.
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, generation, unit)))
-
-
 def _evaluate_generation(
     individuals: Sequence[Individual], cfg: GAConfig, evaluator: Evaluator, generation: int
 ) -> int:
@@ -419,8 +413,12 @@ def evolve(
         on_generation(result)
         return result
 
-    init_rng = _rng_for(cfg.seed, 0, 0)
-    population = seed_population(seed_vectors, cfg, catalog, init_rng, frozen=frozen_features)
+    # Variation draws one stream per (generation, pair), the initial population's being (0, 0), so evaluation
+    # order can never perturb it; each is set in turn on this call's own generator.
+    streams = pcg64_streams(cfg.seed, cfg.generations, cfg.population_size // 2)
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = next(streams)
+    population = seed_population(seed_vectors, cfg, catalog, rng, frozen=frozen_features)
     evaluations += _evaluate_generation(population, cfg, evaluator, 0)
     for front in non_dominated_sort(population):
         crowding_distance(front)
@@ -428,8 +426,8 @@ def evolve(
 
     for generation in range(1, cfg.generations + 1):
         offspring: list[Individual] = []
-        for pair in range(cfg.population_size // 2):
-            rng = _rng_for(cfg.seed, generation, pair)
+        for _ in range(cfg.population_size // 2):
+            rng.bit_generator.state = next(streams)
             draws = Draws(rng)  # the pair's two tournaments share its kept half-word
             parent_a = _tournament(population, cfg, rng, draws)
             parent_b = _tournament(population, cfg, rng, draws)

@@ -199,6 +199,15 @@ CLOSED_FORM_SHAPE_DIGESTS = {
 }
 
 
+# The same digest where variation's stream seeding is at its edges: a 3-word GA seed whose 4,801 streams
+# span two of pcg64_streams' blocks, a 4-word seed whose entropy overflows SeedSequence's pool, and one pair.
+CLOSED_FORM_STREAM_DIGESTS = {
+    (64, 150, 2**64 + 3, False): "89ec3e0b16ad2e191812dedf101739ef6fb2b9acc06bb642771ab1cee0573ff9",
+    (6, 5, 2**96 + 1, True): "2964cdbc8f1cfcac5738cd3d625abb380713d74df91e63d75e75b7ffc5810ea4",
+    (2, 3, 0, True): "ebf64950260fa960f7da2b9151fdb7c4108cbffd461ce8c5c8943b33e188f467",
+}
+
+
 def closed_form_digest(population, generations, seed, all_active=False):
     world = bundled_world()
     frozen = None if all_active else {
@@ -222,6 +231,11 @@ def test_closed_form_evolve_determinism(seed):
 @pytest.mark.parametrize("shape", sorted(CLOSED_FORM_SHAPE_DIGESTS))
 def test_closed_form_evolve_determinism_at_the_table_shapes(shape):
     assert closed_form_digest(*shape) == CLOSED_FORM_SHAPE_DIGESTS[shape]
+
+
+@pytest.mark.parametrize("shape", sorted(CLOSED_FORM_STREAM_DIGESTS))
+def test_closed_form_evolve_determinism_at_the_stream_seeding_edges(shape):
+    assert closed_form_digest(*shape) == CLOSED_FORM_STREAM_DIGESTS[shape]
 
 
 def test_criterion_6_archive_hypervolume_monotone_over_seeds():

@@ -573,7 +573,7 @@ def test_every_optional_parameter_is_set_by_program_code():
 
 # The package's line count after its last change. ROADMAP's line ratchet (aim 2) says when a change may
 # raise it; a change that cuts lines lowers it to the new count.
-SRC_LINE_CEILING = 3444
+SRC_LINE_CEILING = 3484
 
 
 def test_the_package_stays_under_its_line_ceiling():

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import dominates, load_example_solutions, midpoint_vector, with_value
 from featgeo import optimizer
-from featgeo.draws import Draws
+from featgeo.draws import Draws, pcg64_streams
 from featgeo.errors import FeatGeoError, ValidationError
 from featgeo.features import FeatureVector, catalog_default, vector_from_mapping
 from featgeo.sim import _FILLER_VOCAB
@@ -278,6 +278,38 @@ def test_a_vector_of_uniform_draws_equals_as_many_scalar_draws(k):
     for _ in range(200):
         assert a.random(k).tolist() == [b.random() for _ in range(k)]
     assert a.random() == b.random()
+
+
+# -- variation streams ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 1])
+@pytest.mark.parametrize("generations", [1, 2, 70])
+@pytest.mark.parametrize("pairs", [1, 32, 64])
+def test_pcg64_streams_equal_seed_sequence_seeding(seed, generations, pairs):
+    # 70 generations of 64 pairs are 4,481 streams, past one 4,096-row block; a seed of 4 words
+    # (2**96 + 1) makes 6 words of entropy, more than SeedSequence's pool of 4.
+    keys = [(0, 0)] + [(g, u) for g in range(1, generations + 1) for u in range(pairs)]
+    expected = [np.random.PCG64(np.random.SeedSequence(entropy=(seed, *key))).state for key in keys]
+    assert list(pcg64_streams(seed, generations, pairs)) == expected
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_a_stream_set_in_place_draws_as_a_freshly_seeded_generator(buffered):
+    rng = np.random.default_rng(np.random.PCG64(0))
+    for seed, generations, pairs in [(7003, 3, 32), (2**96 + 1, 2, 3)]:
+        keys = [(0, 0)] + [(g, u) for g in range(1, generations + 1) for u in range(pairs)]
+        for key, state in zip(keys, pcg64_streams(seed, generations, pairs)):
+            while buffered and not rng.bit_generator.state["has_uint32"]:
+                rng.integers(0, 5)  # a numpy 32-bit draw keeps its raw output's other half in the generator
+            rng.bit_generator.state = state
+            ref = np.random.default_rng(np.random.SeedSequence(entropy=(seed, *key)))
+            assert rng.integers(0, 5) == ref.integers(0, 5)
+            assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+            assert rng.random() == ref.random()
+            assert rng.standard_normal() == ref.standard_normal()
+            draws, ref_draws, sizes = Draws(rng), Draws(ref), (2, 9, 64, 2**31 + 1)
+            assert [draws.below(n) for n in sizes] == [ref_draws.below(n) for n in sizes]
 
 
 # -- tournament draws ----------------------------------------------------------------------
@@ -630,6 +662,12 @@ def test_ga_config_validation():
         GAConfig(population_size=0)
     with pytest.raises(ValidationError):
         GAConfig(generations=0)
+    # An index of 2**32 would take a second SeedSequence entropy word, which pcg64_streams does not give it.
+    GAConfig(generations=2**32 - 1, population_size=2**33 - 2)
+    with pytest.raises(ValidationError, match="generations must lie in"):
+        GAConfig(generations=2**32)
+    with pytest.raises(ValidationError, match="population size must be even"):
+        GAConfig(population_size=2**33)
     with pytest.raises(ValidationError):
         GAConfig(mutation_prob=1.2)
     with pytest.raises(ValidationError):
